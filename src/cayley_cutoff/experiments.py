@@ -144,8 +144,9 @@ def _map_replicates(config: ExperimentConfig, fn, payload) -> list:
 
 
 def _budget_check(config: ExperimentConfig, n: int, transforms_per_replicate: int):
-    work = config.replicates * (n * max(config.k, 1)
-                                + transforms_per_replicate * n * max(math.log2(n), 1.0))
+    """Price each replicate as its spectrum transform plus its row transforms."""
+    work = (config.replicates * (transforms_per_replicate + 1)
+            * n * max(math.log2(n), 1.0))
     if work > BUDGET_LIMIT and not config.force:
         raise BudgetExceededError(
             f"estimated {work:.3g} butterfly-equivalents exceeds {BUDGET_LIMIT:g}; "

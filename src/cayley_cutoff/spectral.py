@@ -1,9 +1,17 @@
 """Exact spectral analysis of Abelian Cayley walks via the character basis.
 
 Every Cayley walk on G = Z_{m_1} + ... + Z_{m_d} is diagonalized by the
-characters chi_x(y) = exp(2 pi i sum_j x_j y_j / m_j), so heat-kernel rows are
-computed exactly with one per-axis DFT of the eigenvalue grid.  numpy's FFT
+characters chi_x(y) = exp(2 pi i sum_j x_j y_j / m_j).  The eigenvalue
+lambda_x = (1/k) sum_i chi_x(z_i) is the inverse DFT of the generator
+histogram (how often each element occurs among the generators), so the whole
+spectrum costs one transform, and each heat-kernel row one more.  numpy's FFT
 handles arbitrary axis lengths (Bluestein/chirp-z for primes) at O(n log n).
+
+Connectivity is decided exactly: a character is invariant (lambda_x = 1) iff
+x . z_i = 0 in Q/Z for every generator, which is checked in integer arithmetic
+for the few characters whose float eigenvalue lies near 1.  Invariant
+characters carry the eigenvalue 1.0 exactly and no other character does, so
+`lambda == 1` is the connectivity test.
 """
 
 from __future__ import annotations
@@ -16,8 +24,10 @@ import numpy as np
 
 from .groups import Element, GeneratorMultiset, GroupSpec
 
-#: |lambda_x - 1| below this counts as a persistent (disconnecting) unit mode.
-UNIT_EIGENVALUE_TOL = 1e-12
+#: |lambda_x - 1| up to this makes x a candidate invariant character.  The
+#: transform's rounding error is ~1e-15, so no invariant character is missed;
+#: non-invariant candidates are rejected by the exact integer test.
+INVARIANT_CANDIDATE_TOL = 1e-6
 
 #: tolerance for the imaginary residue and negative-probability clamp of a row.
 ROW_TOL = 1e-9
@@ -59,30 +69,42 @@ def character(group: GroupSpec, x: Element, y: Element) -> complex:
     return cmath.exp(2j * math.pi * phase)
 
 
-def _generator_phase_grid(group: GroupSpec, z: Element) -> np.ndarray:
-    """Fractional phases x_bar . z for all x, as a d-dimensional grid."""
-    total = np.zeros((1,) * group.d)
-    for j, (m, zj) in enumerate(zip(group.moduli, z)):
-        axis = np.arange(m) * (zj / m)
-        shape = [1] * group.d
-        shape[j] = m
-        total = total + axis.reshape(shape)
-    return total
+def _invariant_characters(group: GroupSpec, Z: GeneratorMultiset,
+                          candidates: np.ndarray) -> np.ndarray:
+    """The candidate indices x with x . z_i = 0 in Q/Z for every generator z_i.
+
+    Scaled by L = lcm(m) to sum_j x_j z_ij (L / m_j) = 0 (mod L), on Python
+    ints (object arrays): the products reach m_j * L and would wrap in int64.
+    """
+    lcm = math.lcm(*group.moduli)
+    coords = [(candidates // w % m).astype(object) * (lcm // m)
+              for w, m in zip(group.radix_weights, group.moduli)]
+    for z in set(Z.generators):
+        ok = sum(c * zj for c, zj in zip(coords, z)) % lcm == 0
+        candidates, coords = candidates[ok], [c[ok] for c in coords]
+    return candidates
 
 
 def eigenvalues(group: GroupSpec, Z: GeneratorMultiset, model: str) -> SpectralData:
-    """lambda_x = (1/k) sum_i cos(2 pi x_bar.Z_i), or the character value when directed."""
+    """lambda_x = (1/k) sum_i cos(2 pi x_bar.Z_i), or the character value when directed.
+
+    Computed as the inverse DFT of the generator histogram.  Invariant
+    characters (x = 0 among them) are set to exactly 1.0; every other
+    character keeps Re lambda < 1, so its gap 1 - Re lambda stays positive.
+    """
     if model not in ("undirected", "directed"):
         raise ValueError(f"unknown model {model!r}")
-    acc = np.zeros(group.moduli, dtype=complex if model == "directed" else float)
-    for z in Z.generators:
-        theta = 2.0 * np.pi * _generator_phase_grid(group, z)
-        if model == "directed":
-            acc += np.exp(1j * theta)
-        else:
-            acc += np.cos(theta)
-    lam = (acc / Z.k).reshape(-1).astype(complex)
-    lam[0] = 1.0  # zero character, exact by construction
+    gens = np.array(Z.generators, dtype=np.int64).reshape(Z.k, group.d)
+    counts = np.bincount(gens @ np.array(group.radix_weights, dtype=np.int64),
+                         minlength=group.n).reshape(group.moduli)
+    lam = np.fft.ifftn(counts, norm="forward").reshape(-1) / Z.k
+    if model == "undirected":
+        lam = lam.real.astype(complex)
+    near = np.flatnonzero(np.abs(lam - 1.0) <= INVARIANT_CANDIDATE_TOL)
+    # Rounding must not close a gap below float resolution: only the exactly
+    # invariant characters reach 1.
+    lam[near] = np.minimum(lam[near].real, np.nextafter(1.0, 0.0)) + 1j * lam[near].imag
+    lam[_invariant_characters(group, Z, near)] = 1.0
     return SpectralData(model=model, group=group, k=Z.k, eigenvalues=lam)
 
 
@@ -134,15 +156,15 @@ def l2_bound(spec: SpectralData, t: float) -> float:
 
 
 def gap_summary(spec: SpectralData) -> GapSummary:
-    """Spectral gap, relaxation time and absolute gap from the eigenvalue array."""
+    """Spectral gap, relaxation time and absolute gap from the eigenvalue array.
+
+    The walk is connected iff no nonzero character has lambda == 1 exactly
+    (see `eigenvalues`); a disconnected walk has gamma = 0 and t_rel = inf.
+    """
     lam = spec.eigenvalues[1:]
-    connected = not bool(np.any(np.abs(lam - 1.0) <= UNIT_EIGENVALUE_TOL))
-    if connected:
-        gamma = float(np.min(1.0 - lam.real))
-        t_rel = 1.0 / gamma
-    else:
-        gamma = 0.0
-        t_rel = math.inf
+    connected = not bool(np.any(lam == 1.0))
+    gamma = float(np.min(1.0 - lam.real)) if connected else 0.0
+    t_rel = 1.0 / gamma if gamma > 0.0 else math.inf
     gamma_star = float(np.min(1.0 - np.abs(lam)))
     return GapSummary(gamma=gamma, t_rel=t_rel, gamma_star=gamma_star, connected=connected)
 

@@ -7,7 +7,8 @@ import pytest
 from cayley_cutoff import entropic
 from cayley_cutoff.cli import load_config_file, main
 from cayley_cutoff.experiments import (BudgetExceededError, ExperimentConfig,
-                                       _parse_t_grid, default_t_grid,
+                                       _budget_check, _parse_t_grid,
+                                       default_t_grid,
                                        run_cheeger, run_cutoff_profile,
                                        run_entropic_report, run_gap_scan,
                                        run_tv_curve, run_verify)
@@ -82,6 +83,23 @@ def test_gap_scan_flags_disconnected():
     assert len(rows) == 10
 
 
+def test_gap_scan_directed_subgroup_draws(tmp_path):
+    # Some draws lie in a proper subgroup of Z_100006; the directed spectrum
+    # must flag them exactly as the undirected one does, without dividing by 0.
+    out = tmp_path / "gaps.json"
+    status = main(["gap-scan", "--group", "100006", "--k", "3", "--model",
+                   "directed", "--seed", "1", "--replicates", "40",
+                   "--format", "json", "--out", str(out)])
+    assert status == 0
+    directed = [json.loads(l) for l in out.read_text().splitlines()[1:-1]]
+    _, undirected = run_gap_scan(_config(command="gap-scan", moduli=(100006,),
+                                         k=3, base_seed=1, replicates=40))
+    assert [r["connected"] for r in directed] == [r["connected"] for r in undirected]
+    assert sum(not r["connected"] for r in directed) == 5
+    for r in directed:
+        assert (r["gamma"] == 0.0) == (r["t_rel"] == math.inf) == (not r["connected"])
+
+
 def test_cutoff_profile_decreasing_in_alpha():
     cfg = _config(command="cutoff-profile", moduli=(101,), k=6, replicates=4,
                   alphas=(-1.5, 0.0, 1.5), base_seed=13)
@@ -101,6 +119,16 @@ def test_budget_refusal_and_force():
         run_cutoff_profile(cfg)
     # small jobs pass the estimator untouched
     run_gap_scan(_config(command="gap-scan", moduli=(64,), k=3, replicates=2))
+
+
+def test_budget_check_prices_transforms_not_generators():
+    # the scale target: one exact profile at n = 10^6 + 3 with k = 10^4
+    cfg = _config(command="cutoff-profile", moduli=(10 ** 6 + 3,), k=10 ** 4,
+                  alphas=(-1.5, 0.0, 1.5))
+    _budget_check(cfg, 10 ** 6 + 3, 3)
+    with pytest.raises(BudgetExceededError):
+        _budget_check(_config(command="cutoff-profile", k=10 ** 4,
+                              replicates=20), 10 ** 6 + 3, 3)
 
 
 def test_entropic_report_fields_and_regimes():

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from cayley_cutoff.groups import (GeneratorMultiset, element_of, index_of,
-                                  make_group, neg, replicate_rng,
-                                  sample_generators)
-from cayley_cutoff.spectral import (cheeger_bounds, cheeger_exact, character,
-                                    eigenvalues, gap_summary, heat_kernel_row,
-                                    l2_bound, tv_exact)
+from cayley_cutoff.groups import (GeneratorMultiset, add, element_of,
+                                  index_of, make_group, neg, replicate_rng,
+                                  sample_generators, zero)
+from cayley_cutoff.spectral import (_invariant_characters, cheeger_bounds,
+                                    cheeger_exact, character, eigenvalues,
+                                    gap_summary, heat_kernel_row, l2_bound,
+                                    tv_exact)
 
 from conftest import dense_transition, tv_from_uniform, uniformized_row
 
@@ -39,6 +40,84 @@ def test_eigenvalues_subgroup_generator_disconnected():
     spec = eigenvalues(g, Z, "undirected")
     assert abs(spec.eigenvalues[3] - 1.0) < 1e-15  # character x=3 fixed by {0,2,4}
     assert not gap_summary(spec).connected
+
+
+def _character_sum_oracle(group, Z, model):
+    """(1/k) sum_i of chi_x(z_i), one generator at a time, with each phase
+    x.z_i in Q/Z reduced exactly in integers to r/L, L = lcm(m), before the
+    single float division."""
+    lcm = math.lcm(*group.moduli)
+    coords = np.indices(group.moduli).reshape(group.d, -1)
+    acc = np.zeros(group.n, dtype=complex)
+    for z in Z.generators:
+        r = np.zeros(group.n, dtype=np.int64)
+        for xj, zj, m in zip(coords, z, group.moduli):
+            r = (r + (xj * zj % m) * (lcm // m)) % lcm
+        theta = 2.0 * np.pi * (r / lcm)
+        acc += np.exp(1j * theta) if model == "directed" else np.cos(theta)
+    return acc / Z.k
+
+
+@pytest.mark.parametrize("model", ["undirected", "directed"])
+@pytest.mark.parametrize("moduli", [[997], [6], [12, 18], [4, 6, 10], [3, 3, 5]])
+def test_eigenvalues_match_character_sum_oracle(model, moduli):
+    g = make_group(moduli)
+    drawn = sample_generators(g, 6, replicate_rng(16, len(moduli))).generators
+    # a repeated generator and the zero generator
+    gens = drawn + (drawn[0], (0,) * g.d)
+    Z = GeneratorMultiset(generators=gens, k=len(gens))
+    lam = eigenvalues(g, Z, model).eigenvalues
+    assert lam.dtype == complex and lam.shape == (g.n,) and lam[0] == 1.0
+    assert np.abs(lam - _character_sum_oracle(g, Z, model)).max() <= 1e-12
+
+
+def test_invariant_characters_exact_beyond_int64():
+    m = 3 ** 29  # x * z below reaches ~5e26, past the int64 range
+    g = make_group([m])
+    x = np.array([3 ** 28, 3 ** 28 + 1])
+    z = 3 * (3 ** 27 + 1)
+    for gen, expected in (((z,), [3 ** 28]), ((z + 1,), [])):
+        Z = GeneratorMultiset(generators=(gen,), k=1)
+        assert _invariant_characters(g, Z, x).tolist() == expected
+
+
+def test_gap_below_float_resolution_stays_connected():
+    # lambda_1 = 1 - (1 - cos(2 pi / 2^22)) / 40001 rounds to 1.0 in floats
+    g = make_group([2 ** 22])
+    Z = GeneratorMultiset(generators=((1,),) + ((0,),) * 40000, k=40001)
+    gaps = gap_summary(eigenvalues(g, Z, "undirected"))
+    assert gaps.connected and gaps.gamma > 0.0 and gaps.t_rel < math.inf
+
+
+def _generates_group(group, Z):
+    """Breadth-first closure of {0} under adding generators."""
+    seen = {zero(group)}
+    frontier = [zero(group)]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for z in Z.generators:
+                y = add(group, x, z)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return len(seen) == group.n
+
+
+def test_connectivity_is_exact_and_model_free():
+    cases = [[6], [12], [2, 4], [3, 3], [4, 6], [2, 2, 2]]
+    for rep, moduli in enumerate(cases):
+        g = make_group(moduli)
+        for k in (1, 2, 3):
+            for r in range(8):
+                Z = sample_generators(g, k, replicate_rng(100 + rep, 10 * k + r))
+                expected = _generates_group(g, Z)
+                for model in ("undirected", "directed"):
+                    gaps = gap_summary(eigenvalues(g, Z, model))
+                    assert gaps.connected == expected
+                    assert (gaps.gamma == 0.0) == (gaps.t_rel == math.inf)
+                    assert (gaps.gamma > 0.0) == gaps.connected
 
 
 @pytest.mark.parametrize("model", ["undirected", "directed"])
