@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, special, stats
+from scipy import optimize, special
 
 MODELS = ("undirected", "directed")
 
@@ -100,6 +100,11 @@ def window_half_width(s: float) -> int:
 _POISSON_CENTERED_MIN = 10 ** 4
 
 
+def poisson_logpmf(x, s: float):
+    """log Po(s)(x) for integers x >= 0, the form scipy.stats.poisson evaluates."""
+    return special.xlogy(x, s) - special.gammaln(x + 1) - s
+
+
 def _poisson_pmf_centered(lo: int, hi: int, s: float) -> np.ndarray:
     """Poisson pmf on [lo, hi] for large s, free of large-term cancellation.
 
@@ -136,7 +141,7 @@ def step_distribution(model: str, s: float, half_width: int | None = None) -> St
         if s >= _POISSON_CENTERED_MIN:
             pmf = _poisson_pmf_centered(lo, hi, s)
         else:
-            pmf = stats.poisson.pmf(np.arange(lo, hi + 1), s)
+            pmf = np.exp(poisson_logpmf(np.arange(lo, hi + 1), s))
     else:
         lo, hi = -half, half
         # e^{-s} I_{|x|}(s): scaled Bessel, stable for any s.
@@ -152,7 +157,7 @@ def step_pmf(model: str, s: float, x: int) -> float:
     if model == "directed":
         if x < 0:
             return 0.0
-        return float(stats.poisson.pmf(x, s))
+        return float(np.exp(poisson_logpmf(x, s)))
     return float(special.ive(abs(x), s))
 
 
@@ -189,8 +194,6 @@ def entropy_derivative(model: str, s: float) -> float:
     else:
         prev = np.roll(p, 1)
         prev[0] = 0.0  # no inflow into the leftmost state of the window
-        if dist.lo == 0:
-            prev[0] = 0.0
         dp = prev - p
     mask = p > PMF_FLOOR
     terms = -dp[mask] * (np.log(p[mask]) + 1.0)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from . import entropic, walk
 from .groups import (GroupSpec, element_of, make_group, replicate_rng,
@@ -184,7 +184,7 @@ def _survival_series(ell: int, s: float) -> float:
     v = np.ones(2 * ell - 1)
     # Poisson weights in a window wide enough that the discarded tail < 1e-13.
     top = int(s + 12.0 * math.sqrt(s) + 50.0) + 1
-    log_w = stats.poisson.logpmf(np.arange(top), s) if s > 0 else None
+    log_w = entropic.poisson_logpmf(np.arange(top), s) if s > 0 else None
     total = 0.0
     for i in range(top):
         w = math.exp(log_w[i]) if s > 0 else (1.0 if i == 0 else 0.0)
@@ -287,14 +287,15 @@ def tail_ratio_check(model: str, s_grid, r_grid) -> CheckReport:
             if r < math.sqrt(s) or r < 1:
                 continue
             if model == "poisson":
+                # x >= r >= 1 and x_lo >= 0: no negative counts reach pdtrc/pdtr
                 x = int(round(s + r))
-                tail = float(stats.poisson.sf(x - 1, s))
-                point = float(stats.poisson.pmf(x, s))
+                tail = float(special.pdtrc(x - 1, s))
+                point = entropic.step_pmf("directed", float(s), x)
                 pairs = [(tail, point)]
                 if s - r >= 0:
                     x_lo = int(math.floor(s - r))
-                    pairs.append((float(stats.poisson.cdf(x_lo, s)),
-                                  float(stats.poisson.pmf(x_lo, s))))
+                    pairs.append((float(special.pdtr(x_lo, s)),
+                                  entropic.step_pmf("directed", float(s), x_lo)))
             else:
                 tail = _srw_tail(float(s), r)
                 point = entropic.step_pmf("undirected", float(s), r)
@@ -385,25 +386,6 @@ def gcd_expectation_probe(d: int, I_size: int, r: int, samples: int,
                    estimate=est, stderr=se)
 
 
-def _typical_mask(w: np.ndarray, dist, r_alpha: int, q_threshold: float) -> np.ndarray:
-    """Row mask of walks satisfying both the local window and global pmf ceiling."""
-    mean = dist.mean
-    local = (np.abs(w - mean) <= r_alpha).all(axis=1)
-    inside = (w >= dist.lo) & (w <= dist.hi)
-    probs = np.where(inside, dist.pmf[np.clip(w - dist.lo, 0, dist.pmf.size - 1)],
-                     entropic.PMF_FLOOR)
-    q = -np.log(np.maximum(probs, entropic.PMF_FLOOR)).sum(axis=1)
-    return local & (q >= q_threshold)
-
-
-def _sample_walks(model: str, s: float, k: int, samples: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    if model == "directed":
-        return rng.poisson(s, size=(samples, k))
-    jumps = rng.poisson(s, size=(samples, k))
-    return 2 * rng.binomial(jumps, 0.5) - jumps
-
-
 def modified_l2_probe(group: GroupSpec, k: int, model: str, alpha: float,
                       replicates: int, samples: int,
                       rng: np.random.Generator) -> CheckReport:
@@ -418,9 +400,8 @@ def modified_l2_probe(group: GroupSpec, k: int, model: str, alpha: float,
         raise ValueError("probe capped at n <= 2e4")
     sol = entropic.solve_times(n, k, model, alphas=[alpha])
     t_a = sol.t_alpha[float(alpha)]
-    s = t_a / k
     params = walk.typicality_params(n, k, model, alpha)
-    dist = entropic.step_distribution(model, s)
+    dist = entropic.step_distribution(model, t_a / k)
     q_threshold = math.log(n) + params.omega
     hits = zero_hits = accepted_total = 0
     chunk = 20000
@@ -431,11 +412,11 @@ def modified_l2_probe(group: GroupSpec, k: int, model: str, alpha: float,
         while done < samples:
             m_chunk = min(chunk, samples - done)
             done += m_chunk
-            w1 = _sample_walks(model, s, k, m_chunk, rng)
-            w2 = _sample_walks(model, s, k, m_chunk, rng)
-            typ = _typical_mask(w1, dist, params.r_alpha, q_threshold) & \
-                _typical_mask(w2, dist, params.r_alpha, q_threshold)
-            v = (w1 - w2)[typ]
+            w1 = walk.sample_walks(model, t_a, k, m_chunk, rng)
+            w2 = walk.sample_walks(model, t_a, k, m_chunk, rng)
+            typ = walk.typical_mask(w1, dist, params.r_alpha, q_threshold) & \
+                walk.typical_mask(w2, dist, params.r_alpha, q_threshold)
+            v = w1[typ] - w2[typ]
             accepted = v.shape[0]
             accepted_total += accepted
             if accepted == 0:
@@ -476,22 +457,22 @@ def set_probability_check(n: int, k: int, model: str, alpha: float, I,
     if len(I) > k:
         raise ValueError("|I| cannot exceed k")
     sol = entropic.solve_times(n, k, model, alphas=[alpha])
-    s = sol.t_alpha[float(alpha)] / k
+    t_a = sol.t_alpha[float(alpha)]
     params = walk.typicality_params(n, k, model, alpha)
-    dist = entropic.step_distribution(model, s)
+    dist = entropic.step_distribution(model, t_a / k)
     q_threshold = math.log(n) + params.omega
-    w1 = _sample_walks(model, s, k, samples, rng)
-    w2 = _sample_walks(model, s, k, samples, rng)
-    v = w1 - w2
-    nonzero = v != 0
+    w1 = walk.sample_walks(model, t_a, k, samples, rng)
+    w2 = walk.sample_walks(model, t_a, k, samples, rng)
     target = np.zeros(k, dtype=bool)
     target[list(I)] = True
-    support_match = (nonzero == target).all(axis=1)
-    typ = _typical_mask(w1, dist, params.r_alpha, q_threshold) & \
-        _typical_mask(w2, dist, params.r_alpha, q_threshold)
-    mean = dist.mean
-    local_only = ((np.abs(w1 - mean) <= params.r_alpha).all(axis=1)
-                  & (np.abs(w2 - mean) <= params.r_alpha).all(axis=1))
+    support_match = ((w1 != w2) == target).all(axis=1)
+
+    def _both(threshold):
+        return (walk.typical_mask(w1, dist, params.r_alpha, threshold)
+                & walk.typical_mask(w2, dist, params.r_alpha, threshold))
+
+    typ = _both(q_threshold)
+    local_only = _both(-math.inf)
 
     def _estimate(mask):
         est = float(mask.mean())

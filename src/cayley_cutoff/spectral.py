@@ -142,9 +142,9 @@ def tv_exact(row: HeatKernelRow) -> float:
     probability vectors), which keeps boundary identities like tv(0) = 1 - 1/n
     exact to the last bit.
     """
-    n = row.probs.size
-    u = 1.0 / n
-    return math.fsum(p - u for p in row.probs.tolist() if p > u)
+    p = row.probs
+    u = 1.0 / p.size
+    return math.fsum((p[p > u] - u).tolist())
 
 
 def l2_bound(spec: SpectralData, t: float) -> float:

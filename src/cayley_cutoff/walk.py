@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from . import entropic
 from .groups import Element, GeneratorMultiset, GroupSpec, dot
@@ -56,23 +56,76 @@ class ProbeResult:
 
 def psi(alpha: float) -> float:
     """Standard normal upper-tail probability."""
-    return float(stats.norm.sf(alpha))
+    return float(special.ndtr(-alpha))
+
+
+def sample_walks(model: str, t: float, k: int, samples: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """(samples, k) int64 array of independent draws of W(t).
+
+    W(t) makes Poisson(t) jumps in all, each along a uniform coordinate and
+    +1 (directed) or +-1 with probability 1/2 (undirected).  For t <= k the
+    jumps themselves are drawn and summed per coordinate by one unbuffered add
+    over the flat cells row*k + col: O(t) draws per walk, the exact law, no pmf
+    truncation.  For t > k each coordinate is drawn directly, Poisson(t/k)
+    jumps of which Binomial(jumps, 1/2) are +1 (undirected), so the cost is
+    O(min(t, k)) per walk either way.
+    """
+    if t < 0 or k < 1:
+        raise ValueError("need t >= 0 and k >= 1")
+    if model not in entropic.MODELS:
+        raise ValueError(f"unknown model {model!r}")
+    if t > k:
+        jumps = rng.poisson(t / k, size=(samples, k))
+        if model == "directed":
+            return jumps
+        return 2 * rng.binomial(jumps, 0.5) - jumps
+    per_walk = rng.poisson(t, size=samples)
+    cells = (np.repeat(np.arange(samples, dtype=np.int64) * k, per_walk)
+             + rng.integers(0, k, size=int(per_walk.sum())))
+    steps = 1 if model == "directed" else 2 * rng.integers(0, 2, size=cells.size) - 1
+    w = np.zeros(samples * k, dtype=np.int64)
+    np.add.at(w, cells, steps)
+    return w.reshape(samples, k)
 
 
 def sample_W(model: str, t: float, k: int, rng: np.random.Generator) -> AuxiliaryState:
     """Draw the k coordinates of W(t); each coordinate has elapsed time t/k."""
-    if t < 0 or k < 1:
-        raise ValueError("need t >= 0 and k >= 1")
-    s = t / k
-    if model == "directed":
-        w = rng.poisson(s, size=k)
-    elif model == "undirected":
-        jumps = rng.poisson(s, size=k)
-        heads = rng.binomial(jumps, 0.5)
-        w = 2 * heads - jumps
-    else:
-        raise ValueError(f"unknown model {model!r}")
-    return AuxiliaryState(w=w.astype(np.int64), t=float(t), model=model)
+    return AuxiliaryState(w=sample_walks(model, t, k, 1, rng)[0], t=float(t), model=model)
+
+
+def _cost(dist, x) -> np.ndarray:
+    """c(x) = -log max(pmf(x), PMF_FLOOR) for integer values x; pmf = 0 outside the window."""
+    idx = np.asarray(x) - dist.lo
+    inside = (idx >= 0) & (idx < dist.pmf.size)
+    p = np.where(inside, dist.pmf[np.clip(idx, 0, dist.pmf.size - 1)], 0.0)
+    return -np.log(np.maximum(p, entropic.PMF_FLOOR))
+
+
+def _typicality_terms(dist, x, r_alpha: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per value x: its cost c(x) and the local window test |x - mean| <= r_alpha."""
+    return _cost(dist, x), np.abs(np.asarray(x) - dist.mean) <= r_alpha
+
+
+def typical_mask(w: np.ndarray, dist, r_alpha: int, q_threshold: float) -> np.ndarray:
+    """Row mask of the typical walks in w (shape (samples, k)).
+
+    Local: every |w_i - mean| <= r_alpha.  Global: Q(w) = sum_i c(w_i) >=
+    q_threshold; q_threshold = -inf tests locality alone.  Only the nonzero
+    coordinates are read: the k - nnz zeros of a row add (k - nnz) c(0) to Q,
+    and they fail the local test together when |0 - mean| > r_alpha.
+    """
+    samples, k = w.shape
+    flat = np.flatnonzero(w != 0)
+    rows = flat // k
+    cost, within = _typicality_terms(dist, w.reshape(-1)[flat], r_alpha)
+    zero_cost, zero_within = _typicality_terms(dist, 0, r_alpha)
+    nnz = np.bincount(rows, minlength=samples)
+    q = (k - nnz) * zero_cost + np.bincount(rows, weights=cost, minlength=samples)
+    local = np.bincount(rows[~within], minlength=samples) == 0
+    if not zero_within:
+        local &= nnz == k
+    return local & (q >= q_threshold)
 
 
 def q_value(model: str, t: float, k: int, w) -> float:
@@ -95,19 +148,15 @@ def _sample_q_counts(dist, k: int, samples: int, rng: np.random.Generator,
 
     Sampling k individual coordinates per sample would cost O(samples*k); the
     multinomial over the truncated support is equivalent and costs
-    O(samples * window).  Yields (counts, weights) blocks where weights are
-    -log pmf per category.
+    O(samples * window).  Yields count blocks over the support values with
+    pmf > 0, in increasing order.
     """
-    p = dist.pmf.copy()
-    keep = p > 0
-    p = p[keep]
-    weights = -np.log(np.maximum(p, entropic.PMF_FLOOR))
+    p = dist.pmf[dist.pmf > 0]
     probs = p / p.sum()
     done = 0
     while done < samples:
         m = min(chunk, samples - done)
-        counts = rng.multinomial(k, probs, size=m)
-        yield counts, weights, keep
+        yield rng.multinomial(k, probs, size=m)
         done += m
 
 
@@ -120,8 +169,9 @@ def clt_probe(n: int, k: int, model: str, alpha: float, samples: int,
     t_a = sol.t_alpha[float(alpha)]
     dist = entropic.step_distribution(model, t_a / k)
     log_n = math.log(n)
+    weights = _cost(dist, dist.support[dist.pmf > 0])
     hits_mid = hits_plus = hits_minus = 0
-    for counts, weights, _ in _sample_q_counts(dist, k, samples, rng):
+    for counts in _sample_q_counts(dist, k, samples, rng):
         q = counts @ weights
         hits_mid += int((q <= log_n).sum())
         hits_plus += int((q <= log_n + sol.omega).sum())
@@ -193,12 +243,11 @@ def typicality_probe(n: int, k: int, model: str, alpha: float, samples: int,
     log_n = math.log(n)
     # global condition mu(w) <= n^{-1} e^{-omega}  <=>  Q(w) >= log n + omega
     q_threshold = log_n + params.omega
-    support = dist.support[dist.pmf > 0]
-    outside = np.abs(support - dist.mean) > params.r_alpha
+    weights, within = _typicality_terms(dist, dist.support[dist.pmf > 0], params.r_alpha)
     fails = local_fails = 0
-    for counts, weights, _ in _sample_q_counts(dist, k, samples, rng):
+    for counts in _sample_q_counts(dist, k, samples, rng):
         q = counts @ weights
-        local_bad = counts[:, outside].sum(axis=1) > 0
+        local_bad = counts[:, ~within].sum(axis=1) > 0
         global_bad = q < q_threshold
         fails += int((local_bad | global_bad).sum())
         local_fails += int(local_bad.sum())

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from cayley_cutoff.entropic import (BracketError, asymptotic_times, entropy,
                                     entropy_derivative, entropy_inverse,
-                                    f_lambda, g_lambda, q1_moments, solve_times,
-                                    step_distribution, step_pmf,
-                                    window_half_width)
+                                    f_lambda, g_lambda, poisson_logpmf,
+                                    q1_moments, solve_times, step_distribution,
+                                    step_pmf, window_half_width)
+from cayley_cutoff.walk import psi
 
 
 def poissonization_pmf(s: float, x: int, top: int = 400) -> float:
@@ -29,6 +30,22 @@ def test_step_pmf_directed_values():
         step_pmf("directed", -1.0, 0)
     with pytest.raises(ValueError):
         step_pmf("bogus", 1.0, 0)
+
+
+def test_special_function_forms_equal_scipy_stats():
+    xs = np.arange(0, 400)
+    for s in (0.0, 1e-9, 0.0069, 0.13, 1.0, 7.3, 100.0, 999.5, 9999.0):
+        assert np.array_equal(np.exp(poisson_logpmf(xs, s)), stats.poisson.pmf(xs, s))
+        assert np.array_equal(special.pdtrc(xs, s), stats.poisson.sf(xs, s))
+        assert np.array_equal(special.pdtr(xs, s), stats.poisson.cdf(xs, s))
+        if s > 0:
+            assert np.array_equal(poisson_logpmf(xs, s), stats.poisson.logpmf(xs, s))
+        for x in (0, 1, 3, 50):
+            assert step_pmf("directed", s, x) == float(stats.poisson.pmf(x, s))
+    for alpha in np.linspace(-8.0, 8.0, 1601):
+        assert psi(alpha) == float(stats.norm.sf(alpha))
+    # the special forms are only fed counts >= 0: below 0 they differ
+    assert stats.poisson.sf(-1, 2.0) == 1.0 and math.isnan(special.pdtrc(-1, 2.0))
 
 
 def test_step_pmf_undirected_symmetry():

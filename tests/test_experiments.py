@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cayley_cutoff
 from cayley_cutoff import entropic
 from cayley_cutoff.cli import load_config_file, main
 from cayley_cutoff.experiments import (BudgetExceededError, ExperimentConfig,
@@ -249,3 +254,11 @@ def test_cli_verify_single_check(capsys):
     assert status == 0
     out = capsys.readouterr().out
     assert "cos_taylor" in out and "0 failures" in out
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    env = dict(os.environ, PYTHONPATH=str(Path(cayley_cutoff.__file__).parents[1]))
+    code = "import sys, cayley_cutoff.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "False"

@@ -6,8 +6,9 @@ import pytest
 from cayley_cutoff.groups import (GeneratorMultiset, add, element_of,
                                   index_of, make_group, neg, replicate_rng,
                                   sample_generators, zero)
-from cayley_cutoff.spectral import (_invariant_characters, cheeger_bounds,
-                                    cheeger_exact, character, eigenvalues,
+from cayley_cutoff.spectral import (HeatKernelRow, _invariant_characters,
+                                    cheeger_bounds, cheeger_exact, character,
+                                    eigenvalues,
                                     gap_summary, heat_kernel_row, l2_bound,
                                     tv_exact)
 
@@ -196,6 +197,16 @@ def test_tv_exact_boundary_identities():
     assert tv_exact(heat_kernel_row(spec, 0.0)) == 1.0 - 1.0 / g.n
     if gap_summary(spec).connected:
         assert tv_exact(heat_kernel_row(spec, 1e4)) <= 1e-8
+
+
+def test_tv_exact_matches_elementwise_sum():
+    rng = replicate_rng(17, 0)
+    for n in (1, 2, 7, 1000, 100003):
+        rows = [rng.dirichlet(np.full(n, 0.3)) if n > 1 else np.ones(1), np.full(n, 1.0 / n)]
+        for probs in rows:
+            u = 1.0 / n
+            expected = math.fsum(p - u for p in probs.tolist() if p > u)
+            assert tv_exact(HeatKernelRow(t=1.0, probs=probs)) == expected
 
 
 def test_tv_le_l2_bound_and_monotone():

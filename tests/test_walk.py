@@ -8,8 +8,8 @@ from cayley_cutoff.groups import (GeneratorMultiset, index_of, make_group,
                                   replicate_rng, sample_generators)
 from cayley_cutoff.spectral import eigenvalues, heat_kernel_row
 from cayley_cutoff.walk import (PmfUnderflowError, berry_esseen_band, clt_probe,
-                                psi, q_value, sample_W, simulate_S,
-                                tv_error_budget, typicality_params,
+                                psi, q_value, sample_W, sample_walks, simulate_S,
+                                tv_error_budget, typical_mask, typicality_params,
                                 typicality_probe)
 
 
@@ -47,6 +47,80 @@ def test_sample_w_undirected_variance():
     m4 = s + 3 * s * s  # E X^4 for the Poissonized SRW
     sigma = math.sqrt((m4 - s * s) / draws.size)
     assert abs(draws.var() - s) <= 5 * sigma
+
+
+# (model, t, k): per-coordinate time s = t/k of 0.007 and 0.13 draw jumps
+# (t <= k); t = 20 > k = 8 draws each coordinate directly.
+SAMPLER_CASES = [(model, t, k) for model in ("directed", "undirected")
+                 for t, k in ((1.4, 200), (6.5, 50), (20.0, 8))]
+
+
+@pytest.mark.parametrize("model,t,k", SAMPLER_CASES)
+def test_sample_walks_marginals_match_pmf(model, t, k):
+    samples = 10 ** 6 // k
+    w = sample_walks(model, t, k, samples, replicate_rng(33, k))
+    assert w.shape == (samples, k) and w.dtype == np.int64
+    dist = entropic.step_distribution(model, t / k)
+    size = w.size
+    values, counts = np.unique(w, return_counts=True)
+    observed = dict(zip(values.tolist(), counts.tolist()))
+    expected = dist.pmf * size
+    resolved = expected >= 25
+    # every value with 25+ expected hits within 5 binomial sigma; the rest pooled
+    for x, e in zip(dist.support[resolved].tolist(), expected[resolved]):
+        assert abs(observed.get(x, 0) - e) <= 5 * math.sqrt(e)
+    pooled = size - sum(observed.get(x, 0) for x in dist.support[resolved].tolist())
+    pooled_expected = float(expected[~resolved].sum())
+    assert pooled <= pooled_expected + 5 * math.sqrt(pooled_expected) + 5
+
+
+@pytest.mark.parametrize("model", ["directed", "undirected"])
+def test_sample_walks_one_row_keeps_per_coordinate_stream(model):
+    # for t > k a single row is the per-coordinate Poisson/binomial draw
+    t, k = 30.0, 12
+    rng = replicate_rng(34, 0)
+    jumps = rng.poisson(t / k, size=k)
+    expected = jumps if model == "directed" else 2 * rng.binomial(jumps, 0.5) - jumps
+    assert np.array_equal(sample_walks(model, t, k, 1, replicate_rng(34, 0))[0], expected)
+    assert np.array_equal(sample_W(model, t, k, replicate_rng(34, 0)).w, expected)
+
+
+def _dense_q(w, dist):
+    """Q of each row from every coordinate, with the pmf floored outside the window."""
+    inside = (w >= dist.lo) & (w <= dist.hi)
+    probs = np.where(inside, dist.pmf[np.clip(w - dist.lo, 0, dist.pmf.size - 1)],
+                     entropic.PMF_FLOOR)
+    return -np.log(np.maximum(probs, entropic.PMF_FLOOR)).sum(axis=1)
+
+
+def _dense_typical_mask(w, dist, r_alpha, q_threshold):
+    """Every coordinate read: the local window on all of w, and Q from _dense_q."""
+    local = (np.abs(w - dist.mean) <= r_alpha).all(axis=1)
+    return local & (_dense_q(w, dist) >= q_threshold)
+
+
+@pytest.mark.parametrize("model,t,k", [("undirected", 1.4, 200), ("undirected", 20.0, 8),
+                                       ("directed", 6.5, 50), ("directed", 30.0, 10)])
+def test_typical_mask_matches_dense_predicate(model, t, k):
+    rng = replicate_rng(35, k)
+    dist = entropic.step_distribution(model, t / k)
+    w = sample_walks(model, t, k, 4000, rng)
+    # values outside the pmf window, on both sides, in a few rows
+    rows = rng.integers(0, w.shape[0], size=40)
+    w[rows[:20], rng.integers(0, k, size=20)] = dist.hi + 7
+    w[rows[20:], rng.integers(0, k, size=20)] = dist.lo - 3
+    q = _dense_q(w, dist)
+    # Q takes few distinct values; the thresholds sit halfway between two of
+    # them, as log n + omega does, so rounding of the sum order cannot matter
+    levels = np.unique(np.round(q, 9))
+    above = np.searchsorted(levels, np.quantile(q, [0.3, 0.7]), side="right")
+    thresholds = [-math.inf, *((levels[above - 1] + levels[above]) / 2)]
+    # s = 3 > r for the directed t = 30, k = 10 case: zeros fail the local test
+    for r_alpha in (0, 1, 2, 5):
+        for threshold in thresholds:
+            sparse = typical_mask(w, dist, r_alpha, threshold)
+            dense = _dense_typical_mask(w, dist, r_alpha, threshold)
+            assert np.array_equal(sparse, dense)
 
 
 def test_q_value_additivity_and_scaling():
