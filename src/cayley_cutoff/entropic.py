@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 MODELS = ("undirected", "directed")
 
@@ -221,6 +221,10 @@ def entropy_inverse(model: str, target: float, s_hint: float = 4.0) -> float:
         hi *= 2.0
         if hi > BRACKET_CAP:
             raise BracketError(f"entropy target {target} unreachable below cap")
+    # Imported on first use, so that importing the package does not load
+    # scipy.optimize (most of its import time).
+    from scipy import optimize
+
     return optimize.brentq(
         lambda s: entropy(model, s) - target, 0.0, hi, rtol=1e-12, xtol=1e-280
     )

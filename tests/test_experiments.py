@@ -258,7 +258,8 @@ def test_cli_verify_single_check(capsys):
 
 def test_cli_import_leaves_out_scipy_stats():
     env = dict(os.environ, PYTHONPATH=str(Path(cayley_cutoff.__file__).parents[1]))
-    code = "import sys, cayley_cutoff.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys, cayley_cutoff.cli; "
+            "print('scipy.stats' in sys.modules, 'scipy.optimize' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "False False"

@@ -6,9 +6,10 @@ import pytest
 from cayley_cutoff.groups import (GeneratorMultiset, add, element_of,
                                   index_of, make_group, neg, replicate_rng,
                                   sample_generators, zero)
-from cayley_cutoff.spectral import (HeatKernelRow, _invariant_characters,
-                                    cheeger_bounds, cheeger_exact, character,
-                                    eigenvalues,
+from cayley_cutoff.spectral import (ROW_TOL, HeatKernelRow,
+                                    ImaginaryResidueError, SpectralData, _dft,
+                                    _invariant_characters, cheeger_bounds,
+                                    cheeger_exact, character, eigenvalues,
                                     gap_summary, heat_kernel_row, l2_bound,
                                     tv_exact)
 
@@ -140,6 +141,39 @@ def test_eigenvalue_invariants_random(model):
             assert abs(lam[i] - np.conj(lam[j])) < 1e-12
 
 
+@pytest.mark.parametrize("shape", [(101,), (100003,), (1024,), (101, 12),
+                                   (8, 9), (4, 9, 25), (101, 2, 6)])
+def test_dft_is_numpy_fftn_bit_for_bit(shape):
+    rng = replicate_rng(19, 0)
+    counts = rng.integers(0, 5, size=shape)
+    z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for a in (counts, z):
+        held = a.copy()
+        assert np.array_equal(_dft(a), np.fft.fftn(held))
+        assert np.array_equal(_dft(a, inverse=True), np.fft.ifftn(held, norm="forward"))
+        assert np.array_equal(a, held)
+
+
+def _hand_spectrum(lam):
+    lam = np.asarray(lam, dtype=complex)
+    return SpectralData(model="directed", group=make_group([lam.size]), k=1, eigenvalues=lam)
+
+
+def test_heat_kernel_row_guards():
+    # lambda_1 != conj(lambda_7): the row picks up an imaginary part.
+    spec = _hand_spectrum([1.0, 0.5, 0, 0, 0, 0, 0, 0])
+    held = spec.eigenvalues.copy()
+    with pytest.raises(ImaginaryResidueError):
+        heat_kernel_row(spec, 1.0)
+    assert np.array_equal(spec.eigenvalues, held)
+    # lambda_1 = 2 > 1: P_1(0, 1) = (1 - e)/2, far below -ROW_TOL.
+    spec = _hand_spectrum([1.0, 2.0])
+    assert (1 - math.e) / 2 < -ROW_TOL
+    with pytest.raises(ValueError, match="negative probability"):
+        heat_kernel_row(spec, 1.0)
+    assert np.array_equal(spec.eigenvalues, [1.0, 2.0])
+
+
 def test_heat_kernel_t0_is_indicator():
     g, Z = _instance([6, 4], [(1, 1), (2, 3)])
     spec = eigenvalues(g, Z, "undirected")
@@ -163,7 +197,9 @@ def test_heat_kernel_two_state_closed_form():
 def test_heat_kernel_matches_uniformized_oracle(model, t):
     g, Z = _instance([12], [(1,), (5,)])
     spec = eigenvalues(g, Z, model)
+    held = spec.eigenvalues.copy()
     row = heat_kernel_row(spec, t)
+    assert np.array_equal(spec.eigenvalues, held)
     oracle = uniformized_row(dense_transition(g, Z, model), t)
     assert np.abs(row.probs - oracle).max() < 1e-10
     assert abs(tv_exact(row) - tv_from_uniform(oracle)) < 1e-10
