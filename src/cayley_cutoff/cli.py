@@ -10,12 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .experiments import RUNNERS, ExperimentConfig, run_verify
+from .experiments import RUNNERS, SELF_TEST, ExperimentConfig, run_verify
 from .groups import parse_group
-
-
-def _parse_alphas(text: str) -> tuple[float, ...]:
-    return tuple(float(a) for a in text.split(",") if a.strip())
 
 
 def load_config_file(path: str) -> dict:
@@ -70,6 +66,7 @@ _DEFAULTS = {
 
 
 def make_config(args: argparse.Namespace) -> ExperimentConfig:
+    """Merge defaults, --config file and flags; a bad value raises a ValueError naming its flag."""
     merged = dict(_DEFAULTS)
     if args.config:
         merged.update(load_config_file(args.config))
@@ -81,40 +78,52 @@ def make_config(args: argparse.Namespace) -> ExperimentConfig:
     if getattr(args, "force", False):
         merged["force"] = "1"
 
-    needs_group = args.command != "verify"
-    if needs_group and not merged["group"]:
-        raise SystemExit("--group is required")
-    if merged["seed"] is None:
-        raise SystemExit("--seed is required (seeds are always explicit)")
-    moduli = parse_group(str(merged["group"])).moduli if merged["group"] else ()
+    def parsed(key, parse, absent=None):
+        raw = merged[key]
+        if raw is None or (raw == "" and parse is not int):  # "key=" unsets a text value
+            return absent
+        try:
+            return parse(str(raw))
+        except (ValueError, OverflowError) as exc:
+            flag = "--" + key.replace("_", "-")
+            raise ValueError(f"{flag}: {exc}") from None
+
     return ExperimentConfig(
         command=args.command,
-        moduli=moduli,
-        k=int(merged["k"]) if merged["k"] is not None else 0,
+        moduli=parsed("group", lambda text: parse_group(text).moduli, ()),
+        k=parsed("k", int, 0),
         model=str(merged["model"]),
-        alphas=_parse_alphas(str(merged["alpha"])) if merged["alpha"] else (),
-        t_grid=str(merged["t_grid"]) if merged["t_grid"] else None,
-        replicates=int(merged["replicates"]),
-        samples=int(merged["samples"]),
-        base_seed=int(merged["seed"]),
-        out=str(merged["out"]) if merged["out"] else None,
+        alphas=parsed("alpha", lambda text: tuple(
+            float(a) for a in text.split(",") if a.strip()), ()),
+        t_grid=parsed("t_grid", str),
+        replicates=parsed("replicates", int),
+        samples=parsed("samples", int),
+        base_seed=parsed("seed", int),
+        out=parsed("out", str),
         fmt=str(merged["fmt"]),
-        only=str(merged["only"]) if merged["only"] else None,
+        only=parsed("only", str),
         force=bool(merged["force"]),
-        jobs=int(merged["jobs"]),
+        jobs=parsed("jobs", int),
     )
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    config = make_config(args)
+    """Run one subcommand; a bad parameter exits with status 2 and names its flag."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        config = make_config(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.command == "verify":
         extra = None
         if getattr(args, "self_test_fail", False):
             from .lemmas import CheckReport
-            extra = {"self_test": lambda: CheckReport(
-                name="self_test", passed=False,
+            extra = {SELF_TEST: lambda: CheckReport(
+                name=SELF_TEST, passed=False,
                 worst_case="forced failure (negative control)", max_violation=1.0)}
+        elif config.only == SELF_TEST:
+            parser.error(f"--only {SELF_TEST} needs --self-test-fail")
         text, status = run_verify(config, extra_checks=extra)
         sys.stdout.write(text)
         return status

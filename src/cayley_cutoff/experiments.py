@@ -11,18 +11,20 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import entropic, lemmas, spectral, walk
-from .groups import (GeneratorMultiset, GroupSpec, make_group, parse_group,
-                     replicate_rng, sample_generators)
+from .groups import GroupSpec, make_group, replicate_rng, sample_generators
 
 TOOL_VERSION = "cayley-cutoff 0.1.0"
 
 #: refuse runs estimated over this many DFT butterfly-equivalents without force.
 BUDGET_LIMIT = 10 ** 9
+
+#: the forced-failure check that `verify --self-test-fail` registers.
+SELF_TEST = "self_test"
 
 
 class BudgetExceededError(RuntimeError):
@@ -47,10 +49,35 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+        """Reject a bad parameter before anything runs, naming its flag."""
+        if self.base_seed is None:
+            raise ValueError("--seed is required (seeds are always explicit)")
         if self.fmt not in ("csv", "json"):
-            raise ValueError("format must be csv or json")
+            raise ValueError(f"--format must be csv or json, got {self.fmt!r}")
+        if self.model not in entropic.MODELS:
+            raise ValueError(f"--model must be one of {entropic.MODELS}, got {self.model!r}")
+        for flag, value in (("--replicates", self.replicates), ("--jobs", self.jobs)):
+            if value < 1:
+                raise ValueError(f"{flag} must be >= 1, got {value}")
+        if self.command == "verify":
+            if self.only not in (None, SELF_TEST, *lemmas.DEFAULT_CHECKS):
+                raise ValueError(f"--only: unknown check {self.only!r}; "
+                                 f"known: {', '.join(lemmas.DEFAULT_CHECKS)}")
+            return
+        try:
+            group = self.group()
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"--group: {exc}") from None
+        if self.k < 1:
+            raise ValueError(f"--k is required and must be >= 1, got {self.k}")
+        if self.command == "cutoff-profile" and self.k < group.d:
+            raise ValueError(f"--k must be >= d = {group.d} for a connectable instance, "
+                             f"got {self.k}")
+        if self.command == "cheeger" and group.n > spectral.CHEEGER_MAX_N:
+            raise ValueError(f"--group: cheeger scans every vertex subset, so n <= "
+                             f"{spectral.CHEEGER_MAX_N}, got n = {group.n}")
+        if self.t_grid is not None:
+            _parse_t_grid(self.t_grid)
 
     def group(self) -> GroupSpec:
         return make_group(self.moduli)
@@ -61,17 +88,15 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-@dataclass(frozen=True)
-class ExperimentRecord:
-    replicate: int
-    seed: int
-    instance_digest: str
-    observables: dict[str, float] = field(default_factory=dict)
-
-
-def _instance_digest(Z: GeneratorMultiset) -> str:
+def _instance(config: ExperimentConfig, r: int):
+    """Replicate r: its generators Z, spectrum, gaps, and the row head naming it."""
+    group = config.group()
+    Z = sample_generators(group, config.k, replicate_rng(config.base_seed, r))
+    spec = spectral.eigenvalues(group, Z, config.model)
     blob = json.dumps([list(z) for z in Z.generators])
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+    head = {"replicate": r, "seed": config.base_seed,
+            "instance_digest": hashlib.sha256(blob.encode()).hexdigest()[:12]}
+    return Z, spec, spectral.gap_summary(spec), head
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +150,11 @@ def _emit(config: ExperimentConfig, columns, rows, summary=None) -> str:
                                                   default=_fmt_value) + "\n"
     else:
         text = render_json(config, rows, summary)
+    return _write(config, text)
+
+
+def _write(config: ExperimentConfig, text: str) -> str:
+    """Write text to --out when one is given; return it either way."""
     if config.out:
         with open(config.out, "w", newline="") as fh:
             fh.write(text)
@@ -158,19 +188,9 @@ def _budget_check(config: ExperimentConfig, n: int, transforms_per_replicate: in
 # ---------------------------------------------------------------------------
 
 def _cutoff_worker(r: int, payload: dict) -> dict:
-    config: ExperimentConfig = payload["config"]
-    group = config.group()
     t_alpha: dict[float, float] = payload["t_alpha"]
-    rng = replicate_rng(config.base_seed, r)
-    Z = sample_generators(group, config.k, rng)
-    spec = spectral.eigenvalues(group, Z, config.model)
-    gaps = spectral.gap_summary(spec)
-    row = {
-        "replicate": r,
-        "seed": config.base_seed,
-        "instance_digest": _instance_digest(Z),
-        "connected": gaps.connected,
-    }
+    _, spec, gaps, head = _instance(payload["config"], r)
+    row = {**head, "connected": gaps.connected}
     for alpha, t in sorted(t_alpha.items()):
         tv = spectral.tv_exact(spectral.heat_kernel_row(spec, t))
         row[f"tv_alpha_{alpha:g}"] = tv
@@ -179,8 +199,6 @@ def _cutoff_worker(r: int, payload: dict) -> dict:
 
 def run_cutoff_profile(config: ExperimentConfig) -> tuple[str, list[dict]]:
     group = config.group()
-    if config.k < group.d:
-        raise ValueError("need k >= d for a connectable instance")
     alphas = config.alphas or (-1.5, 0.0, 1.5)
     _budget_check(config, group.n, len(alphas))
     sol = entropic.solve_times(group.n, config.k, config.model, alphas=alphas)
@@ -209,16 +227,10 @@ def run_cutoff_profile(config: ExperimentConfig) -> tuple[str, list[dict]]:
 
 def _gap_worker(r: int, payload: dict) -> dict:
     config: ExperimentConfig = payload["config"]
-    group = config.group()
-    rng = replicate_rng(config.base_seed, r)
-    Z = sample_generators(group, config.k, rng)
-    spec = spectral.eigenvalues(group, Z, config.model)
-    gaps = spectral.gap_summary(spec)
-    scale = group.n ** (2.0 / config.k)
+    _, spec, gaps, head = _instance(config, r)
+    scale = spec.group.n ** (2.0 / config.k)
     return {
-        "replicate": r,
-        "seed": config.base_seed,
-        "instance_digest": _instance_digest(Z),
+        **head,
         "connected": gaps.connected,
         "gamma": gaps.gamma,
         "gamma_star": gaps.gamma_star,
@@ -249,12 +261,16 @@ def run_gap_scan(config: ExperimentConfig) -> tuple[str, list[dict]]:
 # tv curve and spectrum
 # ---------------------------------------------------------------------------
 
-def _parse_t_grid(spec_str: str) -> np.ndarray:
+def _parse_t_grid(text: str) -> np.ndarray:
     """Parse "lo:hi:points" into a log-spaced grid."""
-    lo, hi, pts = spec_str.split(":")
-    lo, hi, pts = float(lo), float(hi), int(pts)
-    if lo <= 0 or hi <= lo or pts < 2:
-        raise ValueError("t-grid must be lo:hi:points with 0 < lo < hi")
+    message = f"--t-grid must be lo:hi:points with 0 < lo < hi and points >= 2, got {text!r}"
+    try:
+        lo, hi, pts = text.split(":")
+        lo, hi, pts = float(lo), float(hi), int(pts)
+    except ValueError:
+        raise ValueError(message) from None
+    if not 0 < lo < hi < math.inf or pts < 2:
+        raise ValueError(message)
     return np.geomspace(lo, hi, pts)
 
 
@@ -267,6 +283,16 @@ def default_t_grid(n: int, k: int, model: str) -> np.ndarray:
     return np.geomspace(lo, 2.0 * sol.t_alpha[3.0], 60)
 
 
+def _curve_worker(r: int, payload: dict) -> list[dict]:
+    _, spec, gaps, head = _instance(payload["config"], r)
+    rows = []
+    for t in payload["grid"]:
+        tv = spectral.tv_exact(spectral.heat_kernel_row(spec, float(t)))
+        rows.append({**head, "t": float(t), "tv": tv,
+                     "l2_bound": spectral.l2_bound(spec, float(t)), "gamma": gaps.gamma})
+    return rows
+
+
 def run_tv_curve(config: ExperimentConfig) -> tuple[str, list[dict]]:
     group = config.group()
     if config.t_grid:
@@ -274,71 +300,35 @@ def run_tv_curve(config: ExperimentConfig) -> tuple[str, list[dict]]:
     else:
         grid = default_t_grid(group.n, config.k, config.model)
     _budget_check(config, group.n, len(grid))
-    rows = []
-    for r in range(config.replicates):
-        rng = replicate_rng(config.base_seed, r)
-        Z = sample_generators(group, config.k, rng)
-        spec = spectral.eigenvalues(group, Z, config.model)
-        gaps = spectral.gap_summary(spec)
-        digest = _instance_digest(Z)
-        for t in grid:
-            tv = spectral.tv_exact(spectral.heat_kernel_row(spec, float(t)))
-            rows.append({
-                "replicate": r,
-                "seed": config.base_seed,
-                "instance_digest": digest,
-                "t": float(t),
-                "tv": tv,
-                "l2_bound": spectral.l2_bound(spec, float(t)),
-                "gamma": gaps.gamma,
-            })
+    payload = {"config": config, "grid": grid}
+    rows = [row for part in _map_replicates(config, _curve_worker, payload) for row in part]
     columns = ["replicate", "seed", "instance_digest", "t", "tv", "l2_bound", "gamma"]
     return _emit(config, columns, rows), rows
 
 
 def run_spectrum(config: ExperimentConfig) -> tuple[str, list[dict]]:
-    group = config.group()
-    _budget_check(config, group.n, 0)
-    rng = replicate_rng(config.base_seed, 0)
-    Z = sample_generators(group, config.k, rng)
-    spec = spectral.eigenvalues(group, Z, config.model)
-    digest = _instance_digest(Z)
+    _budget_check(config, config.group().n, 0)
+    _, spec, gaps, head = _instance(config, 0)
     rows = [
-        {"index": i, "instance_digest": digest,
+        {"index": i, "instance_digest": head["instance_digest"],
          "re": float(lam.real), "im": float(lam.imag)}
         for i, lam in enumerate(spec.eigenvalues)
     ]
-    gaps = spectral.gap_summary(spec)
     summary = {"gamma": gaps.gamma, "gamma_star": gaps.gamma_star,
                "t_rel": gaps.t_rel, "connected": gaps.connected}
     return _emit(config, ["index", "instance_digest", "re", "im"], rows, summary), rows
 
 
+def _cheeger_worker(r: int, payload: dict) -> dict:
+    Z, spec, gaps, head = _instance(payload["config"], r)
+    lo, hi = spectral.cheeger_bounds(gaps) if gaps.connected else (0.0, 0.0)
+    return {**head, "connected": gaps.connected, "gamma": gaps.gamma,
+            "cheeger": spectral.cheeger_exact(spec.group, Z),
+            "cheeger_low": lo, "cheeger_high": hi}
+
+
 def run_cheeger(config: ExperimentConfig) -> tuple[str, list[dict]]:
-    group = config.group()
-    rows = []
-    for r in range(config.replicates):
-        rng = replicate_rng(config.base_seed, r)
-        Z = sample_generators(group, config.k, rng)
-        spec = spectral.eigenvalues(group, Z, config.model)
-        gaps = spectral.gap_summary(spec)
-        phi = spectral.cheeger_exact(group, Z)
-        row = {
-            "replicate": r,
-            "seed": config.base_seed,
-            "instance_digest": _instance_digest(Z),
-            "connected": gaps.connected,
-            "gamma": gaps.gamma,
-            "cheeger": phi,
-        }
-        if gaps.connected:
-            lo, hi = spectral.cheeger_bounds(gaps)
-            row["cheeger_low"] = lo
-            row["cheeger_high"] = hi
-        else:
-            row["cheeger_low"] = 0.0
-            row["cheeger_high"] = 0.0
-        rows.append(row)
+    rows = _map_replicates(config, _cheeger_worker, {"config": config})
     columns = ["replicate", "seed", "instance_digest", "connected", "gamma",
                "cheeger", "cheeger_low", "cheeger_high"]
     return _emit(config, columns, rows), rows
@@ -364,13 +354,8 @@ def run_entropic_report(config: ExperimentConfig) -> tuple[str, list[dict]]:
             "solver_t0": asym.solver_t0, "relative_gap": asym.relative_gap,
         },
     }
-    cfg = config if config.fmt == "json" else ExperimentConfig(
-        **{**asdict(config), "fmt": "json"})
-    text = render_json(cfg, [record])
-    if config.out:
-        with open(config.out, "w", newline="") as fh:
-            fh.write(text)
-    return text, [record]
+    # the report is JSON whatever --format says, and its digest says so too
+    return _write(config, render_json(replace(config, fmt="json"), [record])), [record]
 
 
 def run_verify(config: ExperimentConfig, extra_checks: dict | None = None
@@ -384,11 +369,7 @@ def run_verify(config: ExperimentConfig, extra_checks: dict | None = None
                      f"  {rep.worst_case}")
     failures = sum(not r.passed for r in reports)
     lines.append(f"{len(reports)} checks, {failures} failures")
-    text = "\n".join(lines) + "\n"
-    if config.out:
-        with open(config.out, "w", newline="") as fh:
-            fh.write(text)
-    return text, (1 if failures else 0)
+    return _write(config, "\n".join(lines) + "\n"), (1 if failures else 0)
 
 
 RUNNERS = {

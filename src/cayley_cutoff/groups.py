@@ -129,6 +129,15 @@ def element_of(group: GroupSpec, index: int) -> Element:
     return tuple(coords)
 
 
+def element_levels(group: GroupSpec) -> np.ndarray:
+    """Level max_j m_j / gcd(x_j, m_j) of every element x, by mixed-radix index."""
+    index = np.arange(group.n, dtype=np.int64)
+    levels = np.ones(group.n, dtype=np.int64)
+    for w, m in zip(group.radix_weights, group.moduli):
+        np.maximum(levels, m // np.gcd(index // w % m, m), out=levels)
+    return levels
+
+
 def dot(group: GroupSpec, w, Z: GeneratorMultiset) -> Element:
     """Integer combination sum_i w_i * Z_i reduced coordinate-wise mod m_j.
 

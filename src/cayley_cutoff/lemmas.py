@@ -15,8 +15,8 @@ import numpy as np
 from scipy import special
 
 from . import entropic, walk
-from .groups import (GroupSpec, element_of, make_group, replicate_rng,
-                     sample_generators)
+from .groups import (GroupSpec, element_levels, element_of, make_group,
+                     replicate_rng, sample_generators)
 
 
 @dataclass(frozen=True)
@@ -142,11 +142,8 @@ def level_set_count_check(group: GroupSpec, s: int | None = None) -> CheckReport
     """Census of A(s) = {x : max_j m_j/gcd(x_j, m_j) = s}; |A(s)| <= (s^2/2)^d for s >= 2."""
     if group.n > 10 ** 5:
         raise ValueError("census capped at n <= 1e5")
-    census: dict[int, int] = {}
-    for idx in range(group.n):
-        x = element_of(group, idx)
-        s_star = max(m // math.gcd(xj, m) for xj, m in zip(x, group.moduli))
-        census[s_star] = census.get(s_star, 0) + 1
+    levels, counts = np.unique(element_levels(group), return_counts=True)
+    census = dict(zip(levels.tolist(), counts.tolist()))
     targets = census if s is None else {s: census.get(s, 0)}
     worst_violation = 0.0
     worst = "all levels within bound"
@@ -398,9 +395,8 @@ def modified_l2_probe(group: GroupSpec, k: int, model: str, alpha: float,
     n = group.n
     if n > 2 * 10 ** 4:
         raise ValueError("probe capped at n <= 2e4")
-    sol = entropic.solve_times(n, k, model, alphas=[alpha])
-    t_a = sol.t_alpha[float(alpha)]
     params = walk.typicality_params(n, k, model, alpha)
+    t_a = params.t_alpha
     dist = entropic.step_distribution(model, t_a / k)
     q_threshold = math.log(n) + params.omega
     hits = zero_hits = accepted_total = 0
@@ -456,9 +452,8 @@ def set_probability_check(n: int, k: int, model: str, alpha: float, I,
     I = frozenset(int(i) for i in I)
     if len(I) > k:
         raise ValueError("|I| cannot exceed k")
-    sol = entropic.solve_times(n, k, model, alphas=[alpha])
-    t_a = sol.t_alpha[float(alpha)]
     params = walk.typicality_params(n, k, model, alpha)
+    t_a = params.t_alpha
     dist = entropic.step_distribution(model, t_a / k)
     q_threshold = math.log(n) + params.omega
     w1 = walk.sample_walks(model, t_a, k, samples, rng)
@@ -501,15 +496,10 @@ def eigenvalue_tail_probe(group: GroupSpec, k: int, s_target: int, samples: int,
     """
     c1 = 0.01
     n = group.n
-    x = None
-    for idx in range(1, n):
-        cand = element_of(group, idx)
-        s_star = max(m // math.gcd(cj, m) for cj, m in zip(cand, group.moduli))
-        if s_star == s_target:
-            x = cand
-            break
-    if x is None:
+    found = np.flatnonzero(element_levels(group)[1:] == s_target)
+    if found.size == 0:
         raise ValueError(f"no element with level {s_target}")
+    x = element_of(group, int(found[0]) + 1)
     rates = np.array([xj / m for xj, m in zip(x, group.moduli)])
     frac = np.zeros((samples, k))
     for j, m in enumerate(group.moduli):

@@ -41,6 +41,9 @@ INVARIANT_CANDIDATE_TOL = 1e-6
 #: tolerance for the imaginary residue and negative-probability clamp of a row.
 ROW_TOL = 1e-9
 
+#: largest group the exhaustive Cheeger scan accepts: it visits all 2^n subsets.
+CHEEGER_MAX_N = 24
+
 
 class ImaginaryResidueError(RuntimeError):
     """Raised when a heat-kernel row has imaginary residue above tolerance."""
@@ -214,8 +217,8 @@ def cheeger_exact(group: GroupSpec, Z: GeneratorMultiset) -> float:
     so the graph is 2k-regular.  Scans every subset A with 1 <= |A| <= n/2.
     """
     n = group.n
-    if n > 24:
-        raise ValueError("exhaustive Cheeger scan capped at n <= 24")
+    if n > CHEEGER_MAX_N:
+        raise ValueError(f"exhaustive Cheeger scan capped at n <= {CHEEGER_MAX_N}")
     from .groups import add, element_of, index_of
 
     shifts = []

@@ -34,13 +34,14 @@ class AuxiliaryState:
 
 @dataclass(frozen=True)
 class TypicalityParams:
-    """Window radius r_alpha, floor p_alpha, and their closed-form bounds."""
+    """Window radius r_alpha, floor p_alpha, their closed-form bounds, at time t_alpha."""
 
     r_alpha: int
     p_alpha: float
     r_star: float
     p_star: float
     omega: float
+    t_alpha: float
 
 
 @dataclass(frozen=True)
@@ -224,6 +225,7 @@ def typicality_params(n: int, k: int, model: str, alpha: float) -> TypicalityPar
         r_star=0.5 * n ** (1.0 / k) * math.log(k) ** 2,
         p_star=n ** (-1.0 / k) * k ** -2.0,
         omega=sol.omega,
+        t_alpha=t_a,
     )
 
 
@@ -236,9 +238,8 @@ def typicality_probe(n: int, k: int, model: str, alpha: float, samples: int,
     """
     if samples < 10 ** 3:
         raise ValueError("need at least 1000 samples")
-    sol = entropic.solve_times(n, k, model, alphas=[alpha])
-    t_a = sol.t_alpha[float(alpha)]
     params = typicality_params(n, k, model, alpha)
+    t_a = params.t_alpha
     dist = entropic.step_distribution(model, t_a / k)
     log_n = math.log(n)
     # global condition mu(w) <= n^{-1} e^{-omega}  <=>  Q(w) >= log n + omega

@@ -12,7 +12,8 @@ import pytest
 
 from cayley_cutoff import entropic, walk
 from cayley_cutoff.entropic import entropy, entropy_inverse, q1_moments, solve_times
-from cayley_cutoff.experiments import ExperimentConfig, run_gap_scan, run_verify
+from cayley_cutoff.experiments import (RUNNERS, ExperimentConfig, run_gap_scan,
+                                       run_verify)
 from cayley_cutoff.groups import (GeneratorMultiset, make_group, replicate_rng,
                                   sample_generators)
 from cayley_cutoff.spectral import (eigenvalues, gap_summary, heat_kernel_row,
@@ -210,16 +211,22 @@ def test_criterion_8_lemma_suite():
 # -- criterion 9: reproducibility ---------------------------------------------
 
 def test_criterion_9_reproducibility(tmp_path):
-    def run(out, jobs):
-        cfg = ExperimentConfig(command="gap-scan", moduli=(2048,), k=5,
-                               replicates=6, base_seed=20260901,
+    def run(out, jobs, command="gap-scan", moduli=(2048,), k=5, replicates=6):
+        cfg = ExperimentConfig(command=command, moduli=moduli, k=k,
+                               replicates=replicates, base_seed=20260901,
                                out=str(out), jobs=jobs)
-        run_gap_scan(cfg)
+        RUNNERS[command](cfg)
         return out.read_bytes()
 
     serial_a = run(tmp_path / "a.csv", 1)
     serial_b = run(tmp_path / "b.csv", 1)
     parallel = run(tmp_path / "c.csv", 3)
-    ok = serial_a == serial_b == parallel
+    others = {"tv-curve": dict(moduli=(8, 27, 11), k=5, replicates=2),
+              "cheeger": dict(moduli=(2, 2, 5), k=2, replicates=5)}
+    pooled = {command: run(tmp_path / f"{command}-1.csv", 1, command, **kw)
+              == run(tmp_path / f"{command}-2.csv", 2, command, **kw)
+              for command, kw in others.items()}
+    ok = serial_a == serial_b == parallel and all(pooled.values())
     _verdict(9, ok, f"rerun identical: {serial_a == serial_b}; "
-                    f"parallel == serial: {parallel == serial_a}")
+                    f"parallel == serial: {parallel == serial_a}; "
+                    f"--jobs 2 == --jobs 1: {pooled}")

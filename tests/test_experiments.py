@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import cayley_cutoff
-from cayley_cutoff import entropic
+from cayley_cutoff import cli, entropic
 from cayley_cutoff.cli import load_config_file, main
 from cayley_cutoff.experiments import (BudgetExceededError, ExperimentConfig,
                                        _budget_check, _parse_t_grid,
@@ -194,8 +194,34 @@ def test_verify_runner_and_filter():
 # ---------------------------------------------------------------------------
 
 def test_cli_requires_seed(capsys):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["tv-curve", "--group", "12", "--k", "3"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["tv-curve", "--group", "101"], "--k"),
+    (["entropic", "--group", "101"], "--k"),
+    (["tv-curve", "--group", "101", "--k", "4", "--t-grid", "1:2"], "--t-grid"),
+    (["cutoff-profile", "--group", "101", "--k", "4", "--alpha=abc"], "--alpha"),
+    (["gap-scan", "--group", "1", "--k", "3"], "--group"),
+    (["gap-scan", "--group", "64", "--k", "3", "--jobs", "0"], "--jobs"),
+    (["gap-scan", "--group", "64", "--k", "3", "--jobs", "-2"], "--jobs"),
+    (["gap-scan", "--group", "64", "--k", "3", "--replicates", "0"], "--replicates"),
+    (["verify", "--only", "nope"], "--only"),
+    (["verify", "--only", "self_test"], "--only"),
+    (["cheeger", "--group", "101", "--k", "3"], "--group"),
+    (["cutoff-profile", "--group", "4,5", "--k", "1"], "--k"),
+])
+def test_cli_bad_input_exits_2_naming_the_flag(monkeypatch, capsys, argv, flag):
+    # nothing may run before the error: any runner call would fail differently
+    monkeypatch.setattr(cli, "RUNNERS", {})
+    monkeypatch.setattr(cli, "run_verify", None)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "1"])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_cli_tv_curve_writes_file(tmp_path):

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from cayley_cutoff.groups import (GeneratorMultiset, add, check_hypotheses, dot,
-                                  element_of, index_of, make_group, neg,
-                                  parse_group, replicate_rng, sample_generators,
-                                  zero)
+                                  element_levels, element_of, index_of, make_group,
+                                  neg, parse_group, replicate_rng,
+                                  sample_generators, zero)
 
 
 def test_make_group_basic():
@@ -29,6 +29,14 @@ def test_make_group_rejects_small_modulus():
 def test_make_group_rejects_overflow():
     with pytest.raises(OverflowError):
         make_group([2 ** 25, 2 ** 25])
+
+
+@pytest.mark.parametrize("moduli", [[12], [101], [6, 4], [2, 9, 25], [8, 27, 11]])
+def test_element_levels_match_per_element_gcd(moduli):
+    g = make_group(moduli)
+    expected = [max(m // math.gcd(x, m) for x, m in zip(element_of(g, i), g.moduli))
+                for i in range(g.n)]
+    assert element_levels(g).tolist() == expected
 
 
 def test_parse_group():

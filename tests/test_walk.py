@@ -180,6 +180,8 @@ def test_clt_probe_central_value_nominal_scale():
 
 def test_typicality_params_bounds():
     params = typicality_params(10 ** 6, 100, "undirected", 0.0)
+    sol = entropic.solve_times(10 ** 6, 100, "undirected", alphas=[1.5])
+    assert typicality_params(10 ** 6, 100, "undirected", 1.5).t_alpha == sol.t_alpha[1.5]
     assert abs(params.r_star - 12.17) < 0.01
     assert abs(params.p_star - 8.71e-5) < 1e-7
     assert params.r_alpha <= params.r_star
