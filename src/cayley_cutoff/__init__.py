@@ -14,8 +14,7 @@ from .spectral import (GapSummary, HeatKernelRow, SpectralData, character,
 from .entropic import (AsymptoticReport, EntropicSolution, StepDistribution,
                        asymptotic_times, entropy, entropy_derivative, f_lambda,
                        g_lambda, q1_moments, solve_times, step_pmf)
-from .walk import (AuxiliaryState, ProbeResult, TypicalityParams, clt_probe,
-                   psi, q_value, sample_W, simulate_S, tv_error_budget,
-                   typicality_params, typicality_probe)
+from .walk import (ProbeResult, TypicalityParams, clt_probe, psi, q_value,
+                   simulate_S, tv_error_budget, typicality_params, typicality_probe)
 
 __version__ = "0.1.0"

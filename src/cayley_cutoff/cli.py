@@ -10,7 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .experiments import RUNNERS, SELF_TEST, ExperimentConfig, run_verify
+from .experiments import (RUNNERS, SELF_TEST, BudgetExceededError, ExperimentConfig,
+                          run_verify)
 from .groups import parse_group
 
 
@@ -108,7 +109,7 @@ def make_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; a bad parameter exits with status 2 and names its flag."""
+    """Run one subcommand; bad input or a refused budget exits 2 naming the flag to change."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -127,8 +128,10 @@ def main(argv=None) -> int:
         text, status = run_verify(config, extra_checks=extra)
         sys.stdout.write(text)
         return status
-    runner = RUNNERS[args.command]
-    text, _ = runner(config)
+    try:
+        text, _ = RUNNERS[args.command](config)
+    except BudgetExceededError as exc:
+        parser.error(str(exc))
     if not config.out:
         sys.stdout.write(text)
     return 0

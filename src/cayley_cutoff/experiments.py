@@ -56,7 +56,8 @@ class ExperimentConfig:
             raise ValueError(f"--format must be csv or json, got {self.fmt!r}")
         if self.model not in entropic.MODELS:
             raise ValueError(f"--model must be one of {entropic.MODELS}, got {self.model!r}")
-        for flag, value in (("--replicates", self.replicates), ("--jobs", self.jobs)):
+        for flag, value in (("--replicates", self.replicates), ("--samples", self.samples),
+                            ("--jobs", self.jobs)):
             if value < 1:
                 raise ValueError(f"{flag} must be >= 1, got {value}")
         if self.command == "verify":

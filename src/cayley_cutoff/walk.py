@@ -24,15 +24,6 @@ class PmfUnderflowError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class AuxiliaryState:
-    """One realization of the auxiliary walk W(t) in Z^k."""
-
-    w: np.ndarray
-    t: float
-    model: str
-
-
-@dataclass(frozen=True)
 class TypicalityParams:
     """Window radius r_alpha, floor p_alpha, their closed-form bounds, at time t_alpha."""
 
@@ -60,17 +51,18 @@ def psi(alpha: float) -> float:
     return float(special.ndtr(-alpha))
 
 
-def sample_walks(model: str, t: float, k: int, samples: int,
-                 rng: np.random.Generator) -> np.ndarray:
-    """(samples, k) int64 array of independent draws of W(t).
+def _walk_cells(model: str, t: float, k: int, samples: int,
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero coordinates of `samples` independent draws of W(t).
 
+    Returns the increasing flat cells row*k + col and their int64 values.
     W(t) makes Poisson(t) jumps in all, each along a uniform coordinate and
     +1 (directed) or +-1 with probability 1/2 (undirected).  For t <= k the
-    jumps themselves are drawn and summed per coordinate by one unbuffered add
-    over the flat cells row*k + col: O(t) draws per walk, the exact law, no pmf
-    truncation.  For t > k each coordinate is drawn directly, Poisson(t/k)
-    jumps of which Binomial(jumps, 1/2) are +1 (undirected), so the cost is
-    O(min(t, k)) per walk either way.
+    jumps themselves are drawn and summed per cell (undirected cells that net
+    to 0 are dropped): O(t) draws per walk, the exact law, no pmf truncation.
+    For t > k each coordinate is drawn directly, Poisson(t/k) jumps of which
+    Binomial(jumps, 1/2) are +1 (undirected), so the cost is O(min(t, k)) per
+    walk either way.
     """
     if t < 0 or k < 1:
         raise ValueError("need t >= 0 and k >= 1")
@@ -78,21 +70,30 @@ def sample_walks(model: str, t: float, k: int, samples: int,
         raise ValueError(f"unknown model {model!r}")
     if t > k:
         jumps = rng.poisson(t / k, size=(samples, k))
-        if model == "directed":
-            return jumps
-        return 2 * rng.binomial(jumps, 0.5) - jumps
+        w = (jumps if model == "directed" else 2 * rng.binomial(jumps, 0.5) - jumps).reshape(-1)
+        cells = np.flatnonzero(w != 0)
+        return cells, w[cells]
     per_walk = rng.poisson(t, size=samples)
     cells = (np.repeat(np.arange(samples, dtype=np.int64) * k, per_walk)
              + rng.integers(0, k, size=int(per_walk.sum())))
-    steps = 1 if model == "directed" else 2 * rng.integers(0, 2, size=cells.size) - 1
+    steps = (np.ones(cells.size, dtype=np.int64) if model == "directed"
+             else 2 * rng.integers(0, 2, size=cells.size) - 1)
+    cells, inverse = np.unique(cells, return_inverse=True)
+    values = np.bincount(inverse, weights=steps).astype(np.int64)
+    nonzero = values != 0
+    return cells[nonzero], values[nonzero]
+
+
+def sample_walks(model: str, t: float, k: int, samples: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """(samples, k) int64 array of independent draws of W(t).
+
+    The nonzero coordinates drawn by `_walk_cells`, scattered into zeros.
+    """
+    cells, values = _walk_cells(model, t, k, samples, rng)
     w = np.zeros(samples * k, dtype=np.int64)
-    np.add.at(w, cells, steps)
+    w[cells] = values
     return w.reshape(samples, k)
-
-
-def sample_W(model: str, t: float, k: int, rng: np.random.Generator) -> AuxiliaryState:
-    """Draw the k coordinates of W(t); each coordinate has elapsed time t/k."""
-    return AuxiliaryState(w=sample_walks(model, t, k, 1, rng)[0], t=float(t), model=model)
 
 
 def _cost(dist, x) -> np.ndarray:
@@ -103,9 +104,22 @@ def _cost(dist, x) -> np.ndarray:
     return -np.log(np.maximum(p, entropic.PMF_FLOOR))
 
 
-def _typicality_terms(dist, x, r_alpha: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per value x: its cost c(x) and the local window test |x - mean| <= r_alpha."""
-    return _cost(dist, x), np.abs(np.asarray(x) - dist.mean) <= r_alpha
+def _row_terms(rows: np.ndarray, values: np.ndarray, samples: int, k: int, dist,
+               r_alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Q and the local test of each of `samples` rows, from their nonzero coordinates.
+
+    rows[j] is the row of the j-th nonzero coordinate and values[j] its value.
+    Q = (k - nnz) c(0) + sum over the nonzeros of c(w_i); the local test holds
+    when every |w_i - mean| <= r_alpha, and the k - nnz zeros of a row fail it
+    together when |0 - mean| > r_alpha.  r_alpha = inf tests nothing locally.
+    """
+    nnz = np.bincount(rows, minlength=samples)
+    q = (k - nnz) * _cost(dist, 0) + np.bincount(rows, weights=_cost(dist, values),
+                                                  minlength=samples)
+    local = np.bincount(rows[np.abs(values - dist.mean) > r_alpha], minlength=samples) == 0
+    if abs(dist.mean) > r_alpha:
+        local &= nnz == k
+    return q, local
 
 
 def typical_mask(w: np.ndarray, dist, r_alpha: int, q_threshold: float) -> np.ndarray:
@@ -113,20 +127,21 @@ def typical_mask(w: np.ndarray, dist, r_alpha: int, q_threshold: float) -> np.nd
 
     Local: every |w_i - mean| <= r_alpha.  Global: Q(w) = sum_i c(w_i) >=
     q_threshold; q_threshold = -inf tests locality alone.  Only the nonzero
-    coordinates are read: the k - nnz zeros of a row add (k - nnz) c(0) to Q,
-    and they fail the local test together when |0 - mean| > r_alpha.
+    coordinates are read (see `_row_terms`).
     """
     samples, k = w.shape
     flat = np.flatnonzero(w != 0)
-    rows = flat // k
-    cost, within = _typicality_terms(dist, w.reshape(-1)[flat], r_alpha)
-    zero_cost, zero_within = _typicality_terms(dist, 0, r_alpha)
-    nnz = np.bincount(rows, minlength=samples)
-    q = (k - nnz) * zero_cost + np.bincount(rows, weights=cost, minlength=samples)
-    local = np.bincount(rows[~within], minlength=samples) == 0
-    if not zero_within:
-        local &= nnz == k
+    q, local = _row_terms(flat // k, w.reshape(-1)[flat], samples, k, dist, r_alpha)
     return local & (q >= q_threshold)
+
+
+def _probe_rows(model: str, t: float, k: int, samples: int, dist, r_alpha: float,
+                rng: np.random.Generator, chunk: int = 20000):
+    """Yield (Q, local test) per row for `samples` draws of W(t), `chunk` rows at a time."""
+    for start in range(0, samples, chunk):
+        m = min(chunk, samples - start)
+        cells, values = _walk_cells(model, t, k, m, rng)
+        yield _row_terms(cells // k, values, m, k, dist, r_alpha)
 
 
 def q_value(model: str, t: float, k: int, w) -> float:
@@ -143,24 +158,6 @@ def q_value(model: str, t: float, k: int, w) -> float:
     return -math.fsum(np.log(probs))
 
 
-def _sample_q_counts(dist, k: int, samples: int, rng: np.random.Generator,
-                     chunk: int = 20000):
-    """Category counts of k iid step draws, per sample, via multinomial blocks.
-
-    Sampling k individual coordinates per sample would cost O(samples*k); the
-    multinomial over the truncated support is equivalent and costs
-    O(samples * window).  Yields count blocks over the support values with
-    pmf > 0, in increasing order.
-    """
-    p = dist.pmf[dist.pmf > 0]
-    probs = p / p.sum()
-    done = 0
-    while done < samples:
-        m = min(chunk, samples - done)
-        yield rng.multinomial(k, probs, size=m)
-        done += m
-
-
 def clt_probe(n: int, k: int, model: str, alpha: float, samples: int,
               rng: np.random.Generator) -> ProbeResult:
     """Estimate P(Q(t_alpha) <= log n) and the omega-shifted variants; target Psi(alpha)."""
@@ -170,10 +167,8 @@ def clt_probe(n: int, k: int, model: str, alpha: float, samples: int,
     t_a = sol.t_alpha[float(alpha)]
     dist = entropic.step_distribution(model, t_a / k)
     log_n = math.log(n)
-    weights = _cost(dist, dist.support[dist.pmf > 0])
     hits_mid = hits_plus = hits_minus = 0
-    for counts in _sample_q_counts(dist, k, samples, rng):
-        q = counts @ weights
+    for q, _ in _probe_rows(model, t_a, k, samples, dist, math.inf, rng):
         hits_mid += int((q <= log_n).sum())
         hits_plus += int((q <= log_n + sol.omega).sum())
         hits_minus += int((q <= log_n - sol.omega).sum())
@@ -244,14 +239,10 @@ def typicality_probe(n: int, k: int, model: str, alpha: float, samples: int,
     log_n = math.log(n)
     # global condition mu(w) <= n^{-1} e^{-omega}  <=>  Q(w) >= log n + omega
     q_threshold = log_n + params.omega
-    weights, within = _typicality_terms(dist, dist.support[dist.pmf > 0], params.r_alpha)
     fails = local_fails = 0
-    for counts in _sample_q_counts(dist, k, samples, rng):
-        q = counts @ weights
-        local_bad = counts[:, ~within].sum(axis=1) > 0
-        global_bad = q < q_threshold
-        fails += int((local_bad | global_bad).sum())
-        local_fails += int(local_bad.sum())
+    for q, local in _probe_rows(model, t_a, k, samples, dist, params.r_alpha, rng):
+        fails += int((~local | (q < q_threshold)).sum())
+        local_fails += int((~local).sum())
     est = fails / samples
     return ProbeResult(
         estimate=est,
@@ -265,8 +256,7 @@ def typicality_probe(n: int, k: int, model: str, alpha: float, samples: int,
 def simulate_S(group: GroupSpec, Z: GeneratorMultiset, t: float, model: str,
                rng: np.random.Generator) -> Element:
     """One draw of the Cayley walk position S(t) = sum_i W_i(t) Z_i."""
-    state = sample_W(model, t, Z.k, rng)
-    return dot(group, state.w.tolist(), Z)
+    return dot(group, sample_walks(model, t, Z.k, 1, rng)[0].tolist(), Z)
 
 
 @dataclass(frozen=True)

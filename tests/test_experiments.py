@@ -213,6 +213,7 @@ def test_cli_requires_seed(capsys):
     (["verify", "--only", "self_test"], "--only"),
     (["cheeger", "--group", "101", "--k", "3"], "--group"),
     (["cutoff-profile", "--group", "4,5", "--k", "1"], "--k"),
+    (["entropic", "--group", "101", "--k", "3", "--samples", "-5"], "--samples"),
 ])
 def test_cli_bad_input_exits_2_naming_the_flag(monkeypatch, capsys, argv, flag):
     # nothing may run before the error: any runner call would fail differently
@@ -222,6 +223,13 @@ def test_cli_bad_input_exits_2_naming_the_flag(monkeypatch, capsys, argv, flag):
         main(argv + ["--seed", "1"])
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
+
+
+def test_cli_budget_refusal_exits_2_naming_force(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--group", "1048576,1048576", "--k", "3", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--force" in capsys.readouterr().err
 
 
 def test_cli_tv_curve_writes_file(tmp_path):

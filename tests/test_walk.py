@@ -7,8 +7,8 @@ from cayley_cutoff import entropic
 from cayley_cutoff.groups import (GeneratorMultiset, index_of, make_group,
                                   replicate_rng, sample_generators)
 from cayley_cutoff.spectral import eigenvalues, heat_kernel_row
-from cayley_cutoff.walk import (PmfUnderflowError, berry_esseen_band, clt_probe,
-                                psi, q_value, sample_W, sample_walks, simulate_S,
+from cayley_cutoff.walk import (PmfUnderflowError, _walk_cells, berry_esseen_band,
+                                clt_probe, psi, q_value, sample_walks, simulate_S,
                                 tv_error_budget, typical_mask, typicality_params,
                                 typicality_probe)
 
@@ -20,18 +20,19 @@ def test_psi_values():
 
 
 def test_sample_w_zero_time():
-    state = sample_W("undirected", 0.0, 8, replicate_rng(20, 0))
-    assert np.array_equal(state.w, np.zeros(8, dtype=np.int64))
+    w = sample_walks("undirected", 0.0, 8, 1, replicate_rng(20, 0))[0]
+    assert np.array_equal(w, np.zeros(8, dtype=np.int64))
     with pytest.raises(ValueError):
-        sample_W("undirected", -1.0, 8, replicate_rng(20, 0))
+        sample_walks("undirected", -1.0, 8, 1, replicate_rng(20, 0))
     with pytest.raises(ValueError):
-        sample_W("bogus", 1.0, 8, replicate_rng(20, 0))
+        sample_walks("bogus", 1.0, 8, 1, replicate_rng(20, 0))
 
 
 def test_sample_w_directed_mean():
     t, k, reps = 30.0, 10, 10 ** 5
     rng = replicate_rng(21, 0)
-    draws = np.concatenate([sample_W("directed", t, k, rng).w for _ in range(reps // k)])
+    draws = np.concatenate([sample_walks("directed", t, k, 1, rng)[0]
+                            for _ in range(reps // k)])
     s = t / k
     sigma = math.sqrt(s / draws.size)
     assert abs(draws.mean() - s) <= 5 * sigma
@@ -40,7 +41,7 @@ def test_sample_w_directed_mean():
 def test_sample_w_undirected_variance():
     t, k = 40.0, 8
     rng = replicate_rng(22, 0)
-    draws = np.concatenate([sample_W("undirected", t, k, rng).w
+    draws = np.concatenate([sample_walks("undirected", t, k, 1, rng)[0]
                             for _ in range(10 ** 5 // k)])
     s = t / k
     # Var of the sample variance of a centered SRW value ~ (E X^4 - s^2)/N
@@ -82,7 +83,22 @@ def test_sample_walks_one_row_keeps_per_coordinate_stream(model):
     jumps = rng.poisson(t / k, size=k)
     expected = jumps if model == "directed" else 2 * rng.binomial(jumps, 0.5) - jumps
     assert np.array_equal(sample_walks(model, t, k, 1, replicate_rng(34, 0))[0], expected)
-    assert np.array_equal(sample_W(model, t, k, replicate_rng(34, 0)).w, expected)
+
+
+@pytest.mark.parametrize("model,t,k", [(model, t, k) for model in ("directed", "undirected")
+                                       for t, k in ((0.0, 8), (1.4, 200), (6.5, 50),
+                                                    (20.0, 8))])
+def test_walk_cells_scatter_to_sample_walks(model, t, k):
+    # the sparse core draws the same stream as the dense sampler: t = 0, t <= k
+    # (the jumps, repeated cells summed) and t > k (each coordinate)
+    samples = 3000
+    cells, values = _walk_cells(model, t, k, samples, replicate_rng(36, k))
+    assert cells.dtype == values.dtype == np.int64
+    assert np.all(np.diff(cells) > 0) and np.all(values != 0)
+    w = np.zeros(samples * k, dtype=np.int64)
+    w[cells] = values
+    expected = sample_walks(model, t, k, samples, replicate_rng(36, k))
+    assert np.array_equal(w.reshape(samples, k), expected)
 
 
 def _dense_q(w, dist):
@@ -144,7 +160,7 @@ def test_q_value_underflow_reported():
 def test_q_mean_matches_entropy():
     t, k, samples = 20.0, 10, 3000
     rng = replicate_rng(23, 0)
-    qs = np.array([q_value("undirected", t, k, sample_W("undirected", t, k, rng).w)
+    qs = np.array([q_value("undirected", t, k, sample_walks("undirected", t, k, 1, rng)[0])
                    for _ in range(samples)])
     mean, var = entropic.q1_moments("undirected", t / k)
     sigma = math.sqrt(k * var / samples)
@@ -176,6 +192,51 @@ def test_clt_probe_central_value_nominal_scale():
     probe = clt_probe(10 ** 6, 10 ** 4, "undirected", 0.0, 10 ** 5,
                       replicate_rng(27, 0))
     assert abs(probe.estimate - 0.5) <= 0.02
+
+
+def _exact_probe_values(n, k, model, alpha):
+    """The probes' targets for W(t_alpha), enumerated over every pmf value > 1e-16.
+
+    Returns P(Q <= log n), P(Q <= log n + omega), P(Q <= log n - omega) and
+    P(not typical); the mass left out is below 1e-13.
+    """
+    params = typicality_params(n, k, model, alpha)
+    dist = entropic.step_distribution(model, params.t_alpha / k)
+    keep = dist.pmf > 1e-16
+    x, p = dist.support[keep], dist.pmf[keep]
+    grid = np.stack([g.ravel() for g in np.meshgrid(*[np.arange(x.size)] * k,
+                                                     indexing="ij")], axis=1)
+    q = -np.log(p)[grid].sum(axis=1)
+    prob = p[grid].prod(axis=1)
+    local = (np.abs(x[grid] - dist.mean) <= params.r_alpha).all(axis=1)
+    log_n, omega = math.log(n), params.omega
+    thresholds = (log_n, log_n + omega, log_n - omega)
+    # no value of Q sits within rounding of a threshold
+    assert all(np.abs(q - thr).min() > 1e-9 for thr in thresholds)
+    below = [float(prob[q <= thr].sum()) for thr in thresholds]
+    not_typical = float(prob[~local | (q < log_n + omega)].sum())
+    return below, not_typical
+
+
+# k = 4: t_{-1} <= k at n = 50 draws the jumps (t = 0.99 directed, 0.59
+# undirected); t_0 > k at n = 1000 draws each coordinate (8.3 and 7.5).  All
+# sixteen targets lie strictly inside (0, 1).
+@pytest.mark.parametrize("model", ["directed", "undirected"])
+@pytest.mark.parametrize("n,alpha", [(50, -1.0), (1000, 0.0)])
+def test_probes_match_exact_law_tiny_k(model, n, alpha):
+    k, samples = 4, 30000
+    (mid, plus, minus), not_typical = _exact_probe_values(n, k, model, alpha)
+
+    def within_4_se(estimate, exact):
+        return abs(estimate - exact) <= 4 * math.sqrt(exact * (1 - exact) / samples)
+
+    clt = clt_probe(n, k, model, alpha, samples, replicate_rng(37, 0))
+    assert within_4_se(clt.estimate, mid)
+    assert within_4_se(clt.details["plus"], plus)
+    assert within_4_se(clt.details["minus"], minus)
+    assert clt.details["minus"] <= clt.estimate <= clt.details["plus"]
+    typ = typicality_probe(n, k, model, alpha, samples, replicate_rng(38, 0))
+    assert within_4_se(typ.estimate, not_typical)
 
 
 def test_typicality_params_bounds():
