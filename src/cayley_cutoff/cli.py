@@ -46,7 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--t-grid", dest="t_grid", help="lo:hi:points (log-spaced)")
         p.add_argument("--replicates", type=int)
         p.add_argument("--samples", type=int)
-        p.add_argument("--seed", type=int)
+        p.add_argument("--seed", type=int, help=(
+            "labels the run (it enters the config digest) and draws nothing: every "
+            "lemma check draws from its own fixed stream" if name == "verify" else None))
         p.add_argument("--out")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"))
         p.add_argument("--only", help="verify: run a single named check")
@@ -56,6 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "verify":
             p.add_argument("--self-test-fail", action="store_true",
                            help=argparse.SUPPRESS)  # negative-control hook
+        # errors found after parsing print this subcommand's usage, not the root's
+        p.set_defaults(error=p.error)
     return parser
 
 
@@ -115,7 +119,7 @@ def main(argv=None) -> int:
     try:
         config = make_config(args)
     except ValueError as exc:
-        parser.error(str(exc))
+        args.error(str(exc))
     if args.command == "verify":
         extra = None
         if getattr(args, "self_test_fail", False):
@@ -124,14 +128,14 @@ def main(argv=None) -> int:
                 name=SELF_TEST, passed=False,
                 worst_case="forced failure (negative control)", max_violation=1.0)}
         elif config.only == SELF_TEST:
-            parser.error(f"--only {SELF_TEST} needs --self-test-fail")
+            args.error(f"--only {SELF_TEST} needs --self-test-fail")
         text, status = run_verify(config, extra_checks=extra)
         sys.stdout.write(text)
         return status
     try:
         text, _ = RUNNERS[args.command](config)
     except BudgetExceededError as exc:
-        parser.error(str(exc))
+        args.error(str(exc))
     if not config.out:
         sys.stdout.write(text)
     return 0

@@ -188,12 +188,27 @@ def _budget_check(config: ExperimentConfig, n: int, transforms_per_replicate: in
 # cutoff profile
 # ---------------------------------------------------------------------------
 
+def _tv_at(spec: spectral.SpectralData, times: list[float]) -> list[float]:
+    """tv_exact of the heat-kernel row at each time, two nonzero times per transform.
+
+    A row at t = 0 takes no transform, so it is left out of the pairs.
+    """
+    moving = [t for t in times if t != 0]
+    tv = {}
+    for i in range(0, len(moving), 2):
+        pair = moving[i:i + 2]
+        tv.update(zip(pair, spectral.tv_exact(spectral.heat_kernel_row(spec, pair))))
+    if len(moving) < len(times):
+        tv[0.0] = spectral.tv_exact(spectral.heat_kernel_row(spec, 0.0))
+    return [tv[t] for t in times]
+
+
 def _cutoff_worker(r: int, payload: dict) -> dict:
     t_alpha: dict[float, float] = payload["t_alpha"]
     _, spec, gaps, head = _instance(payload["config"], r)
+    alphas = sorted(t_alpha)
     row = {**head, "connected": gaps.connected}
-    for alpha, t in sorted(t_alpha.items()):
-        tv = spectral.tv_exact(spectral.heat_kernel_row(spec, t))
+    for alpha, tv in zip(alphas, _tv_at(spec, [t_alpha[a] for a in alphas])):
         row[f"tv_alpha_{alpha:g}"] = tv
     return row
 
@@ -286,12 +301,10 @@ def default_t_grid(n: int, k: int, model: str) -> np.ndarray:
 
 def _curve_worker(r: int, payload: dict) -> list[dict]:
     _, spec, gaps, head = _instance(payload["config"], r)
-    rows = []
-    for t in payload["grid"]:
-        tv = spectral.tv_exact(spectral.heat_kernel_row(spec, float(t)))
-        rows.append({**head, "t": float(t), "tv": tv,
-                     "l2_bound": spectral.l2_bound(spec, float(t)), "gamma": gaps.gamma})
-    return rows
+    grid = [float(t) for t in payload["grid"]]
+    return [{**head, "t": t, "tv": tv, "l2_bound": spectral.l2_bound(spec, t),
+             "gamma": gaps.gamma}
+            for t, tv in zip(grid, _tv_at(spec, grid))]
 
 
 def run_tv_curve(config: ExperimentConfig) -> tuple[str, list[dict]]:

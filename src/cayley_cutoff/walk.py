@@ -78,10 +78,14 @@ def _walk_cells(model: str, t: float, k: int, samples: int,
              + rng.integers(0, k, size=int(per_walk.sum())))
     steps = (np.ones(cells.size, dtype=np.int64) if model == "directed"
              else 2 * rng.integers(0, 2, size=cells.size) - 1)
-    cells, inverse = np.unique(cells, return_inverse=True)
-    values = np.bincount(inverse, weights=steps).astype(np.int64)
+    # One sort of 2*cell + (step > 0) groups the jumps by cell; each step comes
+    # back from the low bit and is summed per cell.
+    keys = np.sort(2 * cells + (steps > 0))
+    cells = keys >> 1
+    first = np.flatnonzero(np.diff(cells, prepend=-1))
+    values = np.add.reduceat(2 * (keys & 1) - 1, first)
     nonzero = values != 0
-    return cells[nonzero], values[nonzero]
+    return cells[first[nonzero]], values[nonzero]
 
 
 def sample_walks(model: str, t: float, k: int, samples: int,

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 import cayley_cutoff
-from cayley_cutoff import cli, entropic
+from cayley_cutoff import cli, entropic, spectral
 from cayley_cutoff.cli import load_config_file, main
 from cayley_cutoff.experiments import (BudgetExceededError, ExperimentConfig,
-                                       _budget_check, _parse_t_grid,
+                                       _budget_check, _instance, _parse_t_grid,
+                                       _tv_at,
                                        default_t_grid,
                                        run_cheeger, run_cutoff_profile,
                                        run_entropic_report, run_gap_scan,
@@ -67,6 +68,21 @@ def test_tv_curve_monotone_between_envelopes():
     header = text.splitlines()
     assert header[0].startswith("# cayley-cutoff 0.1.0 config=")
     assert header[1] == "replicate,seed,instance_digest,t,tv,l2_bound,gamma"
+
+
+@pytest.mark.parametrize("times", [[0.0, 0.4, 1.2, 3.0, 9.0],
+                                   [0.4, 0.0, 1.2], [2.0], [0.0]])
+def test_tv_at_pairs_nonzero_times(monkeypatch, times):
+    _, spec, _, _ = _instance(_config(moduli=(9, 8), k=5, model="directed"), 0)
+    singles = [spectral.tv_exact(spectral.heat_kernel_row(spec, t)) for t in times]
+    calls = []
+    real_dft = spectral._dft
+    monkeypatch.setattr(spectral, "_dft", lambda *a, **kw: calls.append(1) or real_dft(*a, **kw))
+    tvs = _tv_at(spec, times)
+    # one transform per pair of nonzero times, none at t = 0
+    assert len(calls) == math.ceil(sum(t != 0 for t in times) / 2)
+    assert np.abs(np.array(tvs) - singles).max() < 1e-13
+    assert [tv for tv, t in zip(tvs, times) if t == 0] == [1.0 - 1.0 / 72] * times.count(0.0)
 
 
 def test_csv_values_round_trip():
@@ -222,14 +238,18 @@ def test_cli_bad_input_exits_2_naming_the_flag(monkeypatch, capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--seed", "1"])
     assert exc.value.code == 2
-    assert flag in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert flag in err
+    assert err.startswith(f"usage: cayley-cutoff {argv[0]} ")
 
 
 def test_cli_budget_refusal_exits_2_naming_force(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["spectrum", "--group", "1048576,1048576", "--k", "3", "--seed", "1"])
     assert exc.value.code == 2
-    assert "--force" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--force" in err
+    assert err.startswith("usage: cayley-cutoff spectrum ")
 
 
 def test_cli_tv_curve_writes_file(tmp_path):

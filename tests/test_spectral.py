@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayley_cutoff.groups import (GeneratorMultiset, add, element_of,
                                   index_of, make_group, neg, replicate_rng,
@@ -172,6 +174,96 @@ def test_heat_kernel_row_guards():
     with pytest.raises(ValueError, match="negative probability"):
         heat_kernel_row(spec, 1.0)
     assert np.array_equal(spec.eigenvalues, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("pair", [(1.0, 0.0), (0.0, 1.0), (1.0, 0.25), (0.25, 1.0)])
+def test_paired_row_guard_reads_the_spectrum(pair):
+    # Packing mixes each row's imaginary residue into the other row, so a
+    # non-Hermitian spectrum must raise whichever slot holds which time.
+    spec = _hand_spectrum([1.0, 0.5, 0, 0, 0, 0, 0, 0])
+    held = spec.eigenvalues.copy()
+    with pytest.raises(ImaginaryResidueError):
+        heat_kernel_row(spec, pair)
+    assert np.array_equal(spec.eigenvalues, held)
+
+
+def test_residue_bound_counts_eigenvalues_above_one():
+    # Re lambda_1 = 1.5 stretches the exponential: at t = 1.6 the unpacked row's
+    # residue is 0.5 e^{0.8} sin(1.6e-9) = 1.8e-9 > ROW_TOL, while the spread
+    # term alone reads 0.8e-9.
+    spec = _hand_spectrum([1.0, 1.5 + 1e-9j])
+    assert 0.5 * math.exp(0.8) * math.sin(1.6e-9) > ROW_TOL > 0.8e-9
+    for t in (1.6, [1.6, 0.0], [0.5, 1.6]):
+        with pytest.raises(ImaginaryResidueError):
+            heat_kernel_row(spec, t)
+
+
+def _mirror_index(group):
+    """Index of -x for every element index x, one element at a time."""
+    return np.array([index_of(group, neg(group, element_of(group, x))) for x in range(group.n)])
+
+
+@given(moduli=st.sampled_from([(12,), (9, 8), (4, 9, 25), (7, 6)]),
+       seed=st.integers(0, 10 ** 6), t=st.floats(0.01, 50.0),
+       size=st.floats(-12.0, -2.0), spikes=st.integers(1, 4))
+@settings(max_examples=80, deadline=None)
+def test_residue_bound_never_below_unpacked_residue(moduli, seed, t, size, spikes):
+    g = make_group(moduli)
+    rng = replicate_rng(seed, 0)
+    lam = eigenvalues(g, sample_generators(g, 3, rng), "directed").eigenvalues.copy()
+    hit = rng.integers(0, g.n, size=spikes)
+    lam[hit] += 10.0 ** size * (rng.normal(size=spikes) + 1j * rng.normal(size=spikes))
+    spec = SpectralData(model="directed", group=g, k=3, eigenvalues=lam)
+    weights = np.exp(-t * (1.0 - lam)).reshape(moduli)
+    residue = np.abs(np.fft.fftn(weights).imag).max() / g.n
+    drift = np.abs(lam - np.conj(lam[_mirror_index(g)])).mean()
+    bound = 0.5 * t * math.exp(t * max(0.0, lam.real.max() - 1.0)) * drift
+    # slack for the rounding of the transform itself, which the bound leaves out
+    assert residue <= bound * (1 + 1e-9) + 1e-15
+    # the guard reads this bound: it raises above ROW_TOL and only there
+    if bound > ROW_TOL * (1 + 1e-9):
+        with pytest.raises(ImaginaryResidueError):
+            heat_kernel_row(spec, [t, 0.5 * t])
+    elif bound < ROW_TOL * (1 - 1e-9):
+        try:
+            heat_kernel_row(spec, [t, 0.5 * t])
+        except ValueError:  # a perturbed lambda_0 may move the row mass
+            pass
+
+
+@pytest.mark.parametrize("model", ["undirected", "directed"])
+@pytest.mark.parametrize("moduli", [(12,), (9, 8), (4, 9, 25)])
+def test_paired_rows_equal_single_rows(moduli, model):
+    g = make_group(moduli)
+    spec = eigenvalues(g, sample_generators(g, 4, replicate_rng(21, 0)), model)
+    held = spec.eigenvalues.copy()
+    for pair in ([0.3, 2.0], [2.0, 0.3], [0.0, 1.5], [1.5, 0.0], [0.0, 0.0], [4.0]):
+        row = heat_kernel_row(spec, pair)
+        assert row.t == tuple(pair) and row.probs.shape == (len(pair), g.n)
+        tvs = tv_exact(row)
+        assert len(tvs) == len(pair)
+        for probs, tv, t in zip(row.probs, tvs, pair):
+            single = heat_kernel_row(spec, t)
+            assert np.abs(probs - single.probs).max() < 1e-13
+            assert abs(tv - tv_exact(single)) < 1e-13
+            if t == 0:
+                assert np.array_equal(probs, single.probs)
+    assert np.array_equal(spec.eigenvalues, held)
+    for bad in ([1.0, 2.0, 3.0], [], [[1.0, 2.0]]):
+        with pytest.raises(ValueError):
+            heat_kernel_row(spec, bad)
+    with pytest.raises(ValueError):
+        heat_kernel_row(spec, [1.0, -1.0])
+
+
+def test_paired_row_counts_every_point():
+    # A pair is two rows of n points each: a point count read from
+    # `probs.size` must see both.
+    g = make_group([101])
+    spec = eigenvalues(g, sample_generators(g, 4, replicate_rng(22, 0)), "directed")
+    row = heat_kernel_row(spec, (0.5, 3.0))
+    assert row.probs.size == 2 * g.n
+    assert heat_kernel_row(spec, 0.5).probs.size == g.n
 
 
 def test_heat_kernel_t0_is_indicator():

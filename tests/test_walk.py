@@ -101,6 +101,22 @@ def test_walk_cells_scatter_to_sample_walks(model, t, k):
     assert np.array_equal(w.reshape(samples, k), expected)
 
 
+@pytest.mark.parametrize("model", ["directed", "undirected"])
+def test_walk_cells_merge_matches_dense_add_at(model):
+    # for t <= k: the jumps redrawn in the sampler's order, summed with np.add.at
+    t, k, samples = 6.5, 50, 3000
+    rng = replicate_rng(37, 0)
+    per_walk = rng.poisson(t, size=samples)
+    cells = (np.repeat(np.arange(samples, dtype=np.int64) * k, per_walk)
+             + rng.integers(0, k, size=int(per_walk.sum())))
+    steps = (np.ones(cells.size, dtype=np.int64) if model == "directed"
+             else 2 * rng.integers(0, 2, size=cells.size) - 1)
+    expected = np.zeros(samples * k, dtype=np.int64)
+    np.add.at(expected, cells, steps)
+    drawn = sample_walks(model, t, k, samples, replicate_rng(37, 0))
+    assert np.array_equal(drawn.reshape(-1), expected)
+
+
 def _dense_q(w, dist):
     """Q of each row from every coordinate, with the pmf floored outside the window."""
     inside = (w >= dist.lo) & (w <= dist.hi)
