@@ -10,13 +10,14 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .entropic import BracketError
 from .experiments import (RUNNERS, SELF_TEST, BudgetExceededError, ExperimentConfig,
                           run_verify)
 from .groups import parse_group
 
 
 def load_config_file(path: str) -> dict:
-    """Read a flat key=value file; '#' starts a comment."""
+    """Read a flat key=value file of `_DEFAULTS` keys; '#' starts a comment."""
     values = {}
     with open(path) as fh:
         for raw in fh:
@@ -25,9 +26,17 @@ def load_config_file(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"bad config line: {raw.rstrip()}")
-            key, val = line.split("=", 1)
-            values[key.strip()] = val.strip()
+            key, val = (part.strip() for part in line.split("=", 1))
+            if key not in _DEFAULTS:
+                raise ValueError(f"--config: unknown key {key!r}; known: {', '.join(_DEFAULTS)}")
+            values[key] = val
     return values
+
+
+def _parse_switch(text: str) -> bool:
+    if text not in ("0", "1", "true", "false"):
+        raise ValueError(f"must be 0, 1, true or false, got {text!r}")
+    return text in ("1", "true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,7 +116,7 @@ def make_config(args: argparse.Namespace) -> ExperimentConfig:
         out=parsed("out", str),
         fmt=str(merged["fmt"]),
         only=parsed("only", str),
-        force=bool(merged["force"]),
+        force=parsed("force", _parse_switch, False),
         jobs=parsed("jobs", int),
     )
 
@@ -136,6 +145,8 @@ def main(argv=None) -> int:
         text, _ = RUNNERS[args.command](config)
     except BudgetExceededError as exc:
         args.error(str(exc))
+    except BracketError as exc:
+        args.error(f"--alpha/--k: {exc}; lower --alpha or raise --k")
     if not config.out:
         sys.stdout.write(text)
     return 0

@@ -161,17 +161,9 @@ def step_pmf(model: str, s: float, x: int) -> float:
     return float(special.ive(abs(x), s))
 
 
-def _plogp_terms(pmf: np.ndarray) -> np.ndarray:
-    p = pmf[pmf > PMF_FLOOR]
-    return p * np.log(p)
-
-
 def entropy(model: str, s: float, half_width: int | None = None) -> float:
-    """Shannon entropy H(s) of the step distribution, in nats."""
-    if s == 0:
-        return 0.0
-    dist = step_distribution(model, s, half_width)
-    return -math.fsum(_plogp_terms(dist.pmf))
+    """Shannon entropy H(s) of the step distribution, in nats: the mean of Q_1(s)."""
+    return q1_moments(model, s, half_width)[0]
 
 
 def entropy_derivative(model: str, s: float) -> float:
@@ -214,8 +206,13 @@ def q1_moments(model: str, s: float, half_width: int | None = None) -> tuple[flo
 
 def entropy_inverse(model: str, target: float, s_hint: float = 4.0) -> float:
     """Solve H(s) = target for s (H is strictly increasing, H(0) = 0)."""
-    if target <= 0:
-        raise ValueError("entropy target must be > 0")
+    if not target > 0:
+        raise ValueError(f"entropy target must be > 0, got {target}")
+    # Both step laws have variance s, and an integer-valued law of variance s
+    # has entropy at most (1/2) log(2 pi e (s + 1/12)); above that bound at the
+    # cap no bracket exists, and doubling toward it would build huge pmfs.
+    if target > 0.5 * math.log(2.0 * math.pi * math.e * (BRACKET_CAP + 1.0 / 12.0)):
+        raise BracketError(f"entropy target {target} unreachable below cap")
     hi = max(4.0, float(s_hint))
     while entropy(model, hi) < target:
         hi *= 2.0

@@ -60,6 +60,8 @@ class ExperimentConfig:
                             ("--jobs", self.jobs)):
             if value < 1:
                 raise ValueError(f"{flag} must be >= 1, got {value}")
+        if not all(math.isfinite(a) for a in self.alphas):
+            raise ValueError(f"--alpha values must be finite, got {list(self.alphas)}")
         if self.command == "verify":
             if self.only not in (None, SELF_TEST, *lemmas.DEFAULT_CHECKS):
                 raise ValueError(f"--only: unknown check {self.only!r}; "
@@ -94,7 +96,7 @@ def _instance(config: ExperimentConfig, r: int):
     group = config.group()
     Z = sample_generators(group, config.k, replicate_rng(config.base_seed, r))
     spec = spectral.eigenvalues(group, Z, config.model)
-    blob = json.dumps([list(z) for z in Z.generators])
+    blob = json.dumps(Z.generators.tolist())
     head = {"replicate": r, "seed": config.base_seed,
             "instance_digest": hashlib.sha256(blob.encode()).hexdigest()[:12]}
     return Z, spec, spectral.gap_summary(spec), head

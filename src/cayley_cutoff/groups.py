@@ -3,7 +3,8 @@
 A group is a direct sum of cyclic factors Z_{m_1} + ... + Z_{m_d}.  Elements are
 tuples of canonical coordinates, and every element also has a mixed-radix index
 in {0, ..., n-1} (first coordinate most significant, matching C-order reshapes
-of flat arrays).
+of flat arrays).  `index_of` and `element_of` are the one codec between the two;
+both also map whole arrays of elements or indices.
 """
 
 from __future__ import annotations
@@ -35,16 +36,15 @@ class GroupSpec:
         return "GroupSpec(%s)" % ",".join(str(m) for m in self.moduli)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorMultiset:
     """k group elements sampled (or chosen) as Cayley-graph generators; repeats allowed."""
 
-    generators: tuple[Element, ...]
-    k: int
+    generators: np.ndarray  # int64, shape (k, d): one generator per row
 
-    def __post_init__(self):
-        if self.k != len(self.generators):
-            raise ValueError("k does not match the number of generators")
+    @property
+    def k(self) -> int:
+        return len(self.generators)
 
 
 @dataclass(frozen=True)
@@ -91,14 +91,6 @@ def zero(group: GroupSpec) -> Element:
     return (0,) * group.d
 
 
-def validate_element(group: GroupSpec, x: Element) -> None:
-    if len(x) != group.d:
-        raise ValueError("element dimension mismatch")
-    for c, m in zip(x, group.moduli):
-        if not 0 <= c < m:
-            raise ValueError(f"coordinate {c} out of range [0, {m})")
-
-
 def add(group: GroupSpec, a: Element, b: Element) -> Element:
     """Coordinate-wise sum modulo the group moduli."""
     if len(a) != group.d or len(b) != group.d:
@@ -113,54 +105,50 @@ def neg(group: GroupSpec, a: Element) -> Element:
     return tuple((-x) % m for x, m in zip(a, group.moduli))
 
 
-def index_of(group: GroupSpec, x: Element) -> int:
-    """Mixed-radix index of an element in {0, ..., n-1}."""
-    validate_element(group, x)
-    return sum(c * w for c, w in zip(x, group.radix_weights))
+def index_of(group: GroupSpec, x):
+    """Mixed-radix index in {0, ..., n-1} of an element, or of each row of a (..., d) array."""
+    x = np.asarray(x)
+    if x.shape[-1:] != (group.d,):
+        raise ValueError("element dimension mismatch")
+    if ((x < 0) | (x >= group.moduli)).any():
+        raise ValueError(f"coordinate out of range [0, m_j) for moduli {group.moduli}")
+    index = x @ group.radix_weights
+    return int(index) if x.ndim == 1 else index
 
 
-def element_of(group: GroupSpec, index: int) -> Element:
-    """Inverse of index_of."""
-    if not 0 <= index < group.n:
+def element_of(group: GroupSpec, index):
+    """Inverse of index_of: an element for one index, a (..., d) int64 array for an array."""
+    index = np.asarray(index)
+    if ((index < 0) | (index >= group.n)).any():
         raise ValueError("element index out of range")
-    coords = []
-    for w, m in zip(group.radix_weights, group.moduli):
-        coords.append((index // w) % m)
-    return tuple(coords)
+    coords = index[..., None] // group.radix_weights % group.moduli
+    return tuple(coords.tolist()) if index.ndim == 0 else coords
 
 
 def element_levels(group: GroupSpec) -> np.ndarray:
     """Level max_j m_j / gcd(x_j, m_j) of every element x, by mixed-radix index."""
-    index = np.arange(group.n, dtype=np.int64)
-    levels = np.ones(group.n, dtype=np.int64)
-    for w, m in zip(group.radix_weights, group.moduli):
-        np.maximum(levels, m // np.gcd(index // w % m, m), out=levels)
-    return levels
+    coords = element_of(group, np.arange(group.n))
+    return (group.moduli // np.gcd(coords, group.moduli)).max(axis=1)
 
 
 def dot(group: GroupSpec, w, Z: GeneratorMultiset) -> Element:
     """Integer combination sum_i w_i * Z_i reduced coordinate-wise mod m_j.
 
     Entries of w may be negative; Python's floored modulo yields the canonical
-    representative.
+    representative.  The sum is taken in Python ints (object arrays): in int64
+    it would wrap once |w| * m reaches about 2^63 / k.
     """
-    w = list(w)
-    if len(w) != Z.k:
+    w = np.array(w, dtype=object)
+    if w.shape != (Z.k,):
         raise ValueError("weight vector length does not match k")
-    coords = [0] * group.d
-    for wi, z in zip(w, Z.generators):
-        for j in range(group.d):
-            coords[j] += wi * z[j]
-    return tuple(c % m for c, m in zip(coords, group.moduli))
+    return tuple((w @ Z.generators.astype(object) % group.moduli).tolist())
 
 
 def sample_generators(group: GroupSpec, k: int, rng: np.random.Generator) -> GeneratorMultiset:
     """Draw k iid uniform elements (with replacement) from the group."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    cols = [rng.integers(0, m, size=k) for m in group.moduli]
-    gens = tuple(tuple(int(cols[j][i]) for j in range(group.d)) for i in range(k))
-    return GeneratorMultiset(generators=gens, k=k)
+    return GeneratorMultiset(np.column_stack([rng.integers(0, m, size=k) for m in group.moduli]))
 
 
 def check_hypotheses(group: GroupSpec, k: int, eta: float) -> HypothesisReport:

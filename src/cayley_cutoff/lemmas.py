@@ -15,7 +15,7 @@ import numpy as np
 from scipy import special
 
 from . import entropic, walk
-from .groups import (GroupSpec, element_levels, element_of, make_group,
+from .groups import (GroupSpec, element_levels, element_of, index_of, make_group,
                      replicate_rng, sample_generators)
 
 
@@ -54,25 +54,16 @@ def vz_uniform_check(moduli, V, k: int) -> CheckReport:
         raise ValueError("n^k exceeds the exhaustive cap 1e6")
 
     g = [math.gcd(math.gcd(*(abs(v) for v in V)), m) for m in group.moduli]
-    expected_support = {
-        sum(c * w for c, w in zip(coords, group.radix_weights))
-        for coords in product(*[range(0, m, gj) for m, gj in zip(group.moduli, g)])
-    }
-    # Enumerate all Z in G^k as flat indices, decompose, and histogram V.Z.
+    expected_support = set(index_of(group, list(product(
+        *[range(0, m, gj) for m, gj in zip(group.moduli, g)]))).tolist())
+    # Enumerate all Z in G^k as flat indices (Z_i is base-n digit i) and
+    # histogram V.Z, reduced coordinate-wise after each term to keep it small.
     total = np.arange(group.n ** k, dtype=np.int64)
-    result = np.zeros(total.size, dtype=np.int64)
+    vz = np.zeros((total.size, group.d), dtype=np.int64)
     for i in range(k):
-        elem_idx = (total // group.n ** i) % group.n
-        coords_sum = np.zeros(total.size, dtype=np.int64)
-        for w, m in zip(group.radix_weights, group.moduli):
-            cj = (elem_idx // w) % m
-            coords_sum += ((V[i] * cj) % m) * w
-        # reduce coordinate-wise after each accumulation to keep values small
-        acc = np.zeros(total.size, dtype=np.int64)
-        for w, m in zip(group.radix_weights, group.moduli):
-            acc += (((result // w) % m + (coords_sum // w) % m) % m) * w
-        result = acc
-    hist = np.bincount(result, minlength=group.n)
+        z_i = element_of(group, total // group.n ** i % group.n)
+        vz = (vz + V[i] * z_i) % group.moduli
+    hist = np.bincount(index_of(group, vz), minlength=group.n)
     counts = {int(i): int(c) for i, c in enumerate(hist) if c > 0}
 
     support_ok = set(counts) == expected_support
@@ -403,7 +394,6 @@ def modified_l2_probe(group: GroupSpec, k: int, model: str, alpha: float,
     chunk = 20000
     for rep in range(replicates):
         Z = sample_generators(group, k, rng)
-        zmat = np.array([[zj for zj in z] for z in Z.generators], dtype=np.int64)
         done = 0
         while done < samples:
             m_chunk = min(chunk, samples - done)
@@ -417,11 +407,7 @@ def modified_l2_probe(group: GroupSpec, k: int, model: str, alpha: float,
             accepted_total += accepted
             if accepted == 0:
                 continue
-            coords = v @ zmat  # (accepted, d)
-            is_zero = np.ones(accepted, dtype=bool)
-            for j, m in enumerate(group.moduli):
-                is_zero &= coords[:, j] % m == 0
-            hits += int(is_zero.sum())
+            hits += int((v @ Z.generators % group.moduli == 0).all(axis=1).sum())
             zero_hits += int((v == 0).all(axis=1).sum())
     if accepted_total == 0:
         raise RuntimeError("typicality rejection accepted no samples")

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft
 
-from .groups import Element, GeneratorMultiset, GroupSpec
+from .groups import Element, GeneratorMultiset, GroupSpec, element_of, index_of
 
 #: |lambda_x - 1| up to this makes x a candidate invariant character.  The
 #: transform's rounding error is ~1e-15, so no invariant character is missed;
@@ -97,11 +97,10 @@ def _invariant_characters(group: GroupSpec, Z: GeneratorMultiset,
     ints (object arrays): the products reach m_j * L and would wrap in int64.
     """
     lcm = math.lcm(*group.moduli)
-    coords = [(candidates // w % m).astype(object) * (lcm // m)
-              for w, m in zip(group.radix_weights, group.moduli)]
-    for z in set(Z.generators):
-        ok = sum(c * zj for c, zj in zip(coords, z)) % lcm == 0
-        candidates, coords = candidates[ok], [c[ok] for c in coords]
+    coords = element_of(group, candidates).astype(object) * [lcm // m for m in group.moduli]
+    for z in np.unique(Z.generators, axis=0).astype(object):
+        ok = coords @ z % lcm == 0
+        candidates, coords = candidates[ok], coords[ok]
     return candidates
 
 
@@ -128,9 +127,7 @@ def eigenvalues(group: GroupSpec, Z: GeneratorMultiset, model: str) -> SpectralD
     """
     if model not in ("undirected", "directed"):
         raise ValueError(f"unknown model {model!r}")
-    gens = np.array(Z.generators, dtype=np.int64).reshape(Z.k, group.d)
-    counts = np.bincount(gens @ np.array(group.radix_weights, dtype=np.int64),
-                         minlength=group.n).reshape(group.moduli)
+    counts = np.bincount(index_of(group, Z.generators), minlength=group.n).reshape(group.moduli)
     lam = _dft(counts, inverse=True).reshape(-1)
     lam /= Z.k
     if model == "undirected":
@@ -268,15 +265,9 @@ def cheeger_exact(group: GroupSpec, Z: GeneratorMultiset) -> float:
     n = group.n
     if n > CHEEGER_MAX_N:
         raise ValueError(f"exhaustive Cheeger scan capped at n <= {CHEEGER_MAX_N}")
-    from .groups import add, element_of, index_of
-
-    shifts = []
-    for z in Z.generators:
-        perm = np.array(
-            [index_of(group, add(group, element_of(group, g), z)) for g in range(n)],
-            dtype=np.int64,
-        )
-        shifts.append(perm)
+    # shifts[i, g] is the index of g + z_i
+    shifts = index_of(group, (element_of(group, np.arange(n)) + Z.generators[:, None])
+                      % group.moduli)
 
     best = math.inf
     chunk = 1 << 18

@@ -260,7 +260,7 @@ def typicality_probe(n: int, k: int, model: str, alpha: float, samples: int,
 def simulate_S(group: GroupSpec, Z: GeneratorMultiset, t: float, model: str,
                rng: np.random.Generator) -> Element:
     """One draw of the Cayley walk position S(t) = sum_i W_i(t) Z_i."""
-    return dot(group, sample_walks(model, t, Z.k, 1, rng)[0].tolist(), Z)
+    return dot(group, sample_walks(model, t, Z.k, 1, rng)[0], Z)
 
 
 @dataclass(frozen=True)

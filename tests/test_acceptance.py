@@ -33,7 +33,7 @@ def _verdict(num: int, ok: bool, detail: str):
 
 def test_criterion_1_heat_kernel_exactness():
     g = make_group([12])
-    Z = GeneratorMultiset(generators=((1,), (5,)), k=2)
+    Z = GeneratorMultiset(np.array(((1,), (5,))))
     worst = 0.0
     for model in MODELS:
         spec = eigenvalues(g, Z, model)

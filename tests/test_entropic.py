@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+from cayley_cutoff import entropic
 from cayley_cutoff.entropic import (BracketError, asymptotic_times, entropy,
                                     entropy_derivative, entropy_inverse,
                                     f_lambda, g_lambda, poisson_logpmf,
@@ -146,6 +147,17 @@ def test_entropy_inverse_identity(model):
         assert abs(entropy(model, s) - y) < 1e-9
     with pytest.raises(ValueError):
         entropy_inverse(model, 0.0)
+    with pytest.raises(ValueError):
+        entropy_inverse(model, math.nan)
+
+
+def test_entropy_inverse_refuses_target_beyond_cap_without_a_pmf(monkeypatch):
+    # H(s) <= (1/2) log(2 pi e (s + 1/12)) for a law of variance s on Z
+    bound = 0.5 * math.log(2 * math.pi * math.e * (entropic.BRACKET_CAP + 1 / 12))
+    monkeypatch.setattr(entropic, "step_distribution", None)  # any pmf build fails
+    for target in (math.nextafter(bound, math.inf), 1e6, math.inf):
+        with pytest.raises(BracketError):
+            entropy_inverse("undirected", target)
 
 
 def test_solve_times_alpha_zero_is_t0():

@@ -199,6 +199,15 @@ def test_cheeger_runner_brackets():
             assert r["cheeger"] == 0.0
 
 
+def test_instance_digest_is_pinned():
+    # JSON of the generators' int lists: this value predates the array storage
+    Z, _, _, head = _instance(_config(command="spectrum", moduli=(4, 9, 25), k=5,
+                                      base_seed=2), 0)
+    assert head["instance_digest"] == "d6f5616a5840"
+    assert Z.generators.tolist() == [[1, 7, 21], [1, 1, 19], [3, 5, 16], [1, 3, 12],
+                                     [2, 3, 1]]
+
+
 def test_verify_runner_and_filter():
     text, status = run_verify(_config(command="verify", moduli=(), k=0,
                                       only="cos_taylor"))
@@ -230,6 +239,8 @@ def test_cli_requires_seed(capsys):
     (["cheeger", "--group", "101", "--k", "3"], "--group"),
     (["cutoff-profile", "--group", "4,5", "--k", "1"], "--k"),
     (["entropic", "--group", "101", "--k", "3", "--samples", "-5"], "--samples"),
+    (["entropic", "--group", "101", "--k", "3", "--alpha=inf"], "--alpha"),
+    (["cutoff-profile", "--group", "101", "--k", "3", "--alpha=0,nan"], "--alpha"),
 ])
 def test_cli_bad_input_exits_2_naming_the_flag(monkeypatch, capsys, argv, flag):
     # nothing may run before the error: any runner call would fail differently
@@ -283,6 +294,39 @@ def test_cli_config_file_rejects_garbage(tmp_path):
     bad.write_text("this is not a key value line\n")
     with pytest.raises(ValueError):
         load_config_file(str(bad))
+
+
+@pytest.mark.parametrize("line, force, error", [
+    ("force=0", False, None),
+    ("force=false", False, None),
+    ("force=1", True, None),
+    ("force=true", True, None),
+    ("force=yes", None, "--force"),
+    ("format=json", None, "'format'"),
+    ("replicate=5", None, "'replicate'"),
+])
+def test_cli_config_file_force_and_unknown_keys(tmp_path, capsys, line, force, error):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"group=101\nk=3\nseed=7\n{line}\n")
+    args = cli.build_parser().parse_args(["spectrum", "--config", str(cfg)])
+    if error is None:
+        assert cli.make_config(args).force is force
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--config", str(cfg)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert error in err
+    if "'" in error:  # an unknown key lists the known ones
+        assert "fmt" in err and "replicates" in err
+
+
+def test_cli_unreachable_entropy_target_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["entropic", "--group", "101", "--k", "3", "--seed", "1", "--alpha=1e6"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--alpha" in err and "--k" in err
 
 
 def test_cli_json_format(tmp_path):

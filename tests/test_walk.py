@@ -309,7 +309,7 @@ def test_typicality_probe_tracks_normal_tail(alpha):
 
 def test_simulate_s_zero_time_and_equilibrium():
     g = make_group([2])
-    Z = GeneratorMultiset(generators=((1,),), k=1)
+    Z = GeneratorMultiset(np.array(((1,),)))
     rng = replicate_rng(31, 0)
     assert simulate_S(g, Z, 0.0, "undirected", rng) == (0,)
     hits = sum(simulate_S(g, Z, 50.0, "undirected", rng) == (0,)
