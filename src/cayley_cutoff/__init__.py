@@ -13,7 +13,7 @@ from .spectral import (GapSummary, HeatKernelRow, SpectralData, character,
                        heat_kernel_row, l2_bound, tv_exact)
 from .entropic import (AsymptoticReport, EntropicSolution, StepDistribution,
                        asymptotic_times, entropy, entropy_derivative, f_lambda,
-                       g_lambda, q1_moments, solve_times, step_pmf)
+                       g_lambda, q1_moments, solve_times)
 from .walk import (ProbeResult, TypicalityParams, clt_probe, psi, q_value,
                    simulate_S, tv_error_budget, typicality_params, typicality_probe)
 

@@ -24,8 +24,9 @@ PMF_FLOOR = 1e-300
 #: absolute log of the window-truncation target 1e-15.
 _LOG_TRUNC = abs(math.log(1e-15))
 
-#: hard cap for the root-finding bracket (in units of t).
-BRACKET_CAP = 2.0 ** 60
+#: hard cap for the root-finding bracket (in units of t).  scipy's scaled Bessel
+#: function is NaN from s = 2^30 on, and the window at the cap has ~556k entries.
+BRACKET_CAP = 2.0 ** 29
 
 
 class BracketError(RuntimeError):
@@ -51,11 +52,12 @@ class StepDistribution:
         """Exact mean of the untruncated law (s directed, 0 undirected)."""
         return self.s if self.model == "directed" else 0.0
 
-    def prob(self, x: int) -> float:
-        """pmf value at x; 0 outside the window."""
-        if self.lo <= x <= self.hi:
-            return float(self.pmf[x - self.lo])
-        return 0.0
+    def prob(self, x):
+        """pmf at an integer or integer array x; 0 outside the window, a float for a scalar."""
+        idx = np.asarray(x) - self.lo
+        inside = (idx >= 0) & (idx < self.pmf.size)
+        p = np.where(inside, self.pmf[np.clip(idx, 0, self.pmf.size - 1)], 0.0)
+        return float(p) if p.ndim == 0 else p
 
 
 @dataclass(frozen=True)
@@ -146,19 +148,9 @@ def step_distribution(model: str, s: float, half_width: int | None = None) -> St
         lo, hi = -half, half
         # e^{-s} I_{|x|}(s): scaled Bessel, stable for any s.
         pmf = special.ive(np.abs(np.arange(lo, hi + 1)), s)
+    if not np.isfinite(pmf).all():
+        raise ValueError(f"{model} step pmf at s = {s} is not finite")
     return StepDistribution(model=model, s=float(s), lo=lo, hi=hi, pmf=np.asarray(pmf, float))
-
-
-def step_pmf(model: str, s: float, x: int) -> float:
-    """Single step-pmf value nu_s(x)."""
-    _check_model(model)
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    if model == "directed":
-        if x < 0:
-            return 0.0
-        return float(np.exp(poisson_logpmf(x, s)))
-    return float(special.ive(abs(x), s))
 
 
 def entropy(model: str, s: float, half_width: int | None = None) -> float:
@@ -213,7 +205,7 @@ def entropy_inverse(model: str, target: float, s_hint: float = 4.0) -> float:
     # cap no bracket exists, and doubling toward it would build huge pmfs.
     if target > 0.5 * math.log(2.0 * math.pi * math.e * (BRACKET_CAP + 1.0 / 12.0)):
         raise BracketError(f"entropy target {target} unreachable below cap")
-    hi = max(4.0, float(s_hint))
+    hi = min(max(4.0, float(s_hint)), BRACKET_CAP)
     while entropy(model, hi) < target:
         hi *= 2.0
         if hi > BRACKET_CAP:

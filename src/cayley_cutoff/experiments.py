@@ -124,7 +124,9 @@ def _csv_quote(s: str) -> str:
     return s
 
 
-def render_csv(config: ExperimentConfig, columns, rows) -> str:
+def render_csv(config: ExperimentConfig, rows) -> str:
+    """Header comment, then the keys of the first row as columns, then one line per row."""
+    columns = list(rows[0])
     lines = [f"# {TOOL_VERSION} config={config.digest()}"]
     lines.append(",".join(_csv_quote(c) for c in columns))
     for row in rows:
@@ -143,9 +145,9 @@ def render_json(config: ExperimentConfig, rows, summary=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(config: ExperimentConfig, columns, rows, summary=None) -> str:
+def _emit(config: ExperimentConfig, rows, summary=None) -> str:
     if config.fmt == "csv":
-        text = render_csv(config, columns, rows)
+        text = render_csv(config, rows)
         if summary:
             srows = summary if isinstance(summary, list) else [summary]
             for srow in srows:
@@ -234,9 +236,7 @@ def run_cutoff_profile(config: ExperimentConfig) -> tuple[str, list[dict]]:
             "q75": float(np.quantile(vals, 0.75)),
             "target_psi": walk.psi(alpha),
         })
-    columns = ["replicate", "seed", "instance_digest", "connected"] + [
-        f"tv_alpha_{a:g}" for a in sorted(sol.t_alpha)]
-    return _emit(config, columns, rows, summary), rows
+    return _emit(config, rows, summary), rows
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +270,7 @@ def run_gap_scan(config: ExperimentConfig) -> tuple[str, list[dict]]:
     for c in (1, 2, 5, 10, 20, 50):
         above = sum(1 for r in ratios if r > c)
         summary[f"fraction_above_{c}"] = above / len(ratios) if ratios else 0.0
-    columns = ["replicate", "seed", "instance_digest", "connected", "gamma",
-               "gamma_star", "t_rel", "t_rel_over_scale"]
-    return _emit(config, columns, rows, summary), rows
+    return _emit(config, rows, summary), rows
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +316,7 @@ def run_tv_curve(config: ExperimentConfig) -> tuple[str, list[dict]]:
     _budget_check(config, group.n, len(grid))
     payload = {"config": config, "grid": grid}
     rows = [row for part in _map_replicates(config, _curve_worker, payload) for row in part]
-    columns = ["replicate", "seed", "instance_digest", "t", "tv", "l2_bound", "gamma"]
-    return _emit(config, columns, rows), rows
+    return _emit(config, rows), rows
 
 
 def run_spectrum(config: ExperimentConfig) -> tuple[str, list[dict]]:
@@ -332,7 +329,7 @@ def run_spectrum(config: ExperimentConfig) -> tuple[str, list[dict]]:
     ]
     summary = {"gamma": gaps.gamma, "gamma_star": gaps.gamma_star,
                "t_rel": gaps.t_rel, "connected": gaps.connected}
-    return _emit(config, ["index", "instance_digest", "re", "im"], rows, summary), rows
+    return _emit(config, rows, summary), rows
 
 
 def _cheeger_worker(r: int, payload: dict) -> dict:
@@ -345,9 +342,7 @@ def _cheeger_worker(r: int, payload: dict) -> dict:
 
 def run_cheeger(config: ExperimentConfig) -> tuple[str, list[dict]]:
     rows = _map_replicates(config, _cheeger_worker, {"config": config})
-    columns = ["replicate", "seed", "instance_digest", "connected", "gamma",
-               "cheeger", "cheeger_low", "cheeger_high"]
-    return _emit(config, columns, rows), rows
+    return _emit(config, rows), rows
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,7 @@ def unimodality_check(s: float, M: int) -> CheckReport:
         return _report("unimodality", True, "degenerate at 0", 0.0)
     half = max(entropic.window_half_width(s), M + 1)
     dist = entropic.step_distribution("undirected", s, half_width=half)
-    p = np.array([dist.prob(m) for m in range(M + 1)])
+    p = dist.prob(np.arange(M + 1))
     increase = np.diff(p)
     worst_idx = int(np.argmax(increase))
     violation = float(max(increase.max() - 1e-14, 0.0))
@@ -129,16 +129,15 @@ def cos_taylor_check(grid_points: int) -> CheckReport:
     return _report("cos_taylor", worst <= 0, f"theta={theta[i]:.6f}", max(worst, 0.0))
 
 
-def level_set_count_check(group: GroupSpec, s: int | None = None) -> CheckReport:
+def level_set_count_check(group: GroupSpec) -> CheckReport:
     """Census of A(s) = {x : max_j m_j/gcd(x_j, m_j) = s}; |A(s)| <= (s^2/2)^d for s >= 2."""
     if group.n > 10 ** 5:
         raise ValueError("census capped at n <= 1e5")
     levels, counts = np.unique(element_levels(group), return_counts=True)
     census = dict(zip(levels.tolist(), counts.tolist()))
-    targets = census if s is None else {s: census.get(s, 0)}
     worst_violation = 0.0
     worst = "all levels within bound"
-    for level, count in targets.items():
+    for level, count in census.items():
         if level < 2:
             continue
         bound = (level ** 2 / 2.0) ** group.d
@@ -251,13 +250,6 @@ RATIO_BAND = (0.05, 20.0)
 LOG_TAIL_BAND = (0.1, 10.0)
 
 
-def _srw_tail(s: float, r: int) -> float:
-    """P(X_s >= r) for the rate-1 SRW at time s."""
-    half = max(entropic.window_half_width(s), r + 80)
-    dist = entropic.step_distribution("undirected", s, half_width=half)
-    return float(dist.pmf[dist.support >= r].sum())
-
-
 def tail_ratio_check(model: str, s_grid, r_grid) -> CheckReport:
     """Tail/point ratio ~ (s/r) v 1 and log-tail scale within frozen bands.
 
@@ -274,20 +266,19 @@ def tail_ratio_check(model: str, s_grid, r_grid) -> CheckReport:
             r = int(r)
             if r < math.sqrt(s) or r < 1:
                 continue
+            dist = entropic.step_distribution(
+                "directed" if model == "poisson" else "undirected", float(s),
+                half_width=max(entropic.window_half_width(s), r + 80))
             if model == "poisson":
                 # x >= r >= 1 and x_lo >= 0: no negative counts reach pdtrc/pdtr
                 x = int(round(s + r))
-                tail = float(special.pdtrc(x - 1, s))
-                point = entropic.step_pmf("directed", float(s), x)
-                pairs = [(tail, point)]
+                pairs = [(float(special.pdtrc(x - 1, s)), dist.prob(x))]
                 if s - r >= 0:
                     x_lo = int(math.floor(s - r))
-                    pairs.append((float(special.pdtr(x_lo, s)),
-                                  entropic.step_pmf("directed", float(s), x_lo)))
+                    pairs.append((float(special.pdtr(x_lo, s)), dist.prob(x_lo)))
             else:
-                tail = _srw_tail(float(s), r)
-                point = entropic.step_pmf("undirected", float(s), r)
-                pairs = [(tail, point)]
+                # the SRW upper tail P(X_s >= r) against the point r
+                pairs = [(float(dist.pmf[dist.support >= r].sum()), dist.prob(r))]
             for tail, point in pairs:
                 if point <= 0 or tail <= 0:
                     continue
@@ -388,8 +379,6 @@ def modified_l2_probe(group: GroupSpec, k: int, model: str, alpha: float,
         raise ValueError("probe capped at n <= 2e4")
     params = walk.typicality_params(n, k, model, alpha)
     t_a = params.t_alpha
-    dist = entropic.step_distribution(model, t_a / k)
-    q_threshold = math.log(n) + params.omega
     hits = zero_hits = accepted_total = 0
     chunk = 20000
     for rep in range(replicates):
@@ -400,8 +389,8 @@ def modified_l2_probe(group: GroupSpec, k: int, model: str, alpha: float,
             done += m_chunk
             w1 = walk.sample_walks(model, t_a, k, m_chunk, rng)
             w2 = walk.sample_walks(model, t_a, k, m_chunk, rng)
-            typ = walk.typical_mask(w1, dist, params.r_alpha, q_threshold) & \
-                walk.typical_mask(w2, dist, params.r_alpha, q_threshold)
+            typ = (walk.typical_mask(w1, params.dist, params.r_alpha, params.q_threshold)
+                   & walk.typical_mask(w2, params.dist, params.r_alpha, params.q_threshold))
             v = w1[typ] - w2[typ]
             accepted = v.shape[0]
             accepted_total += accepted
@@ -439,20 +428,17 @@ def set_probability_check(n: int, k: int, model: str, alpha: float, I,
     if len(I) > k:
         raise ValueError("|I| cannot exceed k")
     params = walk.typicality_params(n, k, model, alpha)
-    t_a = params.t_alpha
-    dist = entropic.step_distribution(model, t_a / k)
-    q_threshold = math.log(n) + params.omega
-    w1 = walk.sample_walks(model, t_a, k, samples, rng)
-    w2 = walk.sample_walks(model, t_a, k, samples, rng)
+    w1 = walk.sample_walks(model, params.t_alpha, k, samples, rng)
+    w2 = walk.sample_walks(model, params.t_alpha, k, samples, rng)
     target = np.zeros(k, dtype=bool)
     target[list(I)] = True
     support_match = ((w1 != w2) == target).all(axis=1)
 
     def _both(threshold):
-        return (walk.typical_mask(w1, dist, params.r_alpha, threshold)
-                & walk.typical_mask(w2, dist, params.r_alpha, threshold))
+        return (walk.typical_mask(w1, params.dist, params.r_alpha, threshold)
+                & walk.typical_mask(w2, params.dist, params.r_alpha, threshold))
 
-    typ = _both(q_threshold)
+    typ = _both(params.q_threshold)
     local_only = _both(-math.inf)
 
     def _estimate(mask):

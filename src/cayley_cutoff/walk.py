@@ -25,7 +25,11 @@ class PmfUnderflowError(RuntimeError):
 
 @dataclass(frozen=True)
 class TypicalityParams:
-    """Window radius r_alpha, floor p_alpha, their closed-form bounds, at time t_alpha."""
+    """Window radius r_alpha, floor p_alpha, their closed-form bounds, at time t_alpha.
+
+    dist is the step law at t_alpha / k.  The global condition
+    mu(w) <= n^{-1} e^{-omega} is Q(w) >= q_threshold = log n + omega.
+    """
 
     r_alpha: int
     p_alpha: float
@@ -33,6 +37,8 @@ class TypicalityParams:
     p_star: float
     omega: float
     t_alpha: float
+    dist: entropic.StepDistribution
+    q_threshold: float
 
 
 @dataclass(frozen=True)
@@ -102,10 +108,7 @@ def sample_walks(model: str, t: float, k: int, samples: int,
 
 def _cost(dist, x) -> np.ndarray:
     """c(x) = -log max(pmf(x), PMF_FLOOR) for integer values x; pmf = 0 outside the window."""
-    idx = np.asarray(x) - dist.lo
-    inside = (idx >= 0) & (idx < dist.pmf.size)
-    p = np.where(inside, dist.pmf[np.clip(idx, 0, dist.pmf.size - 1)], 0.0)
-    return -np.log(np.maximum(p, entropic.PMF_FLOOR))
+    return -np.log(np.maximum(dist.prob(x), entropic.PMF_FLOOR))
 
 
 def _row_terms(rows: np.ndarray, values: np.ndarray, samples: int, k: int, dist,
@@ -152,13 +155,9 @@ def q_value(model: str, t: float, k: int, w) -> float:
     """Q = -sum_i log nu_{t/k}(w_i)."""
     if t <= 0:
         raise ValueError("t must be > 0")
-    w = np.asarray(w, dtype=np.int64)
-    dist = entropic.step_distribution(model, t / k)
-    if w.min() < dist.lo or w.max() > dist.hi:
-        raise PmfUnderflowError("walk coordinate outside the pmf window")
-    probs = dist.pmf[w - dist.lo]
+    probs = entropic.step_distribution(model, t / k).prob(np.asarray(w, dtype=np.int64))
     if np.any(probs <= entropic.PMF_FLOOR):
-        raise PmfUnderflowError("step pmf underflow at a walk coordinate")
+        raise PmfUnderflowError("walk coordinate outside the pmf window or pmf underflow")
     return -math.fsum(np.log(probs))
 
 
@@ -225,6 +224,8 @@ def typicality_params(n: int, k: int, model: str, alpha: float) -> TypicalityPar
         p_star=n ** (-1.0 / k) * k ** -2.0,
         omega=sol.omega,
         t_alpha=t_a,
+        dist=dist,
+        q_threshold=math.log(n) + sol.omega,
     )
 
 
@@ -239,13 +240,9 @@ def typicality_probe(n: int, k: int, model: str, alpha: float, samples: int,
         raise ValueError("need at least 1000 samples")
     params = typicality_params(n, k, model, alpha)
     t_a = params.t_alpha
-    dist = entropic.step_distribution(model, t_a / k)
-    log_n = math.log(n)
-    # global condition mu(w) <= n^{-1} e^{-omega}  <=>  Q(w) >= log n + omega
-    q_threshold = log_n + params.omega
     fails = local_fails = 0
-    for q, local in _probe_rows(model, t_a, k, samples, dist, params.r_alpha, rng):
-        fails += int((~local | (q < q_threshold)).sum())
+    for q, local in _probe_rows(model, t_a, k, samples, params.dist, params.r_alpha, rng):
+        fails += int((~local | (q < params.q_threshold)).sum())
         local_fails += int((~local).sum())
     est = fails / samples
     return ProbeResult(

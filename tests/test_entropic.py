@@ -9,7 +9,7 @@ from cayley_cutoff.entropic import (BracketError, asymptotic_times, entropy,
                                     entropy_derivative, entropy_inverse,
                                     f_lambda, g_lambda, poisson_logpmf,
                                     q1_moments, solve_times, step_distribution,
-                                    step_pmf, window_half_width)
+                                    window_half_width)
 from cayley_cutoff.walk import psi
 
 
@@ -25,12 +25,12 @@ def poissonization_pmf(s: float, x: int, top: int = 400) -> float:
 
 
 def test_step_pmf_directed_values():
-    assert abs(step_pmf("directed", 1.0, 0) - math.exp(-1)) < 1e-15
-    assert step_pmf("directed", 1.0, -1) == 0.0
+    assert abs(step_distribution("directed", 1.0).prob(0) - math.exp(-1)) < 1e-15
+    assert step_distribution("directed", 1.0).prob(-1) == 0.0
     with pytest.raises(ValueError):
-        step_pmf("directed", -1.0, 0)
+        step_distribution("directed", -1.0).prob(0)
     with pytest.raises(ValueError):
-        step_pmf("bogus", 1.0, 0)
+        step_distribution("bogus", 1.0).prob(0)
 
 
 def test_special_function_forms_equal_scipy_stats():
@@ -42,7 +42,7 @@ def test_special_function_forms_equal_scipy_stats():
         if s > 0:
             assert np.array_equal(poisson_logpmf(xs, s), stats.poisson.logpmf(xs, s))
         for x in (0, 1, 3, 50):
-            assert step_pmf("directed", s, x) == float(stats.poisson.pmf(x, s))
+            assert step_distribution("directed", s).prob(x) == float(stats.poisson.pmf(x, s))
     for alpha in np.linspace(-8.0, 8.0, 1601):
         assert psi(alpha) == float(stats.norm.sf(alpha))
     # the special forms are only fed counts >= 0: below 0 they differ
@@ -50,12 +50,13 @@ def test_special_function_forms_equal_scipy_stats():
 
 
 def test_step_pmf_undirected_symmetry():
-    assert step_pmf("undirected", 2.0, 3) == step_pmf("undirected", 2.0, -3)
+    dist = step_distribution("undirected", 2.0)
+    assert dist.prob(3) == dist.prob(-3)
 
 
 @pytest.mark.parametrize("s,x", [(5.0, 2), (0.5, 0), (12.0, -7)])
 def test_step_pmf_matches_poissonization_oracle(s, x):
-    assert abs(step_pmf("undirected", s, x) - poissonization_pmf(s, x)) < 1e-12
+    assert abs(step_distribution("undirected", s).prob(x) - poissonization_pmf(s, x)) < 1e-12
 
 
 def test_step_distribution_window_mass():
@@ -68,6 +69,13 @@ def test_step_distribution_window_mass():
             assert dist.pmf.sum() >= 1 - 1e-12
             if model == "undirected":
                 assert np.allclose(dist.pmf, dist.pmf[::-1])
+            # an array spanning both sides of the window reads the scalar values
+            xs = np.arange(dist.lo - 3, dist.hi + 4)
+            probs = dist.prob(xs)
+            assert probs.tolist() == [dist.prob(int(x)) for x in xs]
+            assert type(dist.prob(int(xs[0]))) is float
+            assert not probs[:3].any() and not probs[-3:].any()
+            assert np.array_equal(probs[3:-3], dist.pmf)
 
 
 def test_poisson_lower_bound_undirected():
@@ -75,7 +83,7 @@ def test_poisson_lower_bound_undirected():
     for s in (0.5, 2.0, 10.0):
         for x in range(0, 41):
             floor = 2.0 ** -x * stats.poisson.pmf(x, s)
-            assert step_pmf("undirected", s, x) >= floor - 1e-300
+            assert step_distribution("undirected", s).prob(x) >= floor - 1e-300
 
 
 def test_entropy_basics():
@@ -158,6 +166,18 @@ def test_entropy_inverse_refuses_target_beyond_cap_without_a_pmf(monkeypatch):
     for target in (math.nextafter(bound, math.inf), 1e6, math.inf):
         with pytest.raises(BracketError):
             entropy_inverse("undirected", target)
+
+
+def test_undirected_pmf_beyond_bessel_range_raises():
+    # scipy's scaled Bessel function is NaN from s = 2^30, above BRACKET_CAP
+    with pytest.raises(ValueError, match="undirected"):
+        entropy("undirected", 2.0 ** 30)
+
+
+def test_solve_times_clamps_a_huge_hint_to_the_cap():
+    # k = 1 passes the hint n^2 = 8.1e9, beyond the cap; t0 sits just below it
+    sol = solve_times(90000, 1, "undirected")
+    assert abs(sol.h_t0 - math.log(90000)) < 1e-9
 
 
 def test_solve_times_alpha_zero_is_t0():

@@ -329,6 +329,21 @@ def test_cli_unreachable_entropy_target_exits_2(capsys):
     assert "--alpha" in err and "--k" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["entropic", "--group", "100003", "--k", "1"],
+    ["tv-curve", "--group", "100003", "--k", "1"],
+    ["entropic", "--group", "101", "--k", "3", "--alpha=40"],
+])
+def test_cli_entropy_target_beyond_cap_exits_2(capsys, argv):
+    # log n / k above the cap's entropy bound is refused before any pmf is built;
+    # the undirected pmf turns NaN from s = 2^30, beyond the cap
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--alpha" in err and "--k" in err
+
+
 def test_cli_json_format(tmp_path):
     out = tmp_path / "gaps.json"
     main(["gap-scan", "--group", "64", "--k", "3", "--seed", "7",

@@ -163,7 +163,7 @@ def test_q_value_additivity_and_scaling():
     left = q_value("undirected", 3.0, 3, w[:3])
     right = q_value("undirected", 3.0, 3, w[3:])
     assert abs(total - (left + right)) < 1e-12
-    p = entropic.step_pmf("undirected", 1.0, 1)
+    p = entropic.step_distribution("undirected", 1.0).prob(1)
     homog = q_value("undirected", 6.0, 6, [1] * 6)
     assert abs(homog - 6 * (-math.log(p))) < 1e-12
 
@@ -263,6 +263,9 @@ def test_typicality_params_bounds():
     assert abs(params.p_star - 8.71e-5) < 1e-7
     assert params.r_alpha <= params.r_star
     assert params.p_alpha >= params.p_star
+    assert params.q_threshold == math.log(10 ** 6) + params.omega
+    law = entropic.step_distribution("undirected", params.t_alpha / 100)
+    assert np.array_equal(params.dist.pmf, law.pmf)
 
 
 def test_typicality_params_minimality():
