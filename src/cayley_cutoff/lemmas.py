@@ -117,15 +117,25 @@ def cos_taylor_check(grid_points: int) -> CheckReport:
     if grid_points < 10 ** 3:
         raise ValueError("need at least 1000 grid points")
     theta = np.linspace(-0.5, 0.5, grid_points)
-    sq = (np.pi * theta) ** 2
-    upper = 2.0 * sq
-    mid = 1.0 - np.cos(2.0 * np.pi * theta)
-    lower = 2.0 * np.exp(-7.0 * np.pi ** 2 * theta ** 2 / 18.0) * sq
-    floor = (2.0 / 3.0) * sq
     slack = 1e-12
-    violations = np.stack([mid - upper, lower - mid, floor - lower]) - slack
-    worst = float(violations.max())
-    i = int(np.unravel_index(np.argmax(violations), violations.shape)[1])
+    # The grid goes in blocks of 2^16 points, whose start keeps the alignment
+    # of the whole array, so every elementwise value has the same bits as on
+    # the whole grid.  Each inequality keeps its maximum and first index, and
+    # the first inequality reaching the overall maximum wins: the index argmax
+    # over the three stacked violation rows would pick.
+    block = 1 << 16
+    best = [(-math.inf, 0)] * 3
+    for start in range(0, grid_points, block):
+        t = theta[start:start + block]
+        sq = (np.pi * t) ** 2
+        mid = 1.0 - np.cos(2.0 * np.pi * t)
+        lower = 2.0 * np.exp(-7.0 * np.pi ** 2 * t ** 2 / 18.0) * sq
+        for j, gap in enumerate((mid - 2.0 * sq, lower - mid, (2.0 / 3.0) * sq - lower)):
+            violation = gap - slack
+            top = float(violation.max())
+            if top > best[j][0]:
+                best[j] = (top, start + int(np.argmax(violation)))
+    worst, i = max(best, key=lambda entry: entry[0])
     return _report("cos_taylor", worst <= 0, f"theta={theta[i]:.6f}", max(worst, 0.0))
 
 
@@ -365,6 +375,39 @@ def gcd_expectation_probe(d: int, I_size: int, r: int, samples: int,
                    estimate=est, stderr=se)
 
 
+def _typical_pairs(params, model: str, k: int, samples: int, rng: np.random.Generator):
+    """Two independent draws of `samples` walks at t_alpha and their typicality.
+
+    Returns the (cells, values) of W_1 and of W_2 as `walk._walk_cells` gives
+    them, the rows where both walks are typical, and the rows where both pass
+    the local window.
+    """
+    walks = [walk._walk_cells(model, params.t_alpha, k, samples, rng) for _ in range(2)]
+    (q1, local1), (q2, local2) = [
+        walk._row_terms(cells // k, values, samples, k, params.dist, params.r_alpha)
+        for cells, values in walks]
+    local = local1 & local2
+    typ = local & (q1 >= params.q_threshold) & (q2 >= params.q_threshold)
+    return walks[0], walks[1], typ, local
+
+
+def _difference(cells1, values1, cells2, values2) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero cells of W_1 - W_2 and their int64 values, in increasing order.
+
+    Takes the increasing cells of each walk.  The cells of both are merged by
+    a stable sort, each run of one cell is summed, and cells that cancel are
+    dropped: integer arithmetic only, so the difference is exact.
+    """
+    cells = np.concatenate([cells1, cells2])
+    order = np.argsort(cells, kind="stable")
+    cells = cells[order]
+    values = np.concatenate([values1, -values2])[order]
+    first = np.flatnonzero(np.diff(cells, prepend=-1))
+    sums = np.add.reduceat(values, first)
+    nonzero = sums != 0
+    return cells[first[nonzero]], sums[nonzero]
+
+
 def modified_l2_probe(group: GroupSpec, k: int, model: str, alpha: float,
                       replicates: int, samples: int,
                       rng: np.random.Generator) -> CheckReport:
@@ -378,7 +421,6 @@ def modified_l2_probe(group: GroupSpec, k: int, model: str, alpha: float,
     if n > 2 * 10 ** 4:
         raise ValueError("probe capped at n <= 2e4")
     params = walk.typicality_params(n, k, model, alpha)
-    t_a = params.t_alpha
     hits = zero_hits = accepted_total = 0
     chunk = 20000
     for rep in range(replicates):
@@ -387,17 +429,24 @@ def modified_l2_probe(group: GroupSpec, k: int, model: str, alpha: float,
         while done < samples:
             m_chunk = min(chunk, samples - done)
             done += m_chunk
-            w1 = walk.sample_walks(model, t_a, k, m_chunk, rng)
-            w2 = walk.sample_walks(model, t_a, k, m_chunk, rng)
-            typ = (walk.typical_mask(w1, params.dist, params.r_alpha, params.q_threshold)
-                   & walk.typical_mask(w2, params.dist, params.r_alpha, params.q_threshold))
-            v = w1[typ] - w2[typ]
-            accepted = v.shape[0]
+            (cells1, values1), (cells2, values2), typ, _ = _typical_pairs(
+                params, model, k, m_chunk, rng)
+            accepted = int(typ.sum())
             accepted_total += accepted
             if accepted == 0:
                 continue
-            hits += int((v @ Z.generators % group.moduli == 0).all(axis=1).sum())
-            zero_hits += int((v == 0).all(axis=1).sum())
+            keep1, keep2 = typ[cells1 // k], typ[cells2 // k]
+            cells, values = _difference(cells1[keep1], values1[keep1],
+                                        cells2[keep2], values2[keep2])
+            # V = 0 on the accepted rows with no nonzero cell left; every other
+            # row hits when sum_i (V_i mod m_j) Z_ij = 0 (mod m_j) for each j.
+            rows, cols = np.divmod(cells, k)
+            first = np.flatnonzero(np.diff(rows, prepend=-1))
+            residues = np.add.reduceat(values[:, None] % group.moduli
+                                       * Z.generators[cols] % group.moduli, first)
+            zeros = accepted - first.size
+            zero_hits += zeros
+            hits += zeros + int((residues % group.moduli == 0).all(axis=1).sum())
     if accepted_total == 0:
         raise RuntimeError("typicality rejection accepted no samples")
     # Pool hits over replicates; the collision probability is ~1/n, so the
@@ -428,18 +477,14 @@ def set_probability_check(n: int, k: int, model: str, alpha: float, I,
     if len(I) > k:
         raise ValueError("|I| cannot exceed k")
     params = walk.typicality_params(n, k, model, alpha)
-    w1 = walk.sample_walks(model, params.t_alpha, k, samples, rng)
-    w2 = walk.sample_walks(model, params.t_alpha, k, samples, rng)
+    walk1, walk2, typ, local_only = _typical_pairs(params, model, k, samples, rng)
+    cells, _ = _difference(*walk1, *walk2)
+    rows, cols = np.divmod(cells, k)
     target = np.zeros(k, dtype=bool)
     target[list(I)] = True
-    support_match = ((w1 != w2) == target).all(axis=1)
-
-    def _both(threshold):
-        return (walk.typical_mask(w1, params.dist, params.r_alpha, threshold)
-                & walk.typical_mask(w2, params.dist, params.r_alpha, threshold))
-
-    typ = _both(params.q_threshold)
-    local_only = _both(-math.inf)
+    inside = np.bincount(rows[target[cols]], minlength=samples)
+    outside = np.bincount(rows[~target[cols]], minlength=samples)
+    support_match = (inside == len(I)) & (outside == 0)
 
     def _estimate(mask):
         est = float(mask.mean())

@@ -31,6 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import fft
@@ -61,6 +62,19 @@ class SpectralData:
     group: GroupSpec
     k: int
     eigenvalues: np.ndarray  # complex, shape (n,)
+
+    @cached_property
+    def _residue_terms(self) -> tuple[float, float]:
+        """mean_x |lambda_x - conj lambda_{-x}| and max_x Re lambda_x, once per spectrum.
+
+        Every heat-kernel row bounds its imaginary residue from these two.
+        """
+        lam = self.eigenvalues
+        mirror = np.roll(np.flip(lam.reshape(self.group.moduli)), 1,
+                         axis=tuple(range(self.group.d))).reshape(-1)  # lambda_{-x}
+        np.conjugate(mirror, out=mirror)
+        np.subtract(lam, mirror, out=mirror)
+        return float(np.abs(mirror).mean()), float(lam.real.max())
 
 
 @dataclass(frozen=True)
@@ -164,13 +178,9 @@ def heat_kernel_row(spec: SpectralData, t) -> HeatKernelRow:
         # residue is bounded from the spectrum instead:
         # |Im P_t(0, y)| <= (1/2n) sum_x |w_x - conj w_{-x}|, and exp is
         # e^{excess}-Lipschitz between the two exponents.
-        mirror = np.roll(np.flip(lam.reshape(group.moduli)), 1,
-                         axis=tuple(range(group.d))).reshape(-1)  # lambda_{-x}
-        np.conjugate(mirror, out=mirror)
-        np.subtract(lam, mirror, out=mirror)
-        drift = 0.5 * t_max * float(np.abs(mirror).mean())
-        del mirror
-        excess = t_max * max(0.0, float(lam.real.max()) - 1.0)
+        asymmetry, real_max = spec._residue_terms
+        drift = 0.5 * t_max * asymmetry
+        excess = t_max * max(0.0, real_max - 1.0)
         if drift > 0 and math.log(drift) + excess > math.log(ROW_TOL):
             raise ImaginaryResidueError(
                 f"imaginary residue bound {drift:g} * e^{excess:g} > {ROW_TOL:g}")

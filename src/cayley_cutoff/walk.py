@@ -129,19 +129,6 @@ def _row_terms(rows: np.ndarray, values: np.ndarray, samples: int, k: int, dist,
     return q, local
 
 
-def typical_mask(w: np.ndarray, dist, r_alpha: int, q_threshold: float) -> np.ndarray:
-    """Row mask of the typical walks in w (shape (samples, k)).
-
-    Local: every |w_i - mean| <= r_alpha.  Global: Q(w) = sum_i c(w_i) >=
-    q_threshold; q_threshold = -inf tests locality alone.  Only the nonzero
-    coordinates are read (see `_row_terms`).
-    """
-    samples, k = w.shape
-    flat = np.flatnonzero(w != 0)
-    q, local = _row_terms(flat // k, w.reshape(-1)[flat], samples, k, dist, r_alpha)
-    return local & (q >= q_threshold)
-
-
 def _probe_rows(model: str, t: float, k: int, samples: int, dist, r_alpha: float,
                 rng: np.random.Generator, chunk: int = 20000):
     """Yield (Q, local test) per row for `samples` draws of W(t), `chunk` rows at a time."""

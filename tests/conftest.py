@@ -2,7 +2,9 @@
 
 The dense uniformized matrix exponential below is an independent route to the
 heat kernel: it never touches the character/DFT code path, so agreement with
-`spectral.heat_kernel_row` cross-checks both implementations.
+`spectral.heat_kernel_row` cross-checks both implementations.  The dense walk
+oracles read every coordinate of `(samples, k)` walk arrays, where the
+library's typicality test and lemma checks read only the nonzero cells.
 """
 
 import math
@@ -10,8 +12,10 @@ import math
 import numpy as np
 from scipy import stats
 
+from cayley_cutoff import walk
 from cayley_cutoff.groups import (GeneratorMultiset, GroupSpec, add, element_of,
-                                  index_of, neg)
+                                  index_of, neg, sample_generators)
+from cayley_cutoff.lemmas import _report
 
 
 def dense_transition(group: GroupSpec, Z: GeneratorMultiset, model: str) -> np.ndarray:
@@ -46,3 +50,96 @@ def uniformized_row(P: np.ndarray, t: float, tol: float = 1e-16) -> np.ndarray:
 def tv_from_uniform(row: np.ndarray) -> float:
     n = row.size
     return 0.5 * float(np.abs(row - 1.0 / n).sum())
+
+
+def typical_mask(w: np.ndarray, dist, r_alpha: int, q_threshold: float) -> np.ndarray:
+    """Row mask of the typical walks in w (shape (samples, k)), through `walk._row_terms`.
+
+    Local: every |w_i - mean| <= r_alpha.  Global: Q(w) = sum_i c(w_i) >=
+    q_threshold; q_threshold = -inf tests locality alone.
+    """
+    samples, k = w.shape
+    flat = np.flatnonzero(w != 0)
+    q, local = walk._row_terms(flat // k, w.reshape(-1)[flat], samples, k, dist, r_alpha)
+    return local & (q >= q_threshold)
+
+
+def dense_modified_l2_probe(group, k, model, alpha, replicates, samples, rng):
+    """`lemmas.modified_l2_probe` on dense walk arrays: V = W_1 - W_2 row by row."""
+    n = group.n
+    if n > 2 * 10 ** 4:
+        raise ValueError("probe capped at n <= 2e4")
+    params = walk.typicality_params(n, k, model, alpha)
+    t_a = params.t_alpha
+    hits = zero_hits = accepted_total = 0
+    chunk = 20000
+    for rep in range(replicates):
+        Z = sample_generators(group, k, rng)
+        done = 0
+        while done < samples:
+            m_chunk = min(chunk, samples - done)
+            done += m_chunk
+            w1 = walk.sample_walks(model, t_a, k, m_chunk, rng)
+            w2 = walk.sample_walks(model, t_a, k, m_chunk, rng)
+            typ = (typical_mask(w1, params.dist, params.r_alpha, params.q_threshold)
+                   & typical_mask(w2, params.dist, params.r_alpha, params.q_threshold))
+            v = w1[typ] - w2[typ]
+            accepted = v.shape[0]
+            accepted_total += accepted
+            if accepted == 0:
+                continue
+            hits += int((v @ Z.generators % group.moduli == 0).all(axis=1).sum())
+            zero_hits += int((v == 0).all(axis=1).sum())
+    if accepted_total == 0:
+        raise RuntimeError("typicality rejection accepted no samples")
+    p_hat = hits / accepted_total
+    sigma_p = math.sqrt(max(p_hat, 1.0 / accepted_total) / accepted_total)
+    d_est = n * p_hat - 1.0
+    slack = 3.0 * n * sigma_p
+    efficiency = accepted_total / (replicates * samples)
+    empty_budget = math.exp(-params.omega) / max(efficiency, 1e-12)
+    empty_rate = n * zero_hits / accepted_total
+    violation = d_est - slack - 0.5
+    return _report("modified_l2", violation <= 0,
+                   f"n={n} k={k} alpha={alpha} D={d_est:.4g} (3sigma={slack:.3g})",
+                   max(violation, 0.0),
+                   d_estimate=d_est, stderr=n * sigma_p,
+                   rejection_efficiency=efficiency,
+                   empty_contribution=empty_rate, empty_budget=empty_budget)
+
+
+def dense_set_probability_check(n, k, model, alpha, I, samples, rng):
+    """`lemmas.set_probability_check` on dense walk arrays: the support of V is w1 != w2."""
+    I = frozenset(int(i) for i in I)
+    if len(I) > k:
+        raise ValueError("|I| cannot exceed k")
+    params = walk.typicality_params(n, k, model, alpha)
+    w1 = walk.sample_walks(model, params.t_alpha, k, samples, rng)
+    w2 = walk.sample_walks(model, params.t_alpha, k, samples, rng)
+    target = np.zeros(k, dtype=bool)
+    target[list(I)] = True
+    support_match = ((w1 != w2) == target).all(axis=1)
+
+    def _both(threshold):
+        return (typical_mask(w1, params.dist, params.r_alpha, threshold)
+                & typical_mask(w2, params.dist, params.r_alpha, threshold))
+
+    typ = _both(params.q_threshold)
+    local_only = _both(-math.inf)
+
+    def _estimate(mask):
+        est = float(mask.mean())
+        se = math.sqrt(max(est * (1 - est), 0.0) / samples)
+        return est, se
+
+    est_typ, se_typ = _estimate(support_match & typ)
+    bound_typ = math.exp(-params.omega) / n / params.p_star ** len(I)
+    est_loc, se_loc = _estimate(support_match & local_only)
+    bound_loc = 2.0 ** (k - len(I)) * n ** (-1.0 + len(I) / k)
+    violation = max(est_typ - (bound_typ + 3 * se_typ),
+                    est_loc - (bound_loc + 3 * se_loc))
+    return _report("set_probability", violation <= 0,
+                   f"n={n} k={k} |I|={len(I)} est={est_typ:.3g} bound={bound_typ:.3g}",
+                   max(violation, 0.0),
+                   estimate=est_typ, bound=bound_typ,
+                   local_estimate=est_loc, local_bound=bound_loc)

@@ -14,6 +14,7 @@ from cayley_cutoff.lemmas import (cos_taylor_check, dirichlet_rate_check,
                                   set_probability_check, tail_ratio_check,
                                   unimodality_check, vz_uniform_check,
                                   _survival_series)
+from conftest import dense_modified_l2_probe, dense_set_probability_check
 
 
 def test_vz_uniform_examples():
@@ -75,6 +76,21 @@ def test_cos_taylor():
     assert chain[0] >= chain[1] >= chain[2] >= chain[3]
     with pytest.raises(ValueError):
         cos_taylor_check(10)
+
+
+@pytest.mark.parametrize("grid_points", [1000, 1001, 3 * 2 ** 16 + 5])
+def test_cos_taylor_matches_stacked_argmax(grid_points):
+    # blocks of the grid, one inequality at a time, pick the index argmax over
+    # the stack would, and the same maximum
+    theta = np.linspace(-0.5, 0.5, grid_points)
+    sq = (np.pi * theta) ** 2
+    mid = 1.0 - np.cos(2.0 * np.pi * theta)
+    lower = 2.0 * np.exp(-7.0 * np.pi ** 2 * theta ** 2 / 18.0) * sq
+    stacked = np.stack([mid - 2.0 * sq, lower - mid, (2.0 / 3.0) * sq - lower]) - 1e-12
+    i = int(np.unravel_index(np.argmax(stacked), stacked.shape)[1])
+    rep = cos_taylor_check(grid_points)
+    assert rep.worst_case == f"theta={theta[i]:.6f}"
+    assert rep.max_violation == max(float(stacked.max()), 0.0)
 
 
 def test_exit_interval_exponential_case():
@@ -228,6 +244,43 @@ def test_set_probability_check():
     with pytest.raises(ValueError):
         set_probability_check(10 ** 4, 5, "undirected", 0.0, range(6), 1000,
                               replicate_rng(42, 0))
+
+
+@pytest.mark.parametrize("moduli,k,model,alpha,replicates,samples,seed", [
+    ([101], 10, "directed", 1.5, 2, 21000, 4),
+    ([8, 27, 11], 12, "directed", 1.5, 2, 21000, 10),
+    ([8, 27, 11], 16, "undirected", 1.5, 2, 21000, 10),
+    ([10007], 200, "undirected", 0.0, 1, 30000, 20260825),
+    ([13], 3, "undirected", 0.0, 40, 20000, 5),
+])
+def test_modified_l2_probe_matches_dense_oracle(moduli, k, model, alpha, replicates,
+                                                samples, seed):
+    # the sparse V = W_1 - W_2 gives the same counts as dense rows from the same stream
+    group = make_group(moduli)
+    sparse = modified_l2_probe(group, k, model, alpha, replicates, samples,
+                               replicate_rng(seed, 0))
+    dense = dense_modified_l2_probe(group, k, model, alpha, replicates, samples,
+                                    replicate_rng(seed, 0))
+    assert sparse.details == dense.details
+    assert sparse.worst_case == dense.worst_case
+    assert sparse == dense
+
+
+@pytest.mark.parametrize("n,k,model,alpha,I,samples,seed", [
+    (10 ** 4, 20, "undirected", 0.0, range(19), 40000, 20260826),
+    (10 ** 4, 10, "undirected", 0.0, range(10), 5000, 42),
+    (10 ** 4, 12, "directed", 1.5, range(5), 40000, 3),
+])
+def test_set_probability_check_matches_dense_oracle(n, k, model, alpha, I, samples, seed):
+    sparse = set_probability_check(n, k, model, alpha, I, samples, replicate_rng(seed, 0))
+    dense = dense_set_probability_check(n, k, model, alpha, I, samples,
+                                        replicate_rng(seed, 0))
+    assert sparse.details == dense.details
+    assert sparse.worst_case == dense.worst_case
+    assert sparse == dense
+    if model == "directed":
+        # the default cases read 0; this one exercises a nonzero support match
+        assert sparse.details["estimate"] > 0
 
 
 def test_eigenvalue_tail_probe():

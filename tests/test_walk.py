@@ -9,8 +9,8 @@ from cayley_cutoff.groups import (GeneratorMultiset, index_of, make_group,
 from cayley_cutoff.spectral import eigenvalues, heat_kernel_row
 from cayley_cutoff.walk import (PmfUnderflowError, _walk_cells, berry_esseen_band,
                                 clt_probe, psi, q_value, sample_walks, simulate_S,
-                                tv_error_budget, typical_mask, typicality_params,
-                                typicality_probe)
+                                tv_error_budget, typicality_params, typicality_probe)
+from conftest import typical_mask
 
 
 def test_psi_values():
