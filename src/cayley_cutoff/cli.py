@@ -54,7 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", help="comma-separated alpha list")
         p.add_argument("--t-grid", dest="t_grid", help="lo:hi:points (log-spaced)")
         p.add_argument("--replicates", type=int)
-        p.add_argument("--samples", type=int)
         p.add_argument("--seed", type=int, help=(
             "labels the run (it enters the config digest) and draws nothing: every "
             "lemma check draws from its own fixed stream" if name == "verify" else None))
@@ -74,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 _DEFAULTS = {
     "group": None, "k": None, "model": "undirected", "alpha": None,
-    "t_grid": None, "replicates": "1", "samples": "1000", "seed": None,
+    "t_grid": None, "replicates": "1", "seed": None,
     "out": None, "fmt": "csv", "only": None, "jobs": "1", "force": None,
 }
 
@@ -84,8 +83,8 @@ def make_config(args: argparse.Namespace) -> ExperimentConfig:
     merged = dict(_DEFAULTS)
     if args.config:
         merged.update(load_config_file(args.config))
-    for key in ("group", "k", "model", "alpha", "t_grid", "replicates", "samples",
-                "seed", "out", "fmt", "only", "jobs"):
+    for key in ("group", "k", "model", "alpha", "t_grid", "replicates", "seed", "out",
+                "fmt", "only", "jobs"):
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
@@ -111,7 +110,6 @@ def make_config(args: argparse.Namespace) -> ExperimentConfig:
             float(a) for a in text.split(",") if a.strip()), ()),
         t_grid=parsed("t_grid", str),
         replicates=parsed("replicates", int),
-        samples=parsed("samples", int),
         base_seed=parsed("seed", int),
         out=parsed("out", str),
         fmt=str(merged["fmt"]),
@@ -123,8 +121,9 @@ def make_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def main(argv=None) -> int:
     """Run one subcommand; bad input or a refused budget exits 2 naming the flag to change."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        args.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         config = make_config(args)
     except ValueError as exc:

@@ -40,7 +40,6 @@ class ExperimentConfig:
     alphas: tuple[float, ...] = ()
     t_grid: str | None = None
     replicates: int = 1
-    samples: int = 1000
     base_seed: int = 0
     out: str | None = None
     fmt: str = "csv"
@@ -56,8 +55,7 @@ class ExperimentConfig:
             raise ValueError(f"--format must be csv or json, got {self.fmt!r}")
         if self.model not in entropic.MODELS:
             raise ValueError(f"--model must be one of {entropic.MODELS}, got {self.model!r}")
-        for flag, value in (("--replicates", self.replicates), ("--samples", self.samples),
-                            ("--jobs", self.jobs)):
+        for flag, value in (("--replicates", self.replicates), ("--jobs", self.jobs)):
             if value < 1:
                 raise ValueError(f"{flag} must be >= 1, got {value}")
         if not all(math.isfinite(a) for a in self.alphas):
@@ -80,7 +78,7 @@ class ExperimentConfig:
             raise ValueError(f"--group: cheeger scans every vertex subset, so n <= "
                              f"{spectral.CHEEGER_MAX_N}, got n = {group.n}")
         if self.t_grid is not None:
-            _parse_t_grid(self.t_grid)
+            _t_grid_triple(self.t_grid)
 
     def group(self) -> GroupSpec:
         return make_group(self.moduli)
@@ -277,8 +275,8 @@ def run_gap_scan(config: ExperimentConfig) -> tuple[str, list[dict]]:
 # tv curve and spectrum
 # ---------------------------------------------------------------------------
 
-def _parse_t_grid(text: str) -> np.ndarray:
-    """Parse "lo:hi:points" into a log-spaced grid."""
+def _t_grid_triple(text: str) -> tuple[float, float, int]:
+    """Parse and check "lo:hi:points" without building the grid."""
     message = f"--t-grid must be lo:hi:points with 0 < lo < hi and points >= 2, got {text!r}"
     try:
         lo, hi, pts = text.split(":")
@@ -287,7 +285,12 @@ def _parse_t_grid(text: str) -> np.ndarray:
         raise ValueError(message) from None
     if not 0 < lo < hi < math.inf or pts < 2:
         raise ValueError(message)
-    return np.geomspace(lo, hi, pts)
+    return lo, hi, pts
+
+
+def _parse_t_grid(text: str) -> np.ndarray:
+    """Parse "lo:hi:points" into a log-spaced grid."""
+    return np.geomspace(*_t_grid_triple(text))
 
 
 def default_t_grid(n: int, k: int, model: str) -> np.ndarray:
@@ -309,11 +312,12 @@ def _curve_worker(r: int, payload: dict) -> list[dict]:
 
 def run_tv_curve(config: ExperimentConfig) -> tuple[str, list[dict]]:
     group = config.group()
-    if config.t_grid:
+    if config.t_grid:  # priced from its point count before the grid is built
+        _budget_check(config, group.n, _t_grid_triple(config.t_grid)[2])
         grid = _parse_t_grid(config.t_grid)
     else:
         grid = default_t_grid(group.n, config.k, config.model)
-    _budget_check(config, group.n, len(grid))
+        _budget_check(config, group.n, len(grid))
     payload = {"config": config, "grid": grid}
     rows = [row for part in _map_replicates(config, _curve_worker, payload) for row in part]
     return _emit(config, rows), rows

@@ -1,10 +1,12 @@
-"""Arithmetic, enumeration and random generator sampling for finite Abelian groups.
+"""Finite Abelian groups: construction, indexing, element levels and generator sampling.
 
 A group is a direct sum of cyclic factors Z_{m_1} + ... + Z_{m_d}.  Elements are
 tuples of canonical coordinates, and every element also has a mixed-radix index
 in {0, ..., n-1} (first coordinate most significant, matching C-order reshapes
 of flat arrays).  `index_of` and `element_of` are the one codec between the two;
-both also map whole arrays of elements or indices.
+both also map whole arrays of elements or indices.  Sums, inverses and integer
+combinations of single elements are brute-force oracles in the tests' conftest;
+the library does its group arithmetic on whole arrays.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ import numpy as np
 
 #: Largest supported group size; keeps all index arithmetic exact in 64-bit.
 MAX_GROUP_SIZE = 2 ** 48
-
-Element = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -87,24 +87,6 @@ def parse_group(literal: str) -> GroupSpec:
     return make_group(int(p) for p in parts)
 
 
-def zero(group: GroupSpec) -> Element:
-    return (0,) * group.d
-
-
-def add(group: GroupSpec, a: Element, b: Element) -> Element:
-    """Coordinate-wise sum modulo the group moduli."""
-    if len(a) != group.d or len(b) != group.d:
-        raise ValueError("element dimension mismatch")
-    return tuple((x + y) % m for x, y, m in zip(a, b, group.moduli))
-
-
-def neg(group: GroupSpec, a: Element) -> Element:
-    """Additive inverse, coordinate-wise."""
-    if len(a) != group.d:
-        raise ValueError("element dimension mismatch")
-    return tuple((-x) % m for x, m in zip(a, group.moduli))
-
-
 def index_of(group: GroupSpec, x):
     """Mixed-radix index in {0, ..., n-1} of an element, or of each row of a (..., d) array."""
     x = np.asarray(x)
@@ -129,19 +111,6 @@ def element_levels(group: GroupSpec) -> np.ndarray:
     """Level max_j m_j / gcd(x_j, m_j) of every element x, by mixed-radix index."""
     coords = element_of(group, np.arange(group.n))
     return (group.moduli // np.gcd(coords, group.moduli)).max(axis=1)
-
-
-def dot(group: GroupSpec, w, Z: GeneratorMultiset) -> Element:
-    """Integer combination sum_i w_i * Z_i reduced coordinate-wise mod m_j.
-
-    Entries of w may be negative; Python's floored modulo yields the canonical
-    representative.  The sum is taken in Python ints (object arrays): in int64
-    it would wrap once |w| * m reaches about 2^63 / k.
-    """
-    w = np.array(w, dtype=object)
-    if w.shape != (Z.k,):
-        raise ValueError("weight vector length does not match k")
-    return tuple((w @ Z.generators.astype(object) % group.moduli).tolist())
 
 
 def sample_generators(group: GroupSpec, k: int, rng: np.random.Generator) -> GeneratorMultiset:

@@ -154,7 +154,7 @@ def level_set_count_check(group: GroupSpec) -> CheckReport:
         if count - bound > worst_violation:
             worst_violation = count - bound
             worst = f"s={level}: |A(s)|={count} > {bound}"
-    return _report("level_set_count", worst_violation <= 0, worst, worst_violation,
+    return _report("level_set", worst_violation <= 0, worst, worst_violation,
                    census=census)
 
 
@@ -626,11 +626,4 @@ def run_all(only: str | None = None, extra_checks: dict | None = None) -> list[C
         if only not in registry:
             raise KeyError(f"unknown check {only!r}; known: {sorted(registry)}")
         registry = {only: registry[only]}
-    reports = []
-    for name, fn in registry.items():
-        rep = fn()
-        if rep.name != name:
-            rep = CheckReport(name=name, passed=rep.passed, worst_case=rep.worst_case,
-                              max_violation=rep.max_violation, details=rep.details)
-        reports.append(rep)
-    return reports
+    return [fn() for fn in registry.values()]

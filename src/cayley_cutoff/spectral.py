@@ -28,7 +28,6 @@ characters carry the eigenvalue 1.0 exactly and no other character does, so
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,7 +35,8 @@ from functools import cached_property
 import numpy as np
 from scipy import fft
 
-from .groups import Element, GeneratorMultiset, GroupSpec, element_of, index_of
+from . import entropic
+from .groups import GeneratorMultiset, GroupSpec, element_of, index_of
 
 #: |lambda_x - 1| up to this makes x a candidate invariant character.  The
 #: transform's rounding error is ~1e-15, so no invariant character is missed;
@@ -97,12 +97,6 @@ class GapSummary:
     connected: bool
 
 
-def character(group: GroupSpec, x: Element, y: Element) -> complex:
-    """chi_x(y) = exp(2 pi i sum_j x_j y_j / m_j)."""
-    phase = sum(xj * yj / m for xj, yj, m in zip(x, y, group.moduli))
-    return cmath.exp(2j * math.pi * phase)
-
-
 def _invariant_characters(group: GroupSpec, Z: GeneratorMultiset,
                           candidates: np.ndarray) -> np.ndarray:
     """The candidate indices x with x . z_i = 0 in Q/Z for every generator z_i.
@@ -139,7 +133,7 @@ def eigenvalues(group: GroupSpec, Z: GeneratorMultiset, model: str) -> SpectralD
     characters (x = 0 among them) are set to exactly 1.0; every other
     character keeps Re lambda < 1, so its gap 1 - Re lambda stays positive.
     """
-    if model not in ("undirected", "directed"):
+    if model not in entropic.MODELS:
         raise ValueError(f"unknown model {model!r}")
     counts = np.bincount(index_of(group, Z.generators), minlength=group.n).reshape(group.moduli)
     lam = _dft(counts, inverse=True).reshape(-1)

@@ -16,11 +16,6 @@ import numpy as np
 from scipy import special
 
 from . import entropic
-from .groups import Element, GeneratorMultiset, GroupSpec, dot
-
-
-class PmfUnderflowError(RuntimeError):
-    """A walk coordinate fell outside the representable pmf support."""
 
 
 @dataclass(frozen=True)
@@ -94,18 +89,6 @@ def _walk_cells(model: str, t: float, k: int, samples: int,
     return cells[first[nonzero]], values[nonzero]
 
 
-def sample_walks(model: str, t: float, k: int, samples: int,
-                 rng: np.random.Generator) -> np.ndarray:
-    """(samples, k) int64 array of independent draws of W(t).
-
-    The nonzero coordinates drawn by `_walk_cells`, scattered into zeros.
-    """
-    cells, values = _walk_cells(model, t, k, samples, rng)
-    w = np.zeros(samples * k, dtype=np.int64)
-    w[cells] = values
-    return w.reshape(samples, k)
-
-
 def _cost(dist, x) -> np.ndarray:
     """c(x) = -log max(pmf(x), PMF_FLOOR) for integer values x; pmf = 0 outside the window."""
     return -np.log(np.maximum(dist.prob(x), entropic.PMF_FLOOR))
@@ -136,16 +119,6 @@ def _probe_rows(model: str, t: float, k: int, samples: int, dist, r_alpha: float
         m = min(chunk, samples - start)
         cells, values = _walk_cells(model, t, k, m, rng)
         yield _row_terms(cells // k, values, m, k, dist, r_alpha)
-
-
-def q_value(model: str, t: float, k: int, w) -> float:
-    """Q = -sum_i log nu_{t/k}(w_i)."""
-    if t <= 0:
-        raise ValueError("t must be > 0")
-    probs = entropic.step_distribution(model, t / k).prob(np.asarray(w, dtype=np.int64))
-    if np.any(probs <= entropic.PMF_FLOOR):
-        raise PmfUnderflowError("walk coordinate outside the pmf window or pmf underflow")
-    return -math.fsum(np.log(probs))
 
 
 def clt_probe(n: int, k: int, model: str, alpha: float, samples: int,
@@ -239,12 +212,6 @@ def typicality_probe(n: int, k: int, model: str, alpha: float, samples: int,
         target=psi(alpha),
         details={"local_failure_rate": local_fails / samples, "t_alpha": t_a},
     )
-
-
-def simulate_S(group: GroupSpec, Z: GeneratorMultiset, t: float, model: str,
-               rng: np.random.Generator) -> Element:
-    """One draw of the Cayley walk position S(t) = sum_i W_i(t) Z_i."""
-    return dot(group, sample_walks(model, t, Z.k, 1, rng)[0], Z)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,12 @@
 
 The dense uniformized matrix exponential below is an independent route to the
 heat kernel: it never touches the character/DFT code path, so agreement with
-`spectral.heat_kernel_row` cross-checks both implementations.  The dense walk
-oracles read every coordinate of `(samples, k)` walk arrays, where the
-library's typicality test and lemma checks read only the nonzero cells.
+`spectral.heat_kernel_row` cross-checks both implementations.  Its one-element
+group arithmetic (`zero`, `add`, `neg`, `dot`) and the single-walk simulators
+(`sample_walks`, `q_value`, `simulate_S`) are brute-force oracles with no
+caller in the library.  The dense walk oracles read every coordinate of
+`(samples, k)` walk arrays, where the library's typicality test and lemma
+checks read only the nonzero cells.
 """
 
 import math
@@ -12,10 +15,75 @@ import math
 import numpy as np
 from scipy import stats
 
-from cayley_cutoff import walk
-from cayley_cutoff.groups import (GeneratorMultiset, GroupSpec, add, element_of,
-                                  index_of, neg, sample_generators)
+from cayley_cutoff import entropic, walk
+from cayley_cutoff.groups import (GeneratorMultiset, GroupSpec, element_of, index_of,
+                                  sample_generators)
 from cayley_cutoff.lemmas import _report
+
+Element = tuple[int, ...]
+
+
+class PmfUnderflowError(RuntimeError):
+    """A walk coordinate fell outside the representable pmf support."""
+
+
+def zero(group: GroupSpec) -> Element:
+    return (0,) * group.d
+
+
+def add(group: GroupSpec, a: Element, b: Element) -> Element:
+    """Coordinate-wise sum modulo the group moduli."""
+    if len(a) != group.d or len(b) != group.d:
+        raise ValueError("element dimension mismatch")
+    return tuple((x + y) % m for x, y, m in zip(a, b, group.moduli))
+
+
+def neg(group: GroupSpec, a: Element) -> Element:
+    """Additive inverse, coordinate-wise."""
+    if len(a) != group.d:
+        raise ValueError("element dimension mismatch")
+    return tuple((-x) % m for x, m in zip(a, group.moduli))
+
+
+def dot(group: GroupSpec, w, Z: GeneratorMultiset) -> Element:
+    """Integer combination sum_i w_i * Z_i reduced coordinate-wise mod m_j.
+
+    Entries of w may be negative; Python's floored modulo yields the canonical
+    representative.  The sum is taken in Python ints (object arrays): in int64
+    it would wrap once |w| * m reaches about 2^63 / k.
+    """
+    w = np.array(w, dtype=object)
+    if w.shape != (Z.k,):
+        raise ValueError("weight vector length does not match k")
+    return tuple((w @ Z.generators.astype(object) % group.moduli).tolist())
+
+
+def sample_walks(model: str, t: float, k: int, samples: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """(samples, k) int64 array of independent draws of W(t).
+
+    The nonzero coordinates drawn by `walk._walk_cells`, scattered into zeros.
+    """
+    cells, values = walk._walk_cells(model, t, k, samples, rng)
+    w = np.zeros(samples * k, dtype=np.int64)
+    w[cells] = values
+    return w.reshape(samples, k)
+
+
+def q_value(model: str, t: float, k: int, w) -> float:
+    """Q = -sum_i log nu_{t/k}(w_i)."""
+    if t <= 0:
+        raise ValueError("t must be > 0")
+    probs = entropic.step_distribution(model, t / k).prob(np.asarray(w, dtype=np.int64))
+    if np.any(probs <= entropic.PMF_FLOOR):
+        raise PmfUnderflowError("walk coordinate outside the pmf window or pmf underflow")
+    return -math.fsum(np.log(probs))
+
+
+def simulate_S(group: GroupSpec, Z: GeneratorMultiset, t: float, model: str,
+               rng: np.random.Generator) -> Element:
+    """One draw of the Cayley walk position S(t) = sum_i W_i(t) Z_i."""
+    return dot(group, sample_walks(model, t, Z.k, 1, rng)[0], Z)
 
 
 def dense_transition(group: GroupSpec, Z: GeneratorMultiset, model: str) -> np.ndarray:
@@ -79,8 +147,8 @@ def dense_modified_l2_probe(group, k, model, alpha, replicates, samples, rng):
         while done < samples:
             m_chunk = min(chunk, samples - done)
             done += m_chunk
-            w1 = walk.sample_walks(model, t_a, k, m_chunk, rng)
-            w2 = walk.sample_walks(model, t_a, k, m_chunk, rng)
+            w1 = sample_walks(model, t_a, k, m_chunk, rng)
+            w2 = sample_walks(model, t_a, k, m_chunk, rng)
             typ = (typical_mask(w1, params.dist, params.r_alpha, params.q_threshold)
                    & typical_mask(w2, params.dist, params.r_alpha, params.q_threshold))
             v = w1[typ] - w2[typ]
@@ -114,8 +182,8 @@ def dense_set_probability_check(n, k, model, alpha, I, samples, rng):
     if len(I) > k:
         raise ValueError("|I| cannot exceed k")
     params = walk.typicality_params(n, k, model, alpha)
-    w1 = walk.sample_walks(model, params.t_alpha, k, samples, rng)
-    w2 = walk.sample_walks(model, params.t_alpha, k, samples, rng)
+    w1 = sample_walks(model, params.t_alpha, k, samples, rng)
+    w2 = sample_walks(model, params.t_alpha, k, samples, rng)
     target = np.zeros(k, dtype=bool)
     target[list(I)] = True
     support_match = ((w1 != w2) == target).all(axis=1)

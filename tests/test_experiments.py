@@ -263,6 +263,20 @@ def test_cli_budget_refusal_exits_2_naming_force(capsys):
     assert err.startswith("usage: cayley-cutoff spectrum ")
 
 
+def test_cli_t_grid_is_priced_before_it_is_built(monkeypatch, capsys):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the t-grid was built before its budget check")
+
+    monkeypatch.setattr(np, "geomspace", no_grid)
+    with pytest.raises(SystemExit) as exc:
+        main(["tv-curve", "--group", "101", "--k", "4", "--t-grid", "1:2:10000000000",
+              "--seed", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--force" in err
+    assert err.startswith("usage: cayley-cutoff tv-curve ")
+
+
 def test_cli_tv_curve_writes_file(tmp_path):
     out = tmp_path / "curve.csv"
     status = main(["tv-curve", "--group", "101", "--k", "4", "--seed", "7",
@@ -304,6 +318,7 @@ def test_cli_config_file_rejects_garbage(tmp_path):
     ("force=yes", None, "--force"),
     ("format=json", None, "'format'"),
     ("replicate=5", None, "'replicate'"),
+    ("samples=1000", None, "'samples'"),
 ])
 def test_cli_config_file_force_and_unknown_keys(tmp_path, capsys, line, force, error):
     cfg = tmp_path / "run.cfg"

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from cayley_cutoff.groups import (GeneratorMultiset, add, check_hypotheses, dot,
-                                  element_levels, element_of, index_of, make_group,
-                                  neg, parse_group, replicate_rng,
-                                  sample_generators, zero)
+from cayley_cutoff.groups import (GeneratorMultiset, check_hypotheses, element_levels,
+                                  element_of, index_of, make_group, parse_group,
+                                  replicate_rng, sample_generators)
+from conftest import add, dot, neg, zero
 
 
 def test_make_group_basic():

@@ -297,6 +297,7 @@ def test_eigenvalue_tail_probe():
 def test_run_all_default_suite_passes():
     reports = run_all()
     assert len(reports) == len(lemmas.DEFAULT_CHECKS)
+    assert [r.name for r in reports] == list(lemmas.DEFAULT_CHECKS)
     failures = [r.name for r in reports if not r.passed]
     assert failures == []
 

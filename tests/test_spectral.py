@@ -5,32 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayley_cutoff.groups import (GeneratorMultiset, add, element_of,
-                                  index_of, make_group, neg, replicate_rng,
-                                  sample_generators, zero)
+from cayley_cutoff.groups import (GeneratorMultiset, element_of, index_of,
+                                  make_group, replicate_rng, sample_generators)
 from cayley_cutoff.spectral import (ROW_TOL, HeatKernelRow,
                                     ImaginaryResidueError, SpectralData, _dft,
                                     _invariant_characters, cheeger_bounds,
-                                    cheeger_exact, character, eigenvalues,
+                                    cheeger_exact, eigenvalues,
                                     gap_summary, heat_kernel_row, l2_bound,
                                     tv_exact)
 
-from conftest import dense_transition, tv_from_uniform, uniformized_row
+from conftest import (add, dense_transition, neg, tv_from_uniform, uniformized_row,
+                      zero)
 
 
 def _instance(moduli, gens):
     g = make_group(moduli)
     Z = GeneratorMultiset(np.array(gens))
     return g, Z
-
-
-def test_character_values():
-    g2 = make_group([2])
-    assert character(g2, (0,), (1,)) == 1
-    assert character(g2, (1,), (0,)) == 1
-    assert abs(character(g2, (1,), (1,)) - (-1)) < 1e-15
-    g4 = make_group([4])
-    assert abs(character(g4, (1,), (1,)) - 1j) < 1e-15
 
 
 def test_eigenvalues_z4_hand_values():

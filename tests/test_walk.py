@@ -7,10 +7,10 @@ from cayley_cutoff import entropic
 from cayley_cutoff.groups import (GeneratorMultiset, index_of, make_group,
                                   replicate_rng, sample_generators)
 from cayley_cutoff.spectral import eigenvalues, heat_kernel_row
-from cayley_cutoff.walk import (PmfUnderflowError, _walk_cells, berry_esseen_band,
-                                clt_probe, psi, q_value, sample_walks, simulate_S,
+from cayley_cutoff.walk import (_walk_cells, berry_esseen_band, clt_probe, psi,
                                 tv_error_budget, typicality_params, typicality_probe)
-from conftest import typical_mask
+from conftest import (PmfUnderflowError, q_value, sample_walks, simulate_S,
+                      typical_mask)
 
 
 def test_psi_values():
