@@ -155,7 +155,20 @@ def step_distribution(model: str, s: float, half_width: int | None = None) -> St
 
 def entropy(model: str, s: float, half_width: int | None = None) -> float:
     """Shannon entropy H(s) of the step distribution, in nats: the mean of Q_1(s)."""
-    return q1_moments(model, s, half_width)[0]
+    return _q1_mean(model, s, half_width)[0]
+
+
+def _q1_mean(model: str, s: float, half_width: int | None):
+    """(H(s), p, log p): the mean of Q_1(s) and the pmf mass above PMF_FLOOR it sums.
+
+    At s = 0 the law is a point mass, H = 0.0 and both arrays are empty.
+    """
+    if s == 0:
+        return 0.0, np.zeros(0), np.zeros(0)
+    dist = step_distribution(model, s, half_width)
+    p = dist.pmf[dist.pmf > PMF_FLOOR]
+    logp = np.log(p)
+    return -math.fsum(p * logp), p, logp
 
 
 def entropy_derivative(model: str, s: float) -> float:
@@ -186,14 +199,8 @@ def entropy_derivative(model: str, s: float) -> float:
 
 def q1_moments(model: str, s: float, half_width: int | None = None) -> tuple[float, float]:
     """Mean and variance of Q_1(s) = -log nu_s(W_1)."""
-    if s == 0:
-        return 0.0, 0.0
-    dist = step_distribution(model, s, half_width)
-    p = dist.pmf[dist.pmf > PMF_FLOOR]
-    logp = np.log(p)
-    mean = -math.fsum(p * logp)
-    var = math.fsum(p * (-logp - mean) ** 2)
-    return mean, var
+    mean, p, logp = _q1_mean(model, s, half_width)
+    return mean, math.fsum(p * (-logp - mean) ** 2)
 
 
 def entropy_inverse(model: str, target: float, s_hint: float = 4.0) -> float:

@@ -176,9 +176,15 @@ def _map_replicates(config: ExperimentConfig, fn, payload) -> list:
         return list(pool.map(fn, indices, [payload] * len(indices)))
 
 
-def _budget_check(config: ExperimentConfig, n: int, transforms_per_replicate: int):
-    """Price each replicate as its spectrum transform plus its row transforms."""
-    work = (config.replicates * (transforms_per_replicate + 1)
+def _budget_check(config: ExperimentConfig, n: int, transforms_per_replicate: int,
+                  replicates: int | None = None):
+    """Price each replicate as its spectrum transform plus its row transforms.
+
+    `replicates` defaults to `config.replicates`; a runner that computes fewer
+    replicates passes the number it computes.
+    """
+    replicates = config.replicates if replicates is None else replicates
+    work = (replicates * (transforms_per_replicate + 1)
             * n * max(math.log2(n), 1.0))
     if work > BUDGET_LIMIT and not config.force:
         raise BudgetExceededError(
@@ -324,7 +330,7 @@ def run_tv_curve(config: ExperimentConfig) -> tuple[str, list[dict]]:
 
 
 def run_spectrum(config: ExperimentConfig) -> tuple[str, list[dict]]:
-    _budget_check(config, config.group().n, 0)
+    _budget_check(config, config.group().n, 0, replicates=1)
     _, spec, gaps, head = _instance(config, 0)
     rows = [
         {"index": i, "instance_digest": head["instance_digest"],

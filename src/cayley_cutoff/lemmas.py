@@ -15,8 +15,8 @@ import numpy as np
 from scipy import special
 
 from . import entropic, walk
-from .groups import (GroupSpec, element_levels, element_of, index_of, make_group,
-                     replicate_rng, sample_generators)
+from .groups import (GroupSpec, element_levels, element_of, make_group, replicate_rng,
+                     sample_generators)
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,11 @@ class CheckReport:
     worst_case: str
     max_violation: float
     details: dict = field(default_factory=dict)
+
+
+#: Most V.Z sums one exhaustive census forms (n^k per case, times the cases
+#: of a batch).
+VZ_EXHAUSTIVE_CAP = 10 ** 6
 
 
 def _report(name, passed, worst_case, max_violation, **details) -> CheckReport:
@@ -50,29 +55,57 @@ def vz_uniform_check(moduli, V, k: int) -> CheckReport:
         for m in group.moduli:
             if v % m == 0:
                 raise ValueError(f"V entry {v} is 0 mod {m}")
-    if group.n ** k > 10 ** 6:
+    if group.n ** k > VZ_EXHAUSTIVE_CAP:
         raise ValueError("n^k exceeds the exhaustive cap 1e6")
 
-    g = [math.gcd(math.gcd(*(abs(v) for v in V)), m) for m in group.moduli]
-    expected_support = set(index_of(group, list(product(
-        *[range(0, m, gj) for m, gj in zip(group.moduli, g)]))).tolist())
-    # Enumerate all Z in G^k as flat indices (Z_i is base-n digit i) and
-    # histogram V.Z, reduced coordinate-wise after each term to keep it small.
-    total = np.arange(group.n ** k, dtype=np.int64)
-    vz = np.zeros((total.size, group.d), dtype=np.int64)
-    for i in range(k):
-        z_i = element_of(group, total // group.n ** i % group.n)
-        vz = (vz + V[i] * z_i) % group.moduli
-    hist = np.bincount(index_of(group, vz), minlength=group.n)
-    counts = {int(i): int(c) for i, c in enumerate(hist) if c > 0}
-
-    support_ok = set(counts) == expected_support
-    uniform_ok = len(set(counts.values())) == 1
+    support_ok, uniform_ok, support_size, gcds = (a[0] for a in _vz_census(group, [V]))
     passed = support_ok and uniform_ok
     worst = "support mismatch" if not support_ok else (
-        "nonuniform counts" if not uniform_ok else "uniform on %d points" % len(counts))
+        "nonuniform counts" if not uniform_ok else "uniform on %d points" % support_size)
     return _report("vz_uniform", passed, worst, 0.0 if passed else 1.0,
-                   support_size=len(counts), gcds=g)
+                   support_size=int(support_size), gcds=gcds.tolist())
+
+
+def _vz_counts(group: GroupSpec, V: np.ndarray) -> np.ndarray:
+    """(c, n) int64 histogram of V_r.Z over all Z in G^k, one row per row V_r of V.
+
+    Z runs over G^k as flat indices whose base-n digit i is Z_i.  Rows of V go
+    in blocks of at most VZ_EXHAUSTIVE_CAP // n^k, so no block forms more sums
+    than the cap.  Entries of V must lie in [0, lcm(m)), which keeps every
+    product exact in int64.
+    """
+    c, k = V.shape
+    n = group.n
+    z = element_of(group, np.arange(n ** k)[:, None] // n ** np.arange(k) % n)
+    block = VZ_EXHAUSTIVE_CAP // n ** k
+    counts = []
+    for lo in range(0, c, block):
+        v = V[lo:lo + block]
+        index = sum(v @ z[..., j].T % m * w
+                    for j, (m, w) in enumerate(zip(group.moduli, group.radix_weights)))
+        index += n * np.arange(len(v))[:, None]
+        counts.append(np.bincount(index.ravel(), minlength=len(v) * n).reshape(-1, n))
+    return np.concatenate(counts)
+
+
+def _vz_census(group: GroupSpec, V):
+    """The vz_uniform verdict of every row of the (c, k) integer array V at once.
+
+    Returns (support_ok, uniform_ok, support_size, gcds) as arrays over the c
+    rows, gcds of shape (c, d): the support of the counts must be exactly the
+    elements whose coordinate j is a multiple of gcd(gcd|V_r|, m_j), with every
+    nonzero count equal.  V.Z mod m_j and the gcds depend on V mod m_j only, so
+    V is reduced mod lcm(m) first, on Python ints.
+    """
+    V = (np.asarray(V, dtype=object) % math.lcm(*group.moduli)).astype(np.int64)
+    counts = _vz_counts(group, V)
+    gcds = np.gcd(np.gcd.reduce(V, axis=1)[:, None], group.moduli)
+    coords = element_of(group, np.arange(group.n))
+    expected = (coords % gcds[:, None, :] == 0).all(axis=2)
+    support = counts > 0
+    support_ok = (support == expected).all(axis=1)
+    uniform_ok = (~support | (counts == counts.max(axis=1, keepdims=True))).all(axis=1)
+    return support_ok, uniform_ok, support.sum(axis=1), gcds
 
 
 def divisibility_check(model: str, s: float, r: int, gamma: int) -> CheckReport:
@@ -544,21 +577,21 @@ def eigenvalue_tail_probe(group: GroupSpec, k: int, s_target: int, samples: int,
 # ---------------------------------------------------------------------------
 
 def _vz_uniform_sweep() -> CheckReport:
-    """All cyclic m <= 12, k <= 3, V entries in [-3,3]\\{0} admissible for m."""
-    worst = None
+    """All cyclic m <= 12, k <= 3, V entries in [-3,3]\\{0} admissible for m.
+
+    One census per (m, k); on a failure, the per-case report of the first
+    failing case in (m, k, product) order.
+    """
     cases = 0
     for m in range(2, 13):
         values = [v for v in (-3, -2, -1, 1, 2, 3) if v % m != 0]
         for k in (1, 2, 3):
-            if m ** k > 10 ** 6:
-                continue
-            for V in product(values, repeat=k):
-                rep = vz_uniform_check([m], V, k)
-                cases += 1
-                if not rep.passed and worst is None:
-                    worst = rep
-    if worst is not None:
-        return worst
+            V = np.array(list(product(values, repeat=k)))
+            support_ok, uniform_ok, _, _ = _vz_census(make_group([m]), V)
+            failed = np.flatnonzero(~(support_ok & uniform_ok))
+            if failed.size:
+                return vz_uniform_check([m], V[failed[0]], k)
+            cases += len(V)
     return _report("vz_uniform", True, f"{cases} exact cases uniform", 0.0, cases=cases)
 
 

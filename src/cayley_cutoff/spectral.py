@@ -43,6 +43,10 @@ from .groups import GeneratorMultiset, GroupSpec, element_of, index_of
 #: non-invariant candidates are rejected by the exact integer test.
 INVARIANT_CANDIDATE_TOL = 1e-6
 
+#: Most Python-int products (candidates times distinct generators) one block
+#: of the exact invariance test forms; bounds its object arrays.
+INVARIANT_BLOCK = 2 ** 16
+
 #: tolerance for the imaginary residue and negative-probability clamp of a row.
 ROW_TOL = 1e-9
 
@@ -103,13 +107,17 @@ def _invariant_characters(group: GroupSpec, Z: GeneratorMultiset,
 
     Scaled by L = lcm(m) to sum_j x_j z_ij (L / m_j) = 0 (mod L), on Python
     ints (object arrays): the products reach m_j * L and would wrap in int64.
+    All distinct generators are tested in one product per block of candidates,
+    each block holding at most INVARIANT_BLOCK products.
     """
     lcm = math.lcm(*group.moduli)
     coords = element_of(group, candidates).astype(object) * [lcm // m for m in group.moduli]
-    for z in np.unique(Z.generators, axis=0).astype(object):
-        ok = coords @ z % lcm == 0
-        candidates, coords = candidates[ok], coords[ok]
-    return candidates
+    gens = np.unique(Z.generators, axis=0).T.astype(object)
+    rows = max(1, INVARIANT_BLOCK // gens.shape[1])
+    ok = np.ones(len(candidates), dtype=bool)
+    for lo in range(0, len(candidates), rows):
+        ok[lo:lo + rows] = (coords[lo:lo + rows] @ gens % lcm == 0).all(axis=1)
+    return candidates[ok]
 
 
 def _dft(a: np.ndarray, inverse: bool = False) -> np.ndarray:

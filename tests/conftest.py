@@ -7,17 +7,20 @@ group arithmetic (`zero`, `add`, `neg`, `dot`) and the single-walk simulators
 (`sample_walks`, `q_value`, `simulate_S`) are brute-force oracles with no
 caller in the library.  The dense walk oracles read every coordinate of
 `(samples, k)` walk arrays, where the library's typicality test and lemma
-checks read only the nonzero cells.
+checks read only the nonzero cells.  `vz_uniform_oracle` counts V.Z case by
+case where the library runs one census per batch of cases, and
+`invariant_characters_oracle` filters by one generator at a time.
 """
 
 import math
+from itertools import product
 
 import numpy as np
 from scipy import stats
 
 from cayley_cutoff import entropic, walk
 from cayley_cutoff.groups import (GeneratorMultiset, GroupSpec, element_of, index_of,
-                                  sample_generators)
+                                  make_group, sample_generators)
 from cayley_cutoff.lemmas import _report
 
 Element = tuple[int, ...]
@@ -211,3 +214,40 @@ def dense_set_probability_check(n, k, model, alpha, I, samples, rng):
                    max(violation, 0.0),
                    estimate=est_typ, bound=bound_typ,
                    local_estimate=est_loc, local_bound=bound_loc)
+
+
+def vz_uniform_oracle(moduli, V, k: int):
+    """`lemmas.vz_uniform_check` for one case, on its own histogram and Python sets."""
+    group = make_group(moduli)
+    V = [int(v) for v in V]
+    g = [math.gcd(math.gcd(*(abs(v) for v in V)), m) for m in group.moduli]
+    expected_support = set(index_of(group, list(product(
+        *[range(0, m, gj) for m, gj in zip(group.moduli, g)]))).tolist())
+    # Enumerate all Z in G^k as flat indices (Z_i is base-n digit i) and
+    # histogram V.Z, reduced coordinate-wise after each term to keep it small.
+    total = np.arange(group.n ** k, dtype=np.int64)
+    vz = np.zeros((total.size, group.d), dtype=np.int64)
+    for i in range(k):
+        z_i = element_of(group, total // group.n ** i % group.n)
+        vz = (vz + V[i] * z_i) % group.moduli
+    hist = np.bincount(index_of(group, vz), minlength=group.n)
+    counts = {int(i): int(c) for i, c in enumerate(hist) if c > 0}
+
+    support_ok = set(counts) == expected_support
+    uniform_ok = len(set(counts.values())) == 1
+    passed = support_ok and uniform_ok
+    worst = "support mismatch" if not support_ok else (
+        "nonuniform counts" if not uniform_ok else "uniform on %d points" % len(counts))
+    return _report("vz_uniform", passed, worst, 0.0 if passed else 1.0,
+                   support_size=len(counts), gcds=g)
+
+
+def invariant_characters_oracle(group: GroupSpec, Z: GeneratorMultiset,
+                                candidates: np.ndarray) -> np.ndarray:
+    """`spectral._invariant_characters`, filtering the candidates one generator at a time."""
+    lcm = math.lcm(*group.moduli)
+    coords = element_of(group, candidates).astype(object) * [lcm // m for m in group.moduli]
+    for z in np.unique(Z.generators, axis=0).astype(object):
+        ok = coords @ z % lcm == 0
+        candidates, coords = candidates[ok], coords[ok]
+    return candidates

@@ -17,7 +17,7 @@ from cayley_cutoff.experiments import (BudgetExceededError, ExperimentConfig,
                                        default_t_grid,
                                        run_cheeger, run_cutoff_profile,
                                        run_entropic_report, run_gap_scan,
-                                       run_tv_curve, run_verify)
+                                       run_spectrum, run_tv_curve, run_verify)
 
 
 def _config(**kwargs):
@@ -150,6 +150,19 @@ def test_budget_check_prices_transforms_not_generators():
     with pytest.raises(BudgetExceededError):
         _budget_check(_config(command="cutoff-profile", k=10 ** 4,
                               replicates=20), 10 ** 6 + 3, 3)
+
+
+def test_spectrum_budget_prices_the_one_transform_it_computes(capsys):
+    # 2e5 spectra at n = 1009 would cost 2e9 butterfly-equivalents; one costs 1e4
+    argv = ["spectrum", "--group", "1009", "--k", "4", "--seed", "1"]
+    main(argv + ["--replicates", "200000"])
+    many = capsys.readouterr().out.split("\n", 1)
+    main(argv)
+    one = capsys.readouterr().out.split("\n", 1)
+    assert many[0] != one[0] and many[1] == one[1]  # only the digest differs
+    # one transform over the budget is still refused unless forced
+    with pytest.raises(BudgetExceededError):
+        run_spectrum(_config(command="spectrum", moduli=(2 ** 26,), k=3))
 
 
 def test_entropic_report_fields_and_regimes():

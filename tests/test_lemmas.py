@@ -14,7 +14,8 @@ from cayley_cutoff.lemmas import (cos_taylor_check, dirichlet_rate_check,
                                   set_probability_check, tail_ratio_check,
                                   unimodality_check, vz_uniform_check,
                                   _survival_series)
-from conftest import dense_modified_l2_probe, dense_set_probability_check
+from conftest import (dense_modified_l2_probe, dense_set_probability_check,
+                      vz_uniform_oracle)
 
 
 def test_vz_uniform_examples():
@@ -44,6 +45,72 @@ def test_vz_uniform_rejects_degenerate_v():
         vz_uniform_check([6], (6,), 1)
     with pytest.raises(ValueError):
         vz_uniform_check([10], (1, 2), 1)
+
+
+def _assert_census_matches_oracle(moduli, V):
+    support_ok, uniform_ok, support_size, gcds = lemmas._vz_census(make_group(moduli), V)
+    for r, row in enumerate(V):
+        want = vz_uniform_oracle(moduli, row, len(row))
+        assert bool(support_ok[r] and uniform_ok[r]) == want.passed, (moduli, row)
+        assert support_size[r] == want.details["support_size"], (moduli, row)
+        assert gcds[r].tolist() == want.details["gcds"], (moduli, row)
+        assert vz_uniform_check(moduli, row, len(row)) == want
+
+
+def test_vz_census_matches_oracle_on_every_sweep_case():
+    cases = 0
+    for m in range(2, 13):
+        values = [v for v in (-3, -2, -1, 1, 2, 3) if v % m != 0]
+        for k in (1, 2, 3):
+            V = np.array(list(product(values, repeat=k)))
+            _assert_census_matches_oracle([m], V)
+            cases += len(V)
+    assert cases == 2490
+
+
+@pytest.mark.parametrize("moduli,bound", [([4, 6], 7), ([2, 3, 5], 13)])
+def test_vz_census_matches_oracle_on_multi_modulus_groups(moduli, bound):
+    values = [v for v in range(-bound, bound + 1) if all(v % m for m in moduli)]
+    _assert_census_matches_oracle(moduli, np.array(list(product(values, repeat=2))))
+
+
+def test_vz_census_blocks_stay_under_the_cap(monkeypatch):
+    # 36 rows of 24^2 sums: the cap lowered to 1000 forces one row per block
+    monkeypatch.setattr(lemmas, "VZ_EXHAUSTIVE_CAP", 1000)
+    V = np.array(list(product((1, 2, 3, 5, 7, 11), repeat=2)))
+    full = lemmas._vz_counts(make_group([4, 6]), V)
+    monkeypatch.undo()
+    assert np.array_equal(full, lemmas._vz_counts(make_group([4, 6]), V))
+    assert (full.sum(axis=1) == 24 ** 2).all()
+
+
+def test_vz_uniform_sweep_report_is_unchanged():
+    assert repr(lemmas._vz_uniform_sweep()) == (
+        "CheckReport(name='vz_uniform', passed=True, worst_case='2490 exact cases "
+        "uniform', max_violation=0.0, details={'cases': 2490})")
+
+
+def test_vz_uniform_sweep_negative_control(monkeypatch):
+    # corrupt one count in each of three cases; the sweep must report the
+    # first of them in (m, k, product) order as the per-case check does.  The
+    # census sees V mod m, and no other case of these blocks has the same residues.
+    census = lemmas._vz_counts
+
+    def corrupted(group, V):
+        counts = census(group, V)
+        for m, row, bump in ((6, (-2,), 0), (6, (1,), 0), (9, (3,), 1)):
+            if group.moduli == (m,) and V.shape[1] == len(row):
+                counts[(V == np.array(row) % m).all(axis=1), bump] += 1
+        return counts
+
+    monkeypatch.setattr(lemmas, "_vz_counts", corrupted)
+    rep = lemmas._vz_uniform_sweep()
+    oracle = vz_uniform_oracle([6], (-2,), 1)
+    assert oracle.passed and oracle.details == {"support_size": 3, "gcds": [2]}
+    assert rep == lemmas._report("vz_uniform", False, "nonuniform counts", 1.0,
+                                 **oracle.details)
+    # the m = 9 case alone: a count off the support is a support mismatch
+    assert lemmas.vz_uniform_check([9], (3,), 1).worst_case == "support mismatch"
 
 
 def test_divisibility_examples():

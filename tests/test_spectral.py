@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cayley_cutoff import spectral
 from cayley_cutoff.groups import (GeneratorMultiset, element_of, index_of,
                                   make_group, replicate_rng, sample_generators)
 from cayley_cutoff.spectral import (ROW_TOL, HeatKernelRow,
@@ -14,8 +15,8 @@ from cayley_cutoff.spectral import (ROW_TOL, HeatKernelRow,
                                     gap_summary, heat_kernel_row, l2_bound,
                                     tv_exact)
 
-from conftest import (add, dense_transition, neg, tv_from_uniform, uniformized_row,
-                      zero)
+from conftest import (add, dense_transition, invariant_characters_oracle, neg,
+                      tv_from_uniform, uniformized_row, zero)
 
 
 def _instance(moduli, gens):
@@ -73,6 +74,30 @@ def test_invariant_characters_exact_beyond_int64():
     for gen, expected in (((z,), [3 ** 28]), ((z + 1,), [])):
         Z = GeneratorMultiset(np.array((gen,)))
         assert _invariant_characters(g, Z, x).tolist() == expected
+
+
+@pytest.mark.parametrize("block", [spectral.INVARIANT_BLOCK, 7])
+@pytest.mark.parametrize("moduli,k,even,invariant", [
+    ((100003,), 40, False, 1),          # connected: only x = 0 is invariant
+    ((4, 9, 25), 6, False, 1),
+    ((2,) * 16, 5, False, 2 ** 11),     # disconnected
+    ((6, 6), 4, True, 12),              # generators in 2G span only 3 elements
+    ((12,), 30, True, 2),               # many repeated generators
+])
+def test_invariant_characters_match_loop_oracle(monkeypatch, moduli, k, even, invariant,
+                                                block):
+    monkeypatch.setattr(spectral, "INVARIANT_BLOCK", block)
+    g = make_group(moduli)
+    gens = sample_generators(g, k, replicate_rng(21, k)).generators
+    Z = GeneratorMultiset(gens - gens % 2 if even else gens)
+    for candidates in (np.arange(0, g.n, 1 if g.n <= 10 ** 4 else 97),
+                       np.arange(0), np.array([0])):
+        got = _invariant_characters(g, Z, candidates)
+        assert got.tolist() == invariant_characters_oracle(g, Z, candidates).tolist()
+    lam = eigenvalues(g, Z, "undirected").eigenvalues
+    found = np.flatnonzero(lam == 1.0)
+    assert found.size == invariant
+    assert found.tolist() == invariant_characters_oracle(g, Z, np.arange(g.n)).tolist()
 
 
 def test_gap_below_float_resolution_stays_connected():
