@@ -13,11 +13,15 @@ numpy's, caches its plans: a prime-length row reuses the chirp and the padded
 kernel transform of the previous row instead of rebuilding them (at
 n = 10^6 + 3 the cached plan holds about 60 MB).  `_dft` transforms one axis at
 a time from the last, the order numpy's `fftn` uses, which keeps the spectrum
-and a row of one time bit-identical to numpy's `fftn`; scipy's own `fftn` is
-not (it differs in the last bits at shape (4, 9, 25)).  A row computed in a
-pair is not: the other row's rounding enters it, which moves its total
-variation in the last digits (by at most 5.6e-16 over the 48 rows of two
-draws at n = 10^6 + 3).
+bit-identical to numpy's `fftn`; scipy's own `fftn` is not (it differs in the
+last bits at shape (4, 9, 25)).  No heat-kernel row is: the exponentials run
+on half the group and the other half is filled by Hermitian symmetry, and a row
+computed in a pair takes in the other row's rounding.  Against rows whose
+weights all come from the spectrum this moves total variation in the last
+digits: by at most 2.2e-16 (19 of 24 values) on `tv-curve --group 1000003
+--k 14 --model directed --seed 7 --t-grid 0.9:45:24` and 1.1e-16 (18 of 60)
+on `cutoff-profile --group 100003 --k 400 --alpha=-1.5,0,1.5 --replicates 20
+--seed 1`.
 
 Connectivity is decided exactly: a character is invariant (lambda_x = 1) iff
 x . z_i = 0 in Q/Z for every generator, which is checked in integer arithmetic
@@ -49,6 +53,14 @@ INVARIANT_BLOCK = 2 ** 16
 
 #: tolerance for the imaginary residue and negative-probability clamp of a row.
 ROW_TOL = 1e-9
+
+#: Most values one block of the exact sum in `tv_exact` adds: per exponent,
+#: that many integer parts of magnitude at most 2^27 stay within 2^53, where
+#: float64 holds every integer, so `np.bincount` adds them exactly.
+EXACT_SUM_BLOCK = 2 ** 26
+
+#: -np.frexp(5e-324)[1], which makes every frexp exponent a bincount index.
+_EXP_OFFSET = 1073
 
 #: largest group the exhaustive Cheeger scan accepts: it visits all 2^n subsets.
 CHEEGER_MAX_N = 24
@@ -124,7 +136,9 @@ def _dft(a: np.ndarray, inverse: bool = False) -> np.ndarray:
     """numpy's `fftn(a)`, or `ifftn(a, norm="forward")`, bit for bit.
 
     A complex `a` is left intact; every intermediate this function owns is
-    transformed in place.
+    transformed in place.  The spectrum's transform is therefore numpy's; a
+    heat-kernel row's is not, as its Hermitian-filled weights differ from the
+    full-spectrum ones in the last bits.
     """
     out = a.astype(complex, copy=False)
     transform = fft.ifft if inverse else fft.fft
@@ -156,6 +170,49 @@ def eigenvalues(group: GroupSpec, Z: GeneratorMultiset, model: str) -> SpectralD
     return SpectralData(model=model, group=group, k=Z.k, eigenvalues=lam)
 
 
+def _packed_weights(spec: SpectralData, times: list[float]) -> np.ndarray:
+    """w(t_1) + i w(t_2), w_x = e^{-t(1-lambda_x)}, computed on half the group.
+
+    The exponentials run on the slab x_a in [0, m_a // 2] of the axis a with the
+    largest modulus, with a real exp when the slab's spectrum is real; the other
+    planes are filled as w_x = conj w_{-x}, so both rows are exactly Hermitian.
+    A zero time, or a missing second time, has zero weights.  Shape `moduli`.
+    """
+    moduli = spec.group.moduli
+    a = int(np.argmax(moduli))
+    h = moduli[a] // 2
+    lead = (slice(None),) * a
+    slab, rest = lead + (slice(0, h + 1),), lead + (slice(h + 1, None),)
+    others = tuple(b for b in range(len(moduli)) if b != a)
+
+    def mirror(w):
+        """w_{-x} for the filled planes x_a = h+1 .. m_a-1, from slab weights w."""
+        if np.ndim(w) == 0:
+            return w
+        w = w[lead + (slice(moduli[a] - h - 1, 0, -1),)]
+        return np.roll(np.flip(w, others), 1, others) if others else w
+
+    half = spec.eigenvalues.reshape(moduli)[slab]
+    real = not half.imag.any()
+    rate = np.subtract(1.0, half.real if real else half)
+    w2 = np.exp(np.multiply(-times[1], rate)) if len(times) == 2 and times[1] else 0.0
+    w1 = np.exp(np.multiply(-times[0], rate, out=rate), out=rate) if times[0] else 0.0
+    del rate
+    out = np.empty(moduli, dtype=complex)
+    lo, up = out[slab], out[rest]
+    if real:
+        lo.real, lo.imag = w1, w2
+        up[...] = mirror(lo)
+    else:
+        np.subtract(np.real(w1), np.imag(w2), out=lo.real)
+        np.add(np.imag(w1), np.real(w2), out=lo.imag)
+        w1, w2 = mirror(w1), mirror(w2)
+        # conj w_1 + i conj w_2, not the conjugate of the packed value
+        np.add(np.real(w1), np.imag(w2), out=up.real)
+        np.subtract(np.real(w2), np.imag(w1), out=up.imag)
+    return out
+
+
 def heat_kernel_row(spec: SpectralData, t) -> HeatKernelRow:
     """P_t(0, y) = (1/n) sum_x e^{-t(1-lambda_x)} conj(chi_x(y)) via per-axis DFT.
 
@@ -163,8 +220,10 @@ def heat_kernel_row(spec: SpectralData, t) -> HeatKernelRow:
     in `probs` (shape (len(t), n)).  A row is real because its weights are
     Hermitian (w_{-x} = conj w_x), so one complex transform of w(t_1) + i w(t_2)
     carries row t_1 in its real part and row t_2 in its imaginary part, and
-    `probs` is a view of that transform's output.  A row at t = 0 is the
-    indicator of 0 and takes no transform.
+    `probs` is a view of that transform's output.  The weights are computed on
+    half the group and filled as conj w_{-x} (`_packed_weights`), so no row is
+    bit-identical to numpy's `fftn` of the full-spectrum weights.  A row at
+    t = 0 is the indicator of 0 and takes no transform.
     """
     if np.ndim(t) > 1 or not 1 <= np.size(t) <= 2:
         raise ValueError("t must be a time or a pair of times")
@@ -173,36 +232,21 @@ def heat_kernel_row(spec: SpectralData, t) -> HeatKernelRow:
         raise ValueError("t must be >= 0")
     group = spec.group
     n = group.n
-    lam = spec.eigenvalues
     t_max = max(times)
     if t_max > 0:
         # Packing mixes each row's imaginary residue into the other row, so the
         # residue is bounded from the spectrum instead:
         # |Im P_t(0, y)| <= (1/2n) sum_x |w_x - conj w_{-x}|, and exp is
-        # e^{excess}-Lipschitz between the two exponents.
+        # e^{excess}-Lipschitz between the two exponents.  The same sum bounds
+        # what the Hermitian fill of `_packed_weights` changes in each row.
         asymmetry, real_max = spec._residue_terms
         drift = 0.5 * t_max * asymmetry
         excess = t_max * max(0.0, real_max - 1.0)
         if drift > 0 and math.log(drift) + excess > math.log(ROW_TOL):
             raise ImaginaryResidueError(
                 f"imaginary residue bound {drift:g} * e^{excess:g} > {ROW_TOL:g}")
-        # e^{-t(1 - lambda)} + i e^{-t'(1 - lambda)} in at most two buffers: at
-        # n = 10^6 each complex temporary is 16 MB on top of the cached plan.
-        weights = np.subtract(1.0, lam)
-        imag = None
-        if len(times) == 2 and times[1]:
-            imag = np.multiply(-times[1], weights)
-            np.exp(imag, out=imag)
-            imag *= 1j
-        if times[0]:
-            np.multiply(-times[0], weights, out=weights)
-            np.exp(weights, out=weights)
-            if imag is not None:
-                weights += imag
-        else:
-            weights = imag
-        del imag
-        row = _dft(weights.reshape(group.moduli)).reshape(-1)
+        weights = _packed_weights(spec, times)
+        row = _dft(weights).reshape(-1)
         del weights
         row /= n
     else:
@@ -230,13 +274,38 @@ def tv_exact(row: HeatKernelRow) -> float | list[float]:
     """Total variation distance from uniform: half the L1 discrepancy.
 
     Accumulated as the positive-part sum (equal to half the L1 distance for
-    probability vectors), which keeps boundary identities like tv(0) = 1 - 1/n
-    exact to the last bit.  A row of stacked times gives one float per time.
+    probability vectors), added exactly and rounded once (`_exact_sum`, equal
+    to `math.fsum`), which keeps boundary identities like tv(0) = 1 - 1/n exact
+    to the last bit.  A row of stacked times gives one float per time.
     """
     p = row.probs
     u = 1.0 / p.shape[-1]
-    tvs = [math.fsum((r[r > u] - u).tolist()) for r in np.atleast_2d(p)]
+    tvs = [_exact_sum(r[r > u] - u) for r in np.atleast_2d(p)]
     return tvs if p.ndim == 2 else tvs[0]
+
+
+def _exact_sum(x: np.ndarray) -> float:
+    """`math.fsum` of a 1-D array of finite floats, bit for bit.
+
+    Each value is M 2^(e-53) with an integer |M| < 2^53 (`np.frexp`), split as
+    M = 2^26 high + low with integers |high| <= 2^27 and 0 <= low < 2^26.
+    `np.bincount` adds each part per exponent in float64, which is exact while
+    a block holds at most EXACT_SUM_BLOCK values.  The buckets are combined as
+    Python ints and divided by a power of two; `int / int` rounds correctly,
+    as fsum does.
+    """
+    total = 0
+    for start in range(0, x.size, EXACT_SUM_BLOCK):
+        mant, exp = np.frexp(x[start:start + EXACT_SUM_BLOCK])
+        mant *= 2.0 ** 27
+        high = np.floor(mant)
+        mant -= high  # low / 2^26
+        exp += _EXP_OFFSET
+        highs = np.bincount(exp, weights=high)
+        lows = np.bincount(exp, weights=mant) * 2.0 ** 26
+        for e in np.flatnonzero((highs != 0) | (lows != 0)):
+            total += ((int(highs[e]) << 26) + int(lows[e])) << int(e)
+    return total / (1 << _EXP_OFFSET + 53)
 
 
 def l2_bound(spec: SpectralData, t: float) -> float:

@@ -10,6 +10,8 @@ caller in the library.  The dense walk oracles read every coordinate of
 checks read only the nonzero cells.  `vz_uniform_oracle` counts V.Z case by
 case where the library runs one census per batch of cases, and
 `invariant_characters_oracle` filters by one generator at a time.
+`full_spectrum_row` computes every heat-kernel weight from the spectrum, where
+the library fills half of them by Hermitian symmetry.
 """
 
 import math
@@ -22,6 +24,7 @@ from cayley_cutoff import entropic, walk
 from cayley_cutoff.groups import (GeneratorMultiset, GroupSpec, element_of, index_of,
                                   make_group, sample_generators)
 from cayley_cutoff.lemmas import _report
+from cayley_cutoff.spectral import _dft
 
 Element = tuple[int, ...]
 
@@ -251,3 +254,38 @@ def invariant_characters_oracle(group: GroupSpec, Z: GeneratorMultiset,
         ok = coords @ z % lcm == 0
         candidates, coords = candidates[ok], coords[ok]
     return candidates
+
+
+def full_spectrum_row(spec, t) -> np.ndarray:
+    """`spectral.heat_kernel_row(spec, t).probs` with every weight from the spectrum.
+
+    Computes e^{-t(1-lambda_x)} at all n characters, where the library computes
+    half of them and fills the rest as conj w_{-x}; packs, transforms, clamps
+    and renormalizes as the library does, without its guards.  Shape
+    (len(times), n) for a time or a pair of times.
+    """
+    times = [float(s) for s in np.atleast_1d(t)]
+    n = spec.group.n
+    weights = np.subtract(1.0, spec.eigenvalues)
+    imag = None
+    if len(times) == 2 and times[1]:
+        imag = np.multiply(-times[1], weights)
+        np.exp(imag, out=imag)
+        imag *= 1j
+    if times[0]:
+        np.multiply(-times[0], weights, out=weights)
+        np.exp(weights, out=weights)
+        if imag is not None:
+            weights += imag
+    else:
+        weights = imag if imag is not None else np.zeros(n, dtype=complex)
+    row = _dft(weights.reshape(spec.group.moduli)).reshape(-1) / n
+    rows = row.view(float).reshape(n, 2).T[:len(times)].copy()
+    for probs, s in zip(rows, times):
+        if s == 0:
+            probs[:] = 0.0
+            probs[0] = 1.0
+        else:
+            np.clip(probs, 0.0, None, out=probs)
+            probs /= probs.sum()
+    return rows

@@ -162,9 +162,7 @@ def test_sample_generators_chi_square_uniformity():
     g = make_group([2, 3])
     k = 6 * 10 ** 5
     Z = sample_generators(g, k, replicate_rng(5, 0))
-    counts = np.zeros(g.n, dtype=int)
-    for z in Z.generators:
-        counts[index_of(g, z)] += 1
+    counts = np.bincount(index_of(g, Z.generators), minlength=g.n)
     _, pvalue = stats.chisquare(counts)
     assert pvalue > 1e-6
 

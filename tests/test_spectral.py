@@ -15,8 +15,11 @@ from cayley_cutoff.spectral import (ROW_TOL, HeatKernelRow,
                                     gap_summary, heat_kernel_row, l2_bound,
                                     tv_exact)
 
-from conftest import (add, dense_transition, invariant_characters_oracle, neg,
-                      tv_from_uniform, uniformized_row, zero)
+from conftest import (add, dense_transition, full_spectrum_row,
+                      invariant_characters_oracle, neg, tv_from_uniform,
+                      uniformized_row, zero)
+
+EPS = np.finfo(float).eps
 
 
 def _instance(moduli, gens):
@@ -246,6 +249,70 @@ def test_residue_bound_never_below_unpacked_residue(moduli, seed, t, size, spike
             pass
 
 
+def _fill_bound(spec, times):
+    """(1/n) sum_x |w_x - conj w_{-x}| summed over the times: no entry of a packed
+    raw row moves by more when the upper half of the weights is replaced by
+    conj w_{-x}, since each row is (1/n) |DFT| of that change at most."""
+    mirror = _mirror_index(spec.group)
+    bound = 0.0
+    for s in times:
+        w = np.exp(-s * (1.0 - spec.eigenvalues))
+        bound += float(np.abs(w - np.conj(w[mirror])).sum()) / spec.group.n
+    return bound
+
+
+def _assert_matches_full_spectrum(spec, t):
+    times = np.atleast_1d(t)
+    got = np.atleast_2d(heat_kernel_row(spec, t).probs)
+    want = full_spectrum_row(spec, t)
+    fill = _fill_bound(spec, times)
+    # The fill leaves w_0, and so the row mass, unchanged; renormalizing moves an
+    # entry by at most the fill bound once more for each entry the clamp zeroed
+    # in either row.  On top: the rounding of two transforms and a division,
+    # four ulps per halving of n.
+    rounding = 4 * math.ceil(math.log2(2 * spec.group.n)) * EPS
+    for probs, ref, s in zip(got, want, times):
+        if s == 0:
+            assert np.array_equal(probs, ref)
+            continue
+        clamped = int(np.count_nonzero((probs == 0) | (ref == 0)))
+        assert np.abs(probs - ref).max() <= (1 + clamped) * fill + rounding
+
+
+@pytest.mark.parametrize("model", ["undirected", "directed"])
+@pytest.mark.parametrize("moduli", [(12,), (101,), (9, 8), (7, 6), (4, 9, 25), (2, 2, 2)])
+def test_half_spectrum_rows_match_full_spectrum_oracle(moduli, model):
+    # odd and even slab axes, d = 1..3; in (2, 2, 2) the slab is the whole group
+    g = make_group(moduli)
+    spec = eigenvalues(g, sample_generators(g, 4, replicate_rng(23, len(moduli))), model)
+    held = spec.eigenvalues.copy()
+    for t in (0.7, 3.0, 40.0, [0.4, 2.5], [2.5, 0.4], [2.5, 0.0], [0.0, 1.2]):
+        _assert_matches_full_spectrum(spec, t)
+    assert np.array_equal(spec.eigenvalues, held)
+
+
+@given(moduli=st.sampled_from([(12,), (101,), (9, 8), (4, 9, 25), (7, 6)]),
+       seed=st.integers(0, 10 ** 6), t=st.floats(0.01, 50.0),
+       size=st.floats(-16.0, -8.0), spikes=st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_half_spectrum_rows_stay_within_fill_bound(moduli, seed, t, size, spikes):
+    # A non-Hermitian spectrum the guard lets through: the fill changes the
+    # weights by sum_x |w_x - conj w_{-x}|, and the rows by no more than that.
+    g = make_group(moduli)
+    rng = replicate_rng(seed, 0)
+    lam = eigenvalues(g, sample_generators(g, 3, rng), "directed").eigenvalues.copy()
+    hit = rng.integers(1, g.n, size=spikes)
+    lam[hit] += 10.0 ** size * (rng.normal(size=spikes) + 1j * rng.normal(size=spikes))
+    spec = SpectralData(model="directed", group=g, k=3, eigenvalues=lam)
+    for pair in ([t, 0.5 * t], [0.5 * t, t]):
+        try:
+            _assert_matches_full_spectrum(spec, pair)
+        except ImaginaryResidueError:  # the guard's own test covers this side
+            pass
+        except ValueError as err:  # a spike can push an empty entry below the clamp
+            assert "negative probability" in str(err)
+
+
 @pytest.mark.parametrize("model", ["undirected", "directed"])
 @pytest.mark.parametrize("moduli", [(12,), (9, 8), (4, 9, 25)])
 def test_paired_rows_equal_single_rows(moduli, model):
@@ -350,6 +417,38 @@ def test_tv_exact_matches_elementwise_sum():
             u = 1.0 / n
             expected = math.fsum(p - u for p in probs.tolist() if p > u)
             assert tv_exact(HeatKernelRow(t=1.0, probs=probs)) == expected
+
+
+def _fsum_cases():
+    rng = replicate_rng(29, 0)
+    tie = 2.0 ** -65  # 2^12 of them add 2^-53: half an ulp of 1.0
+    return {
+        "empty": np.array([]),
+        "one": np.array([0.3]),
+        "subnormal": rng.integers(1, 2 ** 52, size=999) * 5e-324,
+        "subnormal and normal": np.concatenate([rng.integers(1, 2 ** 52, size=500) * 5e-324,
+                                                rng.random(500) * 1e-300]),
+        "1000+ exponents": np.ldexp(rng.normal(size=5000), rng.integers(-1070, 1000, size=5000)),
+        "cancelling": np.concatenate([[1e300, -1e300], rng.normal(size=100) * 1e-200]),
+        "tie to even below": np.concatenate([[1.0], np.full(2 ** 12, tie)]),
+        "tie to even above": np.concatenate([[1.0 + EPS], np.full(2 ** 12, tie)]),
+        "just past tie": np.concatenate([[1.0], np.full(2 ** 12 + 1, tie)]),
+    }
+
+
+@pytest.mark.parametrize("block", [spectral.EXACT_SUM_BLOCK, 7])
+def test_exact_sum_is_fsum_bit_for_bit(monkeypatch, block):
+    monkeypatch.setattr(spectral, "EXACT_SUM_BLOCK", block)
+    for name, x in _fsum_cases().items():
+        got, want = spectral._exact_sum(x), math.fsum(x.tolist())
+        assert got.hex() == want.hex(), name
+    assert spectral._exact_sum(_fsum_cases()["tie to even below"]) == 1.0
+    assert spectral._exact_sum(_fsum_cases()["tie to even above"]) == 1.0 + 2 * EPS
+    for n in (1, 2):
+        assert tv_exact(HeatKernelRow(t=1.0, probs=np.full(n, 1.0 / n))) == 0.0
+    probs = np.stack([replicate_rng(31, j).dirichlet(np.full(1009, 0.3)) for j in range(2)])
+    expected = [math.fsum(p - 1 / 1009 for p in r.tolist() if p > 1 / 1009) for r in probs]
+    assert tv_exact(HeatKernelRow(t=(1.0, 2.0), probs=probs)) == expected
 
 
 def test_tv_le_l2_bound_and_monotone():
