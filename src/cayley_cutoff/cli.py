@@ -1,8 +1,9 @@
 """Command-line interface for the experiment harness.
 
 Subcommands: spectrum, tv-curve, cutoff-profile, gap-scan, entropic, verify,
-cheeger.  Flags override a flat key=value config file, which overrides
-defaults; the seed is always explicit (no environment entropy).
+cheeger; each takes only the flags it reads (`COMMANDS`).  Flags override a
+flat key=value config file, which overrides the ExperimentConfig defaults; the
+seed is always explicit (no environment entropy).
 """
 
 from __future__ import annotations
@@ -10,14 +11,59 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .entropic import BracketError
+from .entropic import MODELS, BracketError
 from .experiments import (RUNNERS, SELF_TEST, BudgetExceededError, ExperimentConfig,
                           run_verify)
 from .groups import parse_group
 
 
-def load_config_file(path: str) -> dict:
-    """Read a flat key=value file of `_DEFAULTS` keys; '#' starts a comment."""
+def _parse_switch(text: str) -> bool:
+    if text not in ("0", "1", "true", "false"):
+        raise ValueError(f"must be 0, 1, true or false, got {text!r}")
+    return text in ("1", "true")
+
+
+#: config key -> (ExperimentConfig field, parser of the key's text, argparse options).
+#: Every flag leaves its text, or None when absent, for make_config to parse.
+KEYS = {
+    "group": ("moduli", lambda text: parse_group(text).moduli,
+              {"help": 'comma-separated moduli, e.g. "4,9,25"'}),
+    "k": ("k", int, {}),
+    "model": ("model", str, {"choices": MODELS}),
+    "alpha": ("alphas", lambda text: tuple(float(a) for a in text.split(",") if a.strip()),
+              {"help": "comma-separated alpha list"}),
+    "t_grid": ("t_grid", str, {"help": "lo:hi:points (log-spaced)"}),
+    "replicates": ("replicates", int, {}),
+    "seed": ("base_seed", int, {"help": "required; it enters the config digest (verify "
+             "draws nothing from it: every lemma check draws from its own fixed stream)"}),
+    "out": ("out", str, {}),
+    "fmt": ("fmt", str, {"choices": ("csv", "json")}),
+    "only": ("only", str, {"help": "run a single named check"}),
+    "jobs": ("jobs", int, {}),
+    "force": ("force", _parse_switch, {"action": "store_const", "const": "1",
+                                       "help": "override the work-budget refusal"}),
+}
+
+_INSTANCE = ("group", "k", "model", "seed", "out")
+
+#: the config keys each subcommand reads; its flags are exactly these keys' flags
+COMMANDS = {
+    "spectrum": (*_INSTANCE, "fmt", "force"),
+    "tv-curve": (*_INSTANCE, "t_grid", "replicates", "fmt", "jobs", "force"),
+    "cutoff-profile": (*_INSTANCE, "alpha", "replicates", "fmt", "jobs", "force"),
+    "gap-scan": (*_INSTANCE, "replicates", "fmt", "jobs", "force"),
+    "entropic": (*_INSTANCE, "alpha"),
+    "verify": ("seed", "out", "only"),
+    "cheeger": (*_INSTANCE, "replicates", "fmt", "jobs"),
+}
+
+
+def _flag(key: str) -> str:
+    return "--format" if key == "fmt" else "--" + key.replace("_", "-")
+
+
+def load_config_file(path: str, keys=tuple(KEYS)) -> dict:
+    """Read a flat key=value file of the given config keys; '#' starts a comment."""
     values = {}
     with open(path) as fh:
         for raw in fh:
@@ -27,42 +73,21 @@ def load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"bad config line: {raw.rstrip()}")
             key, val = (part.strip() for part in line.split("=", 1))
-            if key not in _DEFAULTS:
-                raise ValueError(f"--config: unknown key {key!r}; known: {', '.join(_DEFAULTS)}")
+            if key not in keys:
+                raise ValueError(f"--config: unknown key {key!r}; known: {', '.join(keys)}")
             values[key] = val
     return values
-
-
-def _parse_switch(text: str) -> bool:
-    if text not in ("0", "1", "true", "false"):
-        raise ValueError(f"must be 0, 1, true or false, got {text!r}")
-    return text in ("1", "true")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cayley-cutoff",
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = ("spectrum", "tv-curve", "cutoff-profile", "gap-scan", "entropic",
-                "verify", "cheeger")
-    for name in commands:
+    for name, keys in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--group", help='comma-separated moduli, e.g. "4,9,25"')
-        p.add_argument("--k", type=int)
-        p.add_argument("--model", choices=("undirected", "directed"))
-        p.add_argument("--alpha", help="comma-separated alpha list")
-        p.add_argument("--t-grid", dest="t_grid", help="lo:hi:points (log-spaced)")
-        p.add_argument("--replicates", type=int)
-        p.add_argument("--seed", type=int, help=(
-            "labels the run (it enters the config digest) and draws nothing: every "
-            "lemma check draws from its own fixed stream" if name == "verify" else None))
-        p.add_argument("--out")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"))
-        p.add_argument("--only", help="verify: run a single named check")
-        p.add_argument("--jobs", type=int)
-        p.add_argument("--force", action="store_true",
-                       help="override the work-budget refusal")
+        for key in keys:
+            p.add_argument(_flag(key), dest=key, **KEYS[key][2])
         if name == "verify":
             p.add_argument("--self-test-fail", action="store_true",
                            help=argparse.SUPPRESS)  # negative-control hook
@@ -71,52 +96,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DEFAULTS = {
-    "group": None, "k": None, "model": "undirected", "alpha": None,
-    "t_grid": None, "replicates": "1", "seed": None,
-    "out": None, "fmt": "csv", "only": None, "jobs": "1", "force": None,
-}
-
-
 def make_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge defaults, --config file and flags; a bad value raises a ValueError naming its flag."""
-    merged = dict(_DEFAULTS)
-    if args.config:
-        merged.update(load_config_file(args.config))
-    for key in ("group", "k", "model", "alpha", "t_grid", "replicates", "seed", "out",
-                "fmt", "only", "jobs"):
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
-    if getattr(args, "force", False):
-        merged["force"] = "1"
-
-    def parsed(key, parse, absent=None):
-        raw = merged[key]
-        if raw is None or (raw == "" and parse is not int):  # "key=" unsets a text value
-            return absent
+    """Merge --config file, then flags, over the dataclass defaults; a bad value names its flag."""
+    keys = COMMANDS[args.command]
+    merged = load_config_file(args.config, keys) if args.config else {}
+    merged.update((key, getattr(args, key)) for key in keys
+                  if getattr(args, key) is not None)
+    fields = {}
+    for key, text in merged.items():
+        field, parse, _ = KEYS[key]
+        if text == "" and parse is not int:  # "key=" unsets a text value
+            continue
         try:
-            return parse(str(raw))
+            fields[field] = parse(text)
         except (ValueError, OverflowError) as exc:
-            flag = "--" + key.replace("_", "-")
-            raise ValueError(f"{flag}: {exc}") from None
-
-    return ExperimentConfig(
-        command=args.command,
-        moduli=parsed("group", lambda text: parse_group(text).moduli, ()),
-        k=parsed("k", int, 0),
-        model=str(merged["model"]),
-        alphas=parsed("alpha", lambda text: tuple(
-            float(a) for a in text.split(",") if a.strip()), ()),
-        t_grid=parsed("t_grid", str),
-        replicates=parsed("replicates", int),
-        base_seed=parsed("seed", int),
-        out=parsed("out", str),
-        fmt=str(merged["fmt"]),
-        only=parsed("only", str),
-        force=parsed("force", _parse_switch, False),
-        jobs=parsed("jobs", int),
-    )
+            raise ValueError(f"{_flag(key)}: {exc}") from None
+    return ExperimentConfig(command=args.command, **fields)
 
 
 def main(argv=None) -> int:
@@ -130,7 +125,7 @@ def main(argv=None) -> int:
         args.error(str(exc))
     if args.command == "verify":
         extra = None
-        if getattr(args, "self_test_fail", False):
+        if args.self_test_fail:
             from .lemmas import CheckReport
             extra = {SELF_TEST: lambda: CheckReport(
                 name=SELF_TEST, passed=False,

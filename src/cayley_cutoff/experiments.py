@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
@@ -40,7 +41,7 @@ class ExperimentConfig:
     alphas: tuple[float, ...] = ()
     t_grid: str | None = None
     replicates: int = 1
-    base_seed: int = 0
+    base_seed: int | None = None
     out: str | None = None
     fmt: str = "csv"
     only: str | None = None
@@ -167,12 +168,14 @@ def _write(config: ExperimentConfig, text: str) -> str:
 def _map_replicates(config: ExperimentConfig, fn, payload) -> list:
     """Run fn(replicate_index, payload) for each replicate, serial or pooled.
 
-    Results are merged in replicate order regardless of completion order.
+    Results are merged in replicate order regardless of completion order.  Fork
+    starts every worker on the first submit, so there is at most one per replicate and CPU.
     """
     indices = list(range(config.replicates))
-    if config.jobs <= 1:
+    workers = min(config.jobs, config.replicates, os.cpu_count() or 1)
+    if workers == 1:
         return [fn(r, payload) for r in indices]
-    with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, indices, [payload] * len(indices)))
 
 

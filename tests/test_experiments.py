@@ -1,15 +1,17 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cayley_cutoff
-from cayley_cutoff import cli, entropic, spectral
+from cayley_cutoff import cli, entropic, experiments, spectral
 from cayley_cutoff.cli import load_config_file, main
 from cayley_cutoff.experiments import (BudgetExceededError, ExperimentConfig,
                                        _budget_check, _instance, _parse_t_grid,
@@ -154,12 +156,14 @@ def test_budget_check_prices_transforms_not_generators():
 
 def test_spectrum_budget_prices_the_one_transform_it_computes(capsys):
     # 2e5 spectra at n = 1009 would cost 2e9 butterfly-equivalents; one costs 1e4
-    argv = ["spectrum", "--group", "1009", "--k", "4", "--seed", "1"]
-    main(argv + ["--replicates", "200000"])
-    many = capsys.readouterr().out.split("\n", 1)
-    main(argv)
-    one = capsys.readouterr().out.split("\n", 1)
-    assert many[0] != one[0] and many[1] == one[1]  # only the digest differs
+    many = _config(command="spectrum", moduli=(1009,), k=4, base_seed=1, replicates=200000)
+    assert run_spectrum(many)[1] == run_spectrum(replace(many, replicates=1))[1]
+    # spectrum reads no --replicates, so the CLI refuses the flag
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--group", "1009", "--k", "4", "--seed", "1",
+              "--replicates", "200000"])
+    assert exc.value.code == 2
+    assert "--replicates" in capsys.readouterr().err
     # one transform over the budget is still refused unless forced
     with pytest.raises(BudgetExceededError):
         run_spectrum(_config(command="spectrum", moduli=(2 ** 26,), k=3))
@@ -221,6 +225,35 @@ def test_instance_digest_is_pinned():
                                      [2, 3, 1]]
 
 
+@pytest.mark.parametrize("jobs, replicates, cpus, workers", [
+    (5000, 2, 4, 2), (5000, 50, 4, 4), (3, 50, 4, 3),
+    (5000, 1, 4, None), (8, 8, None, None), (1, 8, 4, None),
+])
+def test_pool_has_at_most_one_worker_per_replicate_and_cpu(monkeypatch, jobs, replicates,
+                                                          cpus, workers):
+    started = []
+
+    class RecordingPool:  # records its size and starts no process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    config = _config(command="gap-scan", moduli=(64,), k=3, replicates=replicates, jobs=jobs)
+    rows = run_gap_scan(config)[1]
+    assert started == ([] if workers is None else [workers])
+    assert rows == run_gap_scan(replace(config, jobs=1))[1]
+
+
 def test_verify_runner_and_filter():
     text, status = run_verify(_config(command="verify", moduli=(), k=0,
                                       only="cos_taylor"))
@@ -265,6 +298,92 @@ def test_cli_bad_input_exits_2_naming_the_flag(monkeypatch, capsys, argv, flag):
     err = capsys.readouterr().err
     assert flag in err
     assert err.startswith(f"usage: cayley-cutoff {argv[0]} ")
+
+
+#: the flags each subcommand reads, besides --config and verify's hidden --self-test-fail
+READS = {
+    "spectrum": "group k model seed out format force",
+    "tv-curve": "group k model seed out t-grid replicates format jobs force",
+    "cutoff-profile": "group k model seed out alpha replicates format jobs force",
+    "gap-scan": "group k model seed out replicates format jobs force",
+    "entropic": "group k model seed out alpha",
+    "cheeger": "group k model seed out replicates format jobs",
+    "verify": "seed out only",
+}
+#: a valid value of each flag; None marks the one switch
+FLAG_VALUES = {"group": "12", "k": "3", "model": "directed", "alpha": "0",
+               "t-grid": "1:2:3", "replicates": "2", "seed": "1", "out": "x.csv",
+               "format": "json", "only": "cos_taylor", "jobs": "2", "force": None}
+UNREAD = [(sub, flag) for sub, flags in READS.items() for flag in FLAG_VALUES
+          if flag not in flags.split()]
+
+
+def _flag_argv(flag):
+    value = FLAG_VALUES[flag]
+    return ["--" + flag] + ([] if value is None else [value])
+
+
+def test_each_subcommand_accepts_every_flag_it_reads():
+    assert sum(len(flags.split()) for flags in READS.values()) == 53
+    assert len(UNREAD) == 31
+    for sub, flags in READS.items():
+        argv = [sub] + [arg for flag in flags.split() for arg in _flag_argv(flag)]
+        assert cli.make_config(cli.build_parser().parse_args(argv)).command == sub
+
+
+@pytest.mark.parametrize("sub, flag", UNREAD)
+def test_cli_unread_flag_or_config_key_exits_2_naming_it(monkeypatch, capsys, tmp_path,
+                                                         sub, flag):
+    monkeypatch.setattr(cli, "RUNNERS", {})
+    monkeypatch.setattr(cli, "run_verify", None)
+    base = ["--seed", "1"] + (["--group", "12", "--k", "3"] if sub != "verify" else [])
+    with pytest.raises(SystemExit) as exc:
+        main([sub] + base + _flag_argv(flag))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: cayley-cutoff {sub} ")
+    assert "--" + flag in err
+    # the same setting as a --config key is refused, listing the keys sub reads
+    key = "fmt" if flag == "format" else flag.replace("-", "_")
+    keys = ["fmt" if f == "format" else f.replace("-", "_") for f in READS[sub].split()]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={FLAG_VALUES[flag] or 1}\n")
+    with pytest.raises(SystemExit) as exc:
+        main([sub, "--config", str(cfg)] + base)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: cayley-cutoff {sub} ")
+    assert f"--config: unknown key {key!r}; known: {', '.join(keys)}" in err
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("tv-curve --group 101 --k 4 --seed 7", "46656f986939"),
+    ("cutoff-profile --group 100003 --k 400 --seed 1 --alpha=-1.5,0,1.5 --replicates 20",
+     "273d5806c499"),
+    ("cutoff-profile --group 100003 --k 400 --seed 1 --alpha=-1.5,0,1.5 --replicates 20 "
+     "--model undirected", "273d5806c499"),
+    ("gap-scan --group 64 --k 3 --seed 7 --replicates 50 --format json", "fa208c92cbdd"),
+    ("entropic --group 1000003 --k 14 --seed 1", "29283b1c7931"),
+    ("verify --seed 1", "22935746a34f"),
+    ("verify --seed 20260601", "2f37e800d97a"),
+    ("tv-curve --group 1000003 --k 14 --model directed --seed 7 --t-grid 0.9:45:24",
+     "a87dbf40e0d3"),
+])
+def test_cli_config_digests_are_pinned(argv, digest):
+    config = cli.make_config(cli.build_parser().parse_args(argv.split()))
+    assert config.digest() == digest
+    if config.command == "entropic":  # the report is JSON, and its header says so
+        assert replace(config, fmt="json").digest() == "96d5293f7913"
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    examples = [shlex.split(line)[1:] for line in lines if line.startswith("cayley-cutoff ")]
+    assert len(examples) >= 5
+    for argv in examples:
+        cli.make_config(cli.build_parser().parse_args(argv))
 
 
 def test_cli_budget_refusal_exits_2_naming_force(capsys):
@@ -345,8 +464,8 @@ def test_cli_config_file_force_and_unknown_keys(tmp_path, capsys, line, force, e
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert error in err
-    if "'" in error:  # an unknown key lists the known ones
-        assert "fmt" in err and "replicates" in err
+    if "'" in error:  # an unknown key lists the keys spectrum reads
+        assert err.rstrip().endswith("known: group, k, model, seed, out, fmt, force")
 
 
 def test_cli_unreachable_entropy_target_exits_2(capsys):
