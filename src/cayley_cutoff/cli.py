@@ -80,11 +80,12 @@ def load_config_file(path: str, keys=tuple(KEYS)) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="cayley-cutoff",
+    # allow_abbrev=False: a flag is spelled in full, so "--gr" is not "--group"
+    parser = argparse.ArgumentParser(prog="cayley-cutoff", allow_abbrev=False,
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, keys in COMMANDS.items():
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", help="flat key=value config file")
         for key in keys:
             p.add_argument(_flag(key), dest=key, **KEYS[key][2])

@@ -123,38 +123,31 @@ def _csv_quote(s: str) -> str:
     return s
 
 
-def render_csv(config: ExperimentConfig, rows) -> str:
-    """Header comment, then the keys of the first row as columns, then one line per row."""
-    columns = list(rows[0])
-    lines = [f"# {TOOL_VERSION} config={config.digest()}"]
-    lines.append(",".join(_csv_quote(c) for c in columns))
-    for row in rows:
-        lines.append(",".join(_csv_quote(_fmt_value(row[c])) for c in columns))
-    return "\n".join(lines) + "\n"
-
-
-def render_json(config: ExperimentConfig, rows, summary=None) -> str:
-    meta = {"meta": {"tool": TOOL_VERSION, "config_digest": config.digest()}}
-    lines = [json.dumps(meta, sort_keys=True)]
-    for row in rows:
-        lines.append(json.dumps(row, sort_keys=True, default=_fmt_value))
-    if summary is not None:
-        lines.append(json.dumps({"summary": summary}, sort_keys=True,
-                                default=_fmt_value))
-    return "\n".join(lines) + "\n"
-
-
 def _emit(config: ExperimentConfig, rows, summary=None) -> str:
+    """Render rows, and a summary, as config.fmt; write them to --out and return them.
+
+    CSV: a header comment, the keys of the first row as columns, one line per
+    row, then one `# summary` line per summary entry if the summary is truthy.
+    JSON: a meta line, one object per row, then one {"summary": ...} line if
+    the summary is not None.
+    """
+    def dump(obj) -> str:
+        return json.dumps(obj, sort_keys=True, default=_fmt_value)
+
     if config.fmt == "csv":
-        text = render_csv(config, rows)
+        columns = list(rows[0])
+        lines = [f"# {TOOL_VERSION} config={config.digest()}",
+                 ",".join(_csv_quote(c) for c in columns)]
+        lines += [",".join(_csv_quote(_fmt_value(row[c])) for c in columns) for row in rows]
         if summary:
-            srows = summary if isinstance(summary, list) else [summary]
-            for srow in srows:
-                text += "# summary " + json.dumps(srow, sort_keys=True,
-                                                  default=_fmt_value) + "\n"
+            lines += ["# summary " + dump(s)
+                      for s in (summary if isinstance(summary, list) else [summary])]
     else:
-        text = render_json(config, rows, summary)
-    return _write(config, text)
+        lines = [dump({"meta": {"tool": TOOL_VERSION, "config_digest": config.digest()}})]
+        lines += [dump(row) for row in rows]
+        if summary is not None:
+            lines.append(dump({"summary": summary}))
+    return _write(config, "\n".join(lines) + "\n")
 
 
 def _write(config: ExperimentConfig, text: str) -> str:
@@ -379,7 +372,7 @@ def run_entropic_report(config: ExperimentConfig) -> tuple[str, list[dict]]:
         },
     }
     # the report is JSON whatever --format says, and its digest says so too
-    return _write(config, render_json(replace(config, fmt="json"), [record])), [record]
+    return _emit(replace(config, fmt="json"), [record]), [record]
 
 
 def run_verify(config: ExperimentConfig, extra_checks: dict | None = None

@@ -47,17 +47,6 @@ class GeneratorMultiset:
         return len(self.generators)
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
-    """Outcome of the three admissibility clauses relating n, k, d and eta."""
-
-    eta: float
-    min_modulus_ok: bool
-    small_k_ok: bool
-    large_k_ok: bool
-    passes: bool
-
-
 def make_group(moduli) -> GroupSpec:
     """Build a GroupSpec from a list of cyclic moduli (each >= 2)."""
     mods = tuple(int(m) for m in moduli)
@@ -118,36 +107,6 @@ def sample_generators(group: GroupSpec, k: int, rng: np.random.Generator) -> Gen
     if k < 1:
         raise ValueError("k must be >= 1")
     return GeneratorMultiset(np.column_stack([rng.integers(0, m, size=k) for m in group.moduli]))
-
-
-def check_hypotheses(group: GroupSpec, k: int, eta: float) -> HypothesisReport:
-    """Evaluate the three admissibility clauses (all logarithms natural).
-
-    1. every m_j > n^{1/k} * (ln k)^2;
-    2. if k <= eta * ln n / ln ln n then d <= (1 - 2 eta) * k;
-    3. if k > eta * ln n / ln ln n then d <= (1/20) * eta * ln n / ln ln n.
-
-    A conditional clause whose condition does not apply counts as holding.
-    """
-    if not 0 < eta < 1:
-        raise ValueError("eta must lie in (0, 1)")
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    n, d = group.n, group.d
-    log_n = math.log(n)
-    loglog_n = math.log(log_n)
-    threshold = eta * log_n / loglog_n
-
-    min_modulus_ok = all(m > n ** (1.0 / k) * math.log(k) ** 2 for m in group.moduli)
-    small_k_ok = (k > threshold) or (d <= (1 - 2 * eta) * k)
-    large_k_ok = (k <= threshold) or (d <= threshold / 20)
-    return HypothesisReport(
-        eta=eta,
-        min_modulus_ok=min_modulus_ok,
-        small_k_ok=small_k_ok,
-        large_k_ok=large_k_ok,
-        passes=min_modulus_ok and small_k_ok and large_k_ok,
-    )
 
 
 def replicate_rng(base_seed: int, replicate: int) -> np.random.Generator:

@@ -86,8 +86,7 @@ class SpectralData:
         Every heat-kernel row bounds its imaginary residue from these two.
         """
         lam = self.eigenvalues
-        mirror = np.roll(np.flip(lam.reshape(self.group.moduli)), 1,
-                         axis=tuple(range(self.group.d))).reshape(-1)  # lambda_{-x}
+        mirror = _negated(lam.reshape(self.group.moduli), range(self.group.d)).reshape(-1)
         np.conjugate(mirror, out=mirror)
         np.subtract(lam, mirror, out=mirror)
         return float(np.abs(mirror).mean()), float(lam.real.max())
@@ -130,6 +129,16 @@ def _invariant_characters(group: GroupSpec, Z: GeneratorMultiset,
     for lo in range(0, len(candidates), rows):
         ok[lo:lo + rows] = (coords[lo:lo + rows] @ gens % lcm == 0).all(axis=1)
     return candidates[ok]
+
+
+def _negated(a: np.ndarray, axes) -> np.ndarray:
+    """a_{-x} along each of `axes`, a flip and a roll by one per axis; `a` itself if none.
+
+    One axis at a time: numpy rolls a tuple of d axes as 2^d slice copies.
+    """
+    for axis in axes:
+        a = np.roll(np.flip(a, axis), 1, axis)
+    return a
 
 
 def _dft(a: np.ndarray, inverse: bool = False) -> np.ndarray:
@@ -189,8 +198,7 @@ def _packed_weights(spec: SpectralData, times: list[float]) -> np.ndarray:
         """w_{-x} for the filled planes x_a = h+1 .. m_a-1, from slab weights w."""
         if np.ndim(w) == 0:
             return w
-        w = w[lead + (slice(moduli[a] - h - 1, 0, -1),)]
-        return np.roll(np.flip(w, others), 1, others) if others else w
+        return _negated(w[lead + (slice(moduli[a] - h - 1, 0, -1),)], others)
 
     half = spec.eigenvalues.reshape(moduli)[slab]
     real = not half.imag.any()

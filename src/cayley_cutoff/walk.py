@@ -212,29 +212,3 @@ def typicality_probe(n: int, k: int, model: str, alpha: float, samples: int,
         target=psi(alpha),
         details={"local_failure_rate": local_fails / samples, "t_alpha": t_a},
     )
-
-
-@dataclass(frozen=True)
-class TvErrorBudget:
-    epsilon: float
-    in_regime: bool
-
-
-def tv_error_budget(n: int, k: int) -> TvErrorBudget:
-    """Expected |d_Z(t_alpha) - Psi(alpha)| scale: 2 ln(k/ln k)/sqrt(k).
-
-    The bound is established for k <= (1/2) ln n / ln ln n; outside that range
-    the value is still returned but flagged.
-    """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    eps = 2.0 * math.log(k / math.log(k)) / math.sqrt(k)
-    log_n = math.log(n)
-    in_regime = k <= 0.5 * log_n / math.log(log_n)
-    return TvErrorBudget(epsilon=eps, in_regime=in_regime)
-
-
-def berry_esseen_band(k: int, v: float) -> float:
-    """Advisory accuracy band for probe targets: 3000^{3/4}/sqrt(k) + omega/sqrt(vk)."""
-    vk = v * k
-    return 3000.0 ** 0.75 / math.sqrt(k) + vk ** 0.25 / math.sqrt(vk)

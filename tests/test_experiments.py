@@ -287,6 +287,10 @@ def test_cli_requires_seed(capsys):
     (["entropic", "--group", "101", "--k", "3", "--samples", "-5"], "--samples"),
     (["entropic", "--group", "101", "--k", "3", "--alpha=inf"], "--alpha"),
     (["cutoff-profile", "--group", "101", "--k", "3", "--alpha=0,nan"], "--alpha"),
+    # an abbreviated flag is not the flag it abbreviates
+    (["gap-scan", "--gr", "64", "--k", "3", "--se", "7", "--rep", "2", "--form", "json"],
+     "--gr 64 --se 7 --rep 2 --form json"),
+    (["verify", "--seed", "1", "--only", "self_test", "--self-test"], "--self-test"),
 ])
 def test_cli_bad_input_exits_2_naming_the_flag(monkeypatch, capsys, argv, flag):
     # nothing may run before the error: any runner call would fail differently

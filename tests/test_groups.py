@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from cayley_cutoff.groups import (GeneratorMultiset, check_hypotheses, element_levels,
-                                  element_of, index_of, make_group, parse_group,
-                                  replicate_rng, sample_generators)
+from cayley_cutoff.groups import (GeneratorMultiset, element_levels, element_of, index_of,
+                                  make_group, parse_group, replicate_rng, sample_generators)
 from conftest import add, dot, neg, zero
 
 
@@ -165,29 +164,6 @@ def test_sample_generators_chi_square_uniformity():
     counts = np.bincount(index_of(g, Z.generators), minlength=g.n)
     _, pvalue = stats.chisquare(counts)
     assert pvalue > 1e-6
-
-
-def test_check_hypotheses_examples():
-    rep = check_hypotheses(make_group([101]), 10, 0.1)
-    # 101 > 101^{0.1} * (ln 10)^2 ~ 8.40
-    assert rep.min_modulus_ok
-    assert rep.passes == (rep.min_modulus_ok and rep.small_k_ok and rep.large_k_ok)
-
-    rep = check_hypotheses(make_group([2] * 10), 4, 0.1)
-    assert not rep.min_modulus_ok and not rep.passes
-
-    # d > k fails whichever d-clause applies
-    rep = check_hypotheses(make_group([3, 3, 3]), 2, 0.1)
-    assert not rep.passes
-
-
-def test_check_hypotheses_validation():
-    g = make_group([101])
-    for eta in (0.0, 1.0, -0.5):
-        with pytest.raises(ValueError):
-            check_hypotheses(g, 10, eta)
-    with pytest.raises(ValueError):
-        check_hypotheses(g, 1, 0.1)
 
 
 def test_replicate_rng_streams():

@@ -221,6 +221,20 @@ def _mirror_index(group):
     return np.array([index_of(group, neg(group, element_of(group, x))) for x in range(group.n)])
 
 
+@pytest.mark.parametrize("moduli", [(2,) * 10, (3,) * 8, (2, 3, 2, 5, 2, 3, 4, 2)])
+def test_residue_terms_match_elementwise_negation(moduli):
+    # a perturbed directed spectrum, so lambda_{-x} != conj lambda_x, at d >= 8
+    g = make_group(moduli)
+    rng = replicate_rng(31, len(moduli))
+    lam = eigenvalues(g, sample_generators(g, 5, rng), "directed").eigenvalues.copy()
+    lam += 1e-6 * (rng.normal(size=g.n) + 1j * rng.normal(size=g.n))
+    spec = SpectralData(model="directed", group=g, k=5, eigenvalues=lam)
+    minus = index_of(g, -element_of(g, np.arange(g.n)) % g.moduli)
+    want = float(np.abs(lam - np.conj(lam[minus])).mean())
+    assert want > 0
+    assert spec._residue_terms == (want, float(lam.real.max()))
+
+
 @given(moduli=st.sampled_from([(12,), (9, 8), (4, 9, 25), (7, 6)]),
        seed=st.integers(0, 10 ** 6), t=st.floats(0.01, 50.0),
        size=st.floats(-12.0, -2.0), spikes=st.integers(1, 4))
@@ -280,7 +294,8 @@ def _assert_matches_full_spectrum(spec, t):
 
 
 @pytest.mark.parametrize("model", ["undirected", "directed"])
-@pytest.mark.parametrize("moduli", [(12,), (101,), (9, 8), (7, 6), (4, 9, 25), (2, 2, 2)])
+@pytest.mark.parametrize("moduli", [(12,), (101,), (9, 8), (7, 6), (4, 9, 25), (2, 2, 2),
+                                    (2,) * 10, (3,) * 8])
 def test_half_spectrum_rows_match_full_spectrum_oracle(moduli, model):
     # odd and even slab axes, d = 1..3; in (2, 2, 2) the slab is the whole group
     g = make_group(moduli)

@@ -7,8 +7,8 @@ from cayley_cutoff import entropic
 from cayley_cutoff.groups import (GeneratorMultiset, index_of, make_group,
                                   replicate_rng, sample_generators)
 from cayley_cutoff.spectral import eigenvalues, heat_kernel_row
-from cayley_cutoff.walk import (_walk_cells, berry_esseen_band, clt_probe, psi,
-                                tv_error_budget, typicality_params, typicality_probe)
+from cayley_cutoff.walk import (_walk_cells, clt_probe, psi, typicality_params,
+                                typicality_probe)
 from conftest import (PmfUnderflowError, q_value, sample_walks, simulate_S,
                       typical_mask)
 
@@ -335,22 +335,3 @@ def test_simulate_s_matches_heat_kernel_row():
     emp_tv = 0.5 * np.abs(counts / samples - row.probs).sum()
     assert emp_tv <= math.sqrt(g.n / samples)  # twice the mean L1 sampling error
 
-
-def test_tv_error_budget():
-    budget = tv_error_budget(10 ** 9, round(math.e ** 2))
-    k = round(math.e ** 2)
-    expected = 2.0 * math.log(k / math.log(k)) / math.sqrt(k)
-    assert abs(budget.epsilon - expected) < 1e-12
-    # formula value at k = e^2 exactly: 2(2 - ln 2)/e
-    assert abs(2.0 * (2 - math.log(2)) / math.e - 0.961) < 1e-3
-    vals = [tv_error_budget(10 ** 9, k).epsilon for k in range(8, 60)]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-    assert not tv_error_budget(10 ** 3, 50).in_regime
-    assert tv_error_budget(10 ** 9, 3).in_regime
-    with pytest.raises(ValueError):
-        tv_error_budget(10 ** 3, 1)
-
-
-def test_berry_esseen_band_positive_decreasing():
-    v = 0.5
-    assert berry_esseen_band(400, v) > berry_esseen_band(4000, v) > 0
