@@ -9,6 +9,7 @@ seed is always explicit (no environment entropy).
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
 from .entropic import MODELS, BracketError
@@ -117,7 +118,14 @@ def make_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def main(argv=None) -> int:
     """Run one subcommand; bad input or a refused budget exits 2 naming the flag to change."""
-    args, unknown = build_parser().parse_known_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    # The root reads no flag but --help.  argparse would report a missing
+    # command first, or take a flag's value for the command, and not name the flag.
+    lead = list(itertools.takewhile(lambda arg: arg not in COMMANDS, argv))
+    if any(arg.startswith("-") for arg in lead) and not {"-h", "--help"} & set(lead):
+        parser.error(f"unrecognized arguments: {' '.join(lead)}")
+    args, unknown = parser.parse_known_args(argv)
     if unknown:
         args.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:

@@ -7,21 +7,30 @@ histogram (how often each element occurs among the generators), so the whole
 spectrum costs one transform.  Heat-kernel rows are real, so one more
 transform carries two of them, one in its real and one in its imaginary part.
 
-Both transforms run through `_dft` on scipy's pocketfft, which handles
-arbitrary axis lengths (Bluestein/chirp-z for primes) at O(n log n) and, unlike
-numpy's, caches its plans: a prime-length row reuses the chirp and the padded
-kernel transform of the previous row instead of rebuilding them (at
-n = 10^6 + 3 the cached plan holds about 60 MB).  `_dft` transforms one axis at
-a time from the last, the order numpy's `fftn` uses, which keeps the spectrum
-bit-identical to numpy's `fftn`; scipy's own `fftn` is not (it differs in the
-last bits at shape (4, 9, 25)).  No heat-kernel row is: the exponentials run
-on half the group and the other half is filled by Hermitian symmetry, and a row
-computed in a pair takes in the other row's rounding.  Against rows whose
-weights all come from the spectrum this moves total variation in the last
-digits: by at most 2.2e-16 (19 of 24 values) on `tv-curve --group 1000003
---k 14 --model directed --seed 7 --t-grid 0.9:45:24` and 1.1e-16 (18 of 60)
-on `cutoff-profile --group 100003 --k 400 --alpha=-1.5,0,1.5 --replicates 20
---seed 1`.
+Both transforms run through `_dft`.  An axis shorter than LONG_AXIS = 2^18,
+or of 11-smooth length, runs on scipy's pocketfft, one axis at a time from the
+last, the order numpy's `fftn` uses, which keeps the spectrum bit-identical to
+numpy's `fftn`; scipy's own `fftn` is not (it differs in the last bits at shape
+(4, 9, 25)).  A 1-D group of longer, non-smooth order n runs as Bluestein's
+chirp-z (`_chirp_z`): the length-n DFT becomes a cyclic convolution of smooth
+length N = n1 n2 >= 2n - 1, and each length-N transform runs as Bailey's
+four-step FFT, batches of n1- and n2-point pocketfft transforms that stay in
+cache.  The batches are split over `len(os.sched_getaffinity(0))` threads, or
+one inside a multiprocessing worker, so `--jobs` does not oversubscribe; no
+output depends on the count.  The plan, cached for one n, holds the chirp and
+the kernel's spectrum, about 48 MB at n = 10^6 + 3, and scipy builds no
+prime-length plan of its own.  These long transforms are not bit-identical to
+numpy's: against pocketfft they move `tv-curve --group 1000003 --k 14 --model
+directed --seed 7 --t-grid 0.9:45:24` by at most 8.9e-16 in TV (24 of 24
+rows), 1.4e-14 in `l2_bound` and 3.3e-16 in gamma.
+
+No heat-kernel row is bit-identical to numpy's transform of the full-spectrum
+weights: the exponentials run on half the group and the other half is filled by
+Hermitian symmetry, and a row computed in a pair takes in the other row's
+rounding.  On one transform route this moves total variation in the last
+digits: by at most 2.2e-16 (19 of 24 values) on the `tv-curve` run above and
+1.1e-16 (18 of 60) on `cutoff-profile --group 100003 --k 400
+--alpha=-1.5,0,1.5 --replicates 20 --seed 1`.
 
 Connectivity is decided exactly: a character is invariant (lambda_x = 1) iff
 x . z_i = 0 in Q/Z for every generator, which is checked in integer arithmetic
@@ -32,9 +41,11 @@ characters carry the eigenvalue 1.0 exactly and no other character does, so
 
 from __future__ import annotations
 
+import functools
 import math
+import multiprocessing
+import os
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy import fft
@@ -62,6 +73,12 @@ EXACT_SUM_BLOCK = 2 ** 26
 #: -np.frexp(5e-324)[1], which makes every frexp exponent a bincount index.
 _EXP_OFFSET = 1073
 
+#: Shortest axis `_dft` runs as a four-step Bluestein (`_chirp_z`), when its
+#: length is not 11-smooth; shorter axes stay on pocketfft, bit-identical to
+#: numpy.  Near 10^4 the four-step is no faster than pocketfft; from 10^5 to
+#: 4e6 one transform took 1.1-2.4x less time on two cores.
+LONG_AXIS = 2 ** 18
+
 #: largest group the exhaustive Cheeger scan accepts: it visits all 2^n subsets.
 CHEEGER_MAX_N = 24
 
@@ -79,7 +96,7 @@ class SpectralData:
     k: int
     eigenvalues: np.ndarray  # complex, shape (n,)
 
-    @cached_property
+    @functools.cached_property
     def _residue_terms(self) -> tuple[float, float]:
         """mean_x |lambda_x - conj lambda_{-x}| and max_x Re lambda_x, once per spectrum.
 
@@ -90,6 +107,11 @@ class SpectralData:
         np.conjugate(mirror, out=mirror)
         np.subtract(lam, mirror, out=mirror)
         return float(np.abs(mirror).mean()), float(lam.real.max())
+
+    @functools.cached_property
+    def _decay_rates(self) -> np.ndarray:
+        """1 - Re lambda_x for x != 0, once per spectrum: every `l2_bound` reads them."""
+        return 1.0 - self.eigenvalues.real[1:]
 
 
 @dataclass(frozen=True)
@@ -141,19 +163,141 @@ def _negated(a: np.ndarray, axes) -> np.ndarray:
     return a
 
 
-def _dft(a: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """numpy's `fftn(a)`, or `ifftn(a, norm="forward")`, bit for bit.
+def _dft(a: np.ndarray, inverse: bool = False, overwrite: bool = False) -> np.ndarray:
+    """numpy's `fftn(a)`, or `ifftn(a, norm="forward")`.
 
-    A complex `a` is left intact; every intermediate this function owns is
-    transformed in place.  The spectrum's transform is therefore numpy's; a
-    heat-kernel row's is not, as its Hermitian-filled weights differ from the
-    full-spectrum ones in the last bits.
+    Bit for bit, except on a 1-D `a` whose length is at least LONG_AXIS and not
+    11-smooth: that one runs as a four-step Bluestein (`_chirp_z`) on
+    `_fft_workers()` threads, within 57 eps log2(N) of the exact transform in
+    relative 2-norm (N its padded length; the constant is derived in
+    tests/test_spectral.py::test_chirp_z_matches_numpy).  A complex `a` is left
+    intact unless `overwrite`; every intermediate this function owns is
+    transformed in place.  Below LONG_AXIS the spectrum's transform is therefore
+    numpy's; a heat-kernel row's is not, as its Hermitian-filled weights differ
+    from the full-spectrum ones in the last bits.
     """
     out = a.astype(complex, copy=False)
+    if out.ndim == 1 and out.size >= LONG_AXIS and fft.next_fast_len(out.size) != out.size:
+        return _chirp_z(out, out if overwrite or out is not a else np.empty_like(out), inverse)
     transform = fft.ifft if inverse else fft.fft
     norm = "forward" if inverse else "backward"
     for axis in range(out.ndim - 1, -1, -1):
-        out = transform(out, axis=axis, norm=norm, overwrite_x=out is not a)
+        out = transform(out, axis=axis, norm=norm, overwrite_x=overwrite or out is not a)
+    return out
+
+
+def _fft_workers() -> int:
+    """Threads for the sub-transforms of `_chirp_z`: every CPU this process may
+    run on, or one inside a multiprocessing worker, whose pool (`--jobs`)
+    already spreads over them.  No output depends on it."""
+    if multiprocessing.parent_process() is not None:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+@dataclass(frozen=True)
+class _ChirpPlan:
+    """Bluestein's chirp-z for one length m on a smooth N = n1 n2 >= 2m - 1.
+
+    Every phase is reduced exactly in integers before its one float division:
+    `chirp` is e^{-i pi (j^2 mod 2m) / m}, and the four-step's twiddle w^{k j},
+    w = e^{-2 pi i / N}, at row k < n1 and column j < n2 is the product of
+    `twiddle_hi[k, j // r]` (phase k r (j // r)) and `twiddle_lo[k, j % r]`
+    (phase k (j % r)).
+    `kernel` is the DFT of conj chirp_j on -m < j < m, divided by N, stored in
+    the four-step's (n1, n2) output order.  At m = 10^6 + 3 the plan holds
+    about 48 MB: 16 in `chirp` and 32 in `kernel`.
+    """
+
+    n1: int
+    n2: int
+    chirp: np.ndarray        # (m,)
+    twiddle_hi: np.ndarray   # (n1, n2 // r)
+    twiddle_lo: np.ndarray   # (n1, r)
+    kernel: np.ndarray       # (n1, n2)
+
+
+def _unit_roots(phase: np.ndarray, period: int) -> np.ndarray:
+    """e^{-2 pi i phase / period} for integer phases, reduced to (-period/2, period/2]."""
+    phase = phase % period
+    phase[2 * phase > period] -= period
+    return np.exp(-2j * np.pi * (phase / period))
+
+
+@functools.lru_cache(maxsize=1)
+def _chirp_plan(m: int) -> _ChirpPlan:
+    """The plan for length m; one is kept, for the group in use.
+
+    N = n1 n2 is the smallest product of two 11-smooth lengths with n1 within
+    a factor 2 of sqrt(2m - 1), the most nearly square on a tie; r is the
+    largest divisor of n2 up to sqrt(n2), so both twiddle tables stay small.
+    """
+    need = 2 * m - 1
+    root = math.isqrt(need)
+    splits = []
+    n1 = fft.next_fast_len(root // 2)
+    while n1 <= 2 * root:
+        n2 = fft.next_fast_len(-(-need // n1))
+        splits.append((n1 * n2, abs(n1 - n2), n1, n2))
+        n1 = fft.next_fast_len(n1 + 1)
+    _, _, n1, n2 = min(splits)
+    r = max(d for d in range(1, math.isqrt(n2) + 1) if n2 % d == 0)
+    j = np.arange(m, dtype=np.int64)
+    chirp = _unit_roots(j * j, 2 * m)
+    k1 = np.arange(n1, dtype=np.int64)[:, None]
+    kernel = np.zeros((n1, n2), dtype=complex)
+    plan = _ChirpPlan(n1=n1, n2=n2, chirp=chirp,
+                      twiddle_hi=_unit_roots(k1 * r * np.arange(n2 // r), n1 * n2),
+                      twiddle_lo=_unit_roots(k1 * np.arange(r), n1 * n2), kernel=kernel)
+    flat = kernel.reshape(-1)
+    np.conjugate(chirp, out=flat[:m])
+    flat[:-m:-1] = flat[1:m]
+    _four_step(plan, kernel, inverse=False, workers=_fft_workers())
+    kernel /= n1 * n2
+    return plan
+
+
+def _four_step(plan: _ChirpPlan, v: np.ndarray, inverse: bool, workers: int):
+    """Bailey's four-step DFT of length N = n1 n2, in place on the (n1, n2) view
+    `v` of a length-N vector.  Forward: transform axis 0, twiddle, transform
+    axis 1, which leaves X[k1 + n1 k2] at v[k1, k2]; inverse (unscaled): undo
+    the three steps from that order.  No transpose is made."""
+    twiddled = v.reshape(plan.n1, plan.twiddle_hi.shape[1], plan.twiddle_lo.shape[1])
+    hi, lo = plan.twiddle_hi[:, :, None], plan.twiddle_lo[:, None, :]
+    if inverse:
+        hi, lo = hi.conj(), lo.conj()
+    axes = (1, 0) if inverse else (0, 1)
+    transform = fft.ifft if inverse else fft.fft
+    norm = "forward" if inverse else "backward"
+    transform(v, axis=axes[0], norm=norm, overwrite_x=True, workers=workers)
+    twiddled *= hi
+    twiddled *= lo
+    transform(v, axis=axes[1], norm=norm, overwrite_x=True, workers=workers)
+
+
+def _chirp_z(x: np.ndarray, out: np.ndarray, inverse: bool) -> np.ndarray:
+    """The unscaled DFT of the 1-D `x` (e^{+} phases when `inverse`) into `out`.
+
+    X_k = c_k sum_j (x_j c_j) conj c_{k-j}, c_j = e^{-i pi j^2 / m}: a
+    convolution, run as two four-step transforms of length N around a product
+    with the cached kernel.  The inverse is conj DFT(conj x).  `out` may be `x`.
+    """
+    m = x.size
+    plan = _chirp_plan(m)
+    workers = _fft_workers()
+    buf = np.zeros((plan.n1, plan.n2), dtype=complex)
+    head = buf.reshape(-1)[:m]
+    if inverse:
+        np.conjugate(x, out=head)
+        head *= plan.chirp
+    else:
+        np.multiply(x, plan.chirp, out=head)
+    _four_step(plan, buf, inverse=False, workers=workers)
+    buf *= plan.kernel
+    _four_step(plan, buf, inverse=True, workers=workers)
+    np.multiply(head, plan.chirp, out=out)
+    if inverse:
+        np.conjugate(out, out=out)
     return out
 
 
@@ -253,9 +397,7 @@ def heat_kernel_row(spec: SpectralData, t) -> HeatKernelRow:
         if drift > 0 and math.log(drift) + excess > math.log(ROW_TOL):
             raise ImaginaryResidueError(
                 f"imaginary residue bound {drift:g} * e^{excess:g} > {ROW_TOL:g}")
-        weights = _packed_weights(spec, times)
-        row = _dft(weights).reshape(-1)
-        del weights
+        row = _dft(_packed_weights(spec, times), overwrite=True).reshape(-1)
         row /= n
     else:
         row = np.zeros(n, dtype=complex)
@@ -320,8 +462,8 @@ def l2_bound(spec: SpectralData, t: float) -> float:
     """L2 upper bound on TV: half the root of sum_{x!=0} e^{-2t(1-Re lambda_x)}."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    rates = 1.0 - spec.eigenvalues.real[1:]
-    return 0.5 * math.sqrt(float(np.exp(-2.0 * t * rates).sum()))
+    decay = np.multiply(-2.0 * t, spec._decay_rates)
+    return 0.5 * math.sqrt(float(np.exp(decay, out=decay).sum()))
 
 
 def gap_summary(spec: SpectralData) -> GapSummary:

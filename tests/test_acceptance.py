@@ -221,8 +221,11 @@ def test_criterion_9_reproducibility(tmp_path):
     serial_a = run(tmp_path / "a.csv", 1)
     serial_b = run(tmp_path / "b.csv", 1)
     parallel = run(tmp_path / "c.csv", 3)
+    # a prime n >= LONG_AXIS: the four-step Bluestein runs threaded serially and
+    # on one thread in each pool worker
     others = {"tv-curve": dict(moduli=(8, 27, 11), k=5, replicates=2),
-              "cheeger": dict(moduli=(2, 2, 5), k=2, replicates=5)}
+              "cheeger": dict(moduli=(2, 2, 5), k=2, replicates=5),
+              "cutoff-profile": dict(moduli=(262147,), k=40, replicates=2)}
     pooled = {command: run(tmp_path / f"{command}-1.csv", 1, command, **kw)
               == run(tmp_path / f"{command}-2.csv", 2, command, **kw)
               for command, kw in others.items()}

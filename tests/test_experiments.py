@@ -291,6 +291,8 @@ def test_cli_requires_seed(capsys):
     (["gap-scan", "--gr", "64", "--k", "3", "--se", "7", "--rep", "2", "--form", "json"],
      "--gr 64 --se 7 --rep 2 --form json"),
     (["verify", "--seed", "1", "--only", "self_test", "--self-test"], "--self-test"),
+    # an unknown flag before any command is named, not the missing command
+    (["--he"], "--he"),
 ])
 def test_cli_bad_input_exits_2_naming_the_flag(monkeypatch, capsys, argv, flag):
     # nothing may run before the error: any runner call would fail differently
@@ -301,7 +303,16 @@ def test_cli_bad_input_exits_2_naming_the_flag(monkeypatch, capsys, argv, flag):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert flag in err
-    assert err.startswith(f"usage: cayley-cutoff {argv[0]} ")
+    # a subcommand's error prints its usage line; one before any command, the root's
+    assert err.startswith(f"usage: cayley-cutoff {argv[0]} " if argv[0] in cli.COMMANDS
+                          else "usage: cayley-cutoff [-h]")
+
+
+def test_cli_without_a_command_exits_2_asking_for_one(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    assert exc.value.code == 2
+    assert "the following arguments are required: command" in capsys.readouterr().err
 
 
 #: the flags each subcommand reads, besides --config and verify's hidden --self-test-fail

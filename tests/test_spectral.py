@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -174,6 +175,71 @@ def test_dft_is_numpy_fftn_bit_for_bit(shape):
         assert np.array_equal(a, held)
 
 
+@pytest.mark.parametrize("shape, long_axis", [((262147,), None), ((101,), 101),
+                                              ((100003,), 100003)])
+def test_chirp_z_matches_numpy(monkeypatch, shape, long_axis):
+    """`_dft` on the four-step Bluestein path, forward and inverse, against
+    numpy's transform of the same input in long double.
+
+    The bound is c eps log2(N), first order in u = eps / 2, with c derived, not
+    fitted.  A table entry (chirp or twiddle factor) comes from an exact integer
+    phase in (-pi, pi] by three roundings and one sin/cos: within (3 pi + 1) u
+    <= 11u.  A complex product is within sqrt(2) gamma_2 <= 3u (Higham 2002,
+    Lemma 3.5).  A length-N transform is within eta per butterfly level, eta =
+    mu + gamma_4 (sqrt(2) + mu) <= 7u with twiddles good to mu = u (Thm 24.2);
+    the four-step's sub-transforms have log2(N) levels between them, and its
+    twiddle stage (two table entries, two products) adds 28u, so one transform
+    is within T = (7 log2 N + 28) u.  The three length-N transforms (the
+    input's, the inverse, the kernel's), the three pointwise products (chirp
+    in, kernel, chirp out) and the tables then give, in relative 2-norm:
+
+        input chirp 14u, forward T, kernel 11u + T + u (the chirp table, its
+        transform, the division by N), kernel product 3u, inverse T: each
+        scaled by at most the kernel's peak gain kappa = max|DFT b| / sqrt(m);
+        output chirp 14u, not scaled.
+
+    Total kappa (21 log2 N + 113) u + 14u.  With kappa <= 3 (asserted below;
+    the chirp's DFT is a Fresnel sum of size about sqrt(2m)) and log2 N >= 7:
+    113 <= 16.2 log2 N and 14 <= 2 log2 N, so the error is below
+    114 u log2 N = 57 eps log2 N.  The long double reference adds 2^-64 scale
+    terms, which the first-order slack covers.
+    """
+    if long_axis:
+        monkeypatch.setattr(spectral, "LONG_AXIS", long_axis)
+    rng = replicate_rng(37, 0)
+    counts = rng.integers(0, 5, size=shape)
+    z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for a in (counts, z):
+        held = a.copy()
+        for inverse in (False, True):
+            got = _dft(a, inverse=inverse)
+            ref = (np.fft.ifft(held.astype(np.clongdouble), norm="forward") if inverse
+                   else np.fft.fft(held.astype(np.clongdouble)))
+            plan = spectral._chirp_plan(a.size)
+            big_n = plan.n1 * plan.n2
+            kappa = np.abs(plan.kernel).max() * big_n / math.sqrt(a.size)
+            assert big_n >= 2 * a.size - 1 and math.log2(big_n) >= 7 and kappa <= 3
+            err = float(np.linalg.norm(got - ref) / np.linalg.norm(ref))
+            assert err <= 57 * EPS * math.log2(big_n)
+            assert np.array_equal(a, held)
+    # overwrite: the result lands in the caller's buffer
+    assert _dft(z, overwrite=True) is z
+
+
+def test_chirp_z_output_is_thread_count_free(monkeypatch):
+    g = make_group([262147])
+    Z = sample_generators(g, 14, replicate_rng(38, 0))
+    outputs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(spectral, "_fft_workers", lambda w=workers: w)
+        spectral._chirp_plan.cache_clear()  # the kernel is transformed with them too
+        spec = eigenvalues(g, Z, "directed")
+        outputs.append((spec.eigenvalues, heat_kernel_row(spec, (1.0, 6.0)).probs))
+    spectral._chirp_plan.cache_clear()
+    (lam_1, rows_1), (lam_2, rows_2) = outputs
+    assert np.array_equal(lam_1, lam_2) and np.array_equal(rows_1, rows_2)
+
+
 def _hand_spectrum(lam):
     lam = np.asarray(lam, dtype=complex)
     return SpectralData(model="directed", group=make_group([lam.size]), k=1, eigenvalues=lam)
@@ -218,7 +284,15 @@ def test_residue_bound_counts_eigenvalues_above_one():
 
 def _mirror_index(group):
     """Index of -x for every element index x, one element at a time."""
-    return np.array([index_of(group, neg(group, element_of(group, x))) for x in range(group.n)])
+    return _mirror_index_of(group.moduli)
+
+
+@functools.lru_cache(maxsize=None)
+def _mirror_index_of(moduli):
+    group = make_group(moduli)
+    index = np.array([index_of(group, neg(group, element_of(group, x))) for x in range(group.n)])
+    index.flags.writeable = False
+    return index
 
 
 @pytest.mark.parametrize("moduli", [(2,) * 10, (3,) * 8, (2, 3, 2, 5, 2, 3, 4, 2)])
@@ -296,14 +370,18 @@ def _assert_matches_full_spectrum(spec, t):
 @pytest.mark.parametrize("model", ["undirected", "directed"])
 @pytest.mark.parametrize("moduli", [(12,), (101,), (9, 8), (7, 6), (4, 9, 25), (2, 2, 2),
                                     (2,) * 10, (3,) * 8])
-def test_half_spectrum_rows_match_full_spectrum_oracle(moduli, model):
-    # odd and even slab axes, d = 1..3; in (2, 2, 2) the slab is the whole group
+def test_half_spectrum_rows_match_full_spectrum_oracle(monkeypatch, moduli, model):
+    # odd and even slab axes, d = 1..3; in (2, 2, 2) the slab is the whole group.
+    # A 1-D group runs once more with LONG_AXIS at its length, so (101,) takes
+    # the four-step Bluestein path ((12,) is 11-smooth and stays on pocketfft).
     g = make_group(moduli)
-    spec = eigenvalues(g, sample_generators(g, 4, replicate_rng(23, len(moduli))), model)
-    held = spec.eigenvalues.copy()
-    for t in (0.7, 3.0, 40.0, [0.4, 2.5], [2.5, 0.4], [2.5, 0.0], [0.0, 1.2]):
-        _assert_matches_full_spectrum(spec, t)
-    assert np.array_equal(spec.eigenvalues, held)
+    for long_axis in (spectral.LONG_AXIS, g.n) if g.d == 1 else (spectral.LONG_AXIS,):
+        monkeypatch.setattr(spectral, "LONG_AXIS", long_axis)
+        spec = eigenvalues(g, sample_generators(g, 4, replicate_rng(23, len(moduli))), model)
+        held = spec.eigenvalues.copy()
+        for t in (0.7, 3.0, 40.0, [0.4, 2.5], [2.5, 0.4], [2.5, 0.0], [0.0, 1.2]):
+            _assert_matches_full_spectrum(spec, t)
+        assert np.array_equal(spec.eigenvalues, held)
 
 
 @given(moduli=st.sampled_from([(12,), (101,), (9, 8), (4, 9, 25), (7, 6)]),
@@ -473,7 +551,11 @@ def test_tv_le_l2_bound_and_monotone():
     prev = math.inf
     for t in np.geomspace(0.05, 500, 40):
         tv = tv_exact(heat_kernel_row(spec, float(t)))
-        assert tv <= l2_bound(spec, float(t)) + 1e-10
+        bound = l2_bound(spec, float(t))
+        # the rates are cached per spectrum; the bound is the uncached formula's
+        assert bound == 0.5 * math.sqrt(float(
+            np.exp(-2.0 * float(t) * (1.0 - spec.eigenvalues.real[1:])).sum()))
+        assert tv <= bound + 1e-10
         assert tv <= prev + 1e-9
         prev = tv
 
