@@ -13,9 +13,9 @@ import itertools
 import sys
 
 from .entropic import MODELS, BracketError
-from .experiments import (RUNNERS, SELF_TEST, BudgetExceededError, ExperimentConfig,
-                          run_verify)
+from .experiments import RUNNERS, BudgetExceededError, ExperimentConfig, run_verify
 from .groups import parse_group
+from .lemmas import SELF_TEST
 
 
 def _parse_switch(text: str) -> bool:
@@ -133,15 +133,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         args.error(str(exc))
     if args.command == "verify":
-        extra = None
-        if args.self_test_fail:
-            from .lemmas import CheckReport
-            extra = {SELF_TEST: lambda: CheckReport(
-                name=SELF_TEST, passed=False,
-                worst_case="forced failure (negative control)", max_violation=1.0)}
-        elif config.only == SELF_TEST:
+        if config.only == SELF_TEST and not args.self_test_fail:
             args.error(f"--only {SELF_TEST} needs --self-test-fail")
-        text, status = run_verify(config, extra_checks=extra)
+        text, status = run_verify(config, self_test=args.self_test_fail)
         sys.stdout.write(text)
         return status
     try:

@@ -24,9 +24,6 @@ TOOL_VERSION = "cayley-cutoff 0.1.0"
 #: refuse runs estimated over this many DFT butterfly-equivalents without force.
 BUDGET_LIMIT = 10 ** 9
 
-#: the forced-failure check that `verify --self-test-fail` registers.
-SELF_TEST = "self_test"
-
 
 class BudgetExceededError(RuntimeError):
     """Estimated DFT work exceeds the budget; pass force=True to override."""
@@ -62,7 +59,7 @@ class ExperimentConfig:
         if not all(math.isfinite(a) for a in self.alphas):
             raise ValueError(f"--alpha values must be finite, got {list(self.alphas)}")
         if self.command == "verify":
-            if self.only not in (None, SELF_TEST, *lemmas.DEFAULT_CHECKS):
+            if self.only not in (None, lemmas.SELF_TEST, *lemmas.DEFAULT_CHECKS):
                 raise ValueError(f"--only: unknown check {self.only!r}; "
                                  f"known: {', '.join(lemmas.DEFAULT_CHECKS)}")
             return
@@ -165,7 +162,7 @@ def _map_replicates(config: ExperimentConfig, fn, payload) -> list:
     starts every worker on the first submit, so there is at most one per replicate and CPU.
     """
     indices = list(range(config.replicates))
-    workers = min(config.jobs, config.replicates, os.cpu_count() or 1)
+    workers = min(config.jobs, config.replicates, len(os.sched_getaffinity(0)))
     if workers == 1:
         return [fn(r, payload) for r in indices]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -375,9 +372,8 @@ def run_entropic_report(config: ExperimentConfig) -> tuple[str, list[dict]]:
     return _emit(replace(config, fmt="json"), [record]), [record]
 
 
-def run_verify(config: ExperimentConfig, extra_checks: dict | None = None
-               ) -> tuple[str, int]:
-    reports = lemmas.run_all(only=config.only, extra_checks=extra_checks)
+def run_verify(config: ExperimentConfig, self_test: bool = False) -> tuple[str, int]:
+    reports = lemmas.run_all(only=config.only, self_test=self_test)
     width = max(len(r.name) for r in reports)
     lines = [f"# {TOOL_VERSION} config={config.digest()}"]
     for rep in reports:

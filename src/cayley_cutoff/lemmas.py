@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
-from scipy import special
 
 from . import entropic, walk
 from .groups import (GroupSpec, element_levels, element_of, make_group, replicate_rng,
@@ -207,20 +206,25 @@ def _killed_transition(ell: int) -> np.ndarray:
     return P
 
 
-def _survival_series(ell: int, s: float) -> float:
-    """P_0(exit time > s) by uniformization: sum_i Po(s)(i) (P_hat^i 1)(0)."""
-    P = _killed_transition(ell)
-    origin = ell - 1
-    v = np.ones(2 * ell - 1)
-    # Poisson weights in a window wide enough that the discarded tail < 1e-13.
-    top = int(s + 12.0 * math.sqrt(s) + 50.0) + 1
-    log_w = entropic.poisson_logpmf(np.arange(top), s) if s > 0 else None
-    total = 0.0
-    for i in range(top):
-        w = math.exp(log_w[i]) if s > 0 else (1.0 if i == 0 else 0.0)
-        total += w * v[origin]
-        v = P @ v
-    return total
+def _killed_survival(ell: int):
+    """lam_A, the least rate of the killed generator I - P_hat, and s -> log P_0(tau > s).
+
+    I - P_hat on the interior of (-ell, ell) is symmetric tridiagonal, so
+    P_0(tau > s) = sum_j a_j e^{-lam_j s} over its eigenpairs, with a_j the
+    origin's entry of eigenvector j times its sum.  The log form
+    -lam_A s + log(sum_j a_j e^{-(lam_j - lam_A) s}) stays finite at hundreds
+    of relaxation times, where e^{-lam_A s} alone underflows.
+    """
+    if not 1 <= ell <= 30:
+        raise ValueError("ell must be in [1, 30]")
+    evals, evecs = np.linalg.eigh(np.eye(2 * ell - 1) - _killed_transition(ell))
+    amps = evecs.sum(axis=0) * evecs[ell - 1, :]
+    lam_A = float(evals[0])
+
+    def log_survival(s: float) -> float:
+        return -lam_A * s + math.log(float(np.sum(amps * np.exp(-(evals - lam_A) * s))))
+
+    return lam_A, log_survival
 
 
 def exit_interval_check(ell: int, s_grid) -> CheckReport:
@@ -229,13 +233,12 @@ def exit_interval_check(ell: int, s_grid) -> CheckReport:
     Also verifies the quasi-stationary identity: mu(x) = cos(pi x/(2 ell))
     satisfies (mu P_hat)(x) = mu(x) cos(pi/(2 ell)) on the interior.
     """
-    if not 1 <= ell <= 30:
-        raise ValueError("ell must be in [1, 30]")
+    _, log_survival = _killed_survival(ell)
     lam = 1.0 - math.cos(math.pi / (2 * ell))
     worst_violation = 0.0
     worst = "survival >= exponential floor everywhere"
     for s in s_grid:
-        survival = _survival_series(ell, float(s))
+        survival = math.exp(log_survival(float(s)))
         floor = math.exp(-lam * s)
         violation = floor - survival - 1e-12
         if violation > worst_violation:
@@ -256,26 +259,14 @@ def exit_interval_check(ell: int, s_grid) -> CheckReport:
 def dirichlet_rate_check(ell: int, t_max: float | None = None) -> CheckReport:
     """-(1/t) log P_0(tau > t) approaches the minimal killed eigenvalue within 1%.
 
-    The killed generator I - P_hat on the interior of (-ell, ell) is symmetric
-    tridiagonal; survival at large t is evaluated through its eigendecomposition
-    (log-domain, so t can be hundreds of relaxation times).
+    t_max defaults to 200 relaxation times 1/lam_A, the least it may be.
     """
-    if not 1 <= ell <= 30:
-        raise ValueError("ell must be in [1, 30]")
-    P = _killed_transition(ell)
-    m = P.shape[0]
-    evals, evecs = np.linalg.eigh(np.eye(m) - P)
-    lam_A = float(evals[0])
+    lam_A, log_survival = _killed_survival(ell)
     if t_max is None:
         t_max = 200.0 / lam_A
     if t_max < 200.0 / lam_A:
         raise ValueError("t_max below 200 relaxation times")
-    origin = ell - 1
-    amps = evecs.sum(axis=0) * evecs[origin, :]
-    # log survival = -lam_A t + log(sum_j amps_j e^{-(lam_j - lam_A) t})
-    inner = float(np.sum(amps * np.exp(-(evals - lam_A) * t_max)))
-    log_survival = -lam_A * t_max + math.log(inner)
-    rate = -log_survival / t_max
+    rate = -log_survival(t_max) / t_max
     gap = abs(rate - lam_A) / lam_A
     closed_form = 1.0 - math.cos(math.pi / (2 * ell))
     eig_err = abs(lam_A - closed_form)
@@ -312,16 +303,17 @@ def tail_ratio_check(model: str, s_grid, r_grid) -> CheckReport:
             dist = entropic.step_distribution(
                 "directed" if model == "poisson" else "undirected", float(s),
                 half_width=max(entropic.window_half_width(s), r + 80))
+            # tails summed from the window, which reaches r + 80 past each point
+            xs = dist.support
             if model == "poisson":
-                # x >= r >= 1 and x_lo >= 0: no negative counts reach pdtrc/pdtr
                 x = int(round(s + r))
-                pairs = [(float(special.pdtrc(x - 1, s)), dist.prob(x))]
+                pairs = [(float(dist.pmf[xs >= x].sum()), dist.prob(x))]
                 if s - r >= 0:
                     x_lo = int(math.floor(s - r))
-                    pairs.append((float(special.pdtr(x_lo, s)), dist.prob(x_lo)))
+                    pairs.append((float(dist.pmf[xs <= x_lo].sum()), dist.prob(x_lo)))
             else:
                 # the SRW upper tail P(X_s >= r) against the point r
-                pairs = [(float(dist.pmf[dist.support >= r].sum()), dist.prob(r))]
+                pairs = [(float(dist.pmf[xs >= r].sum()), dist.prob(r))]
             for tail, point in pairs:
                 if point <= 0 or tail <= 0:
                     continue
@@ -419,9 +411,8 @@ def _typical_pairs(params, model: str, k: int, samples: int, rng: np.random.Gene
     (q1, local1), (q2, local2) = [
         walk._row_terms(cells // k, values, samples, k, params.dist, params.r_alpha)
         for cells, values in walks]
-    local = local1 & local2
-    typ = local & (q1 >= params.q_threshold) & (q2 >= params.q_threshold)
-    return walks[0], walks[1], typ, local
+    typ = params.typical(q1, local1) & params.typical(q2, local2)
+    return walks[0], walks[1], typ, local1 & local2
 
 
 def _difference(cells1, values1, cells2, values2) -> tuple[np.ndarray, np.ndarray]:
@@ -434,11 +425,7 @@ def _difference(cells1, values1, cells2, values2) -> tuple[np.ndarray, np.ndarra
     cells = np.concatenate([cells1, cells2])
     order = np.argsort(cells, kind="stable")
     cells = cells[order]
-    values = np.concatenate([values1, -values2])[order]
-    first = np.flatnonzero(np.diff(cells, prepend=-1))
-    sums = np.add.reduceat(values, first)
-    nonzero = sums != 0
-    return cells[first[nonzero]], sums[nonzero]
+    return walk._sum_runs(cells, np.concatenate([values1, -values2])[order])
 
 
 def modified_l2_probe(group: GroupSpec, k: int, model: str, alpha: float,
@@ -455,13 +442,10 @@ def modified_l2_probe(group: GroupSpec, k: int, model: str, alpha: float,
         raise ValueError("probe capped at n <= 2e4")
     params = walk.typicality_params(n, k, model, alpha)
     hits = zero_hits = accepted_total = 0
-    chunk = 20000
     for rep in range(replicates):
         Z = sample_generators(group, k, rng)
-        done = 0
-        while done < samples:
-            m_chunk = min(chunk, samples - done)
-            done += m_chunk
+        for start in range(0, samples, walk.CHUNK):
+            m_chunk = min(walk.CHUNK, samples - start)
             (cells1, values1), (cells2, values2), typ, _ = _typical_pairs(
                 params, model, k, m_chunk, rng)
             accepted = int(typ.sum())
@@ -518,15 +502,9 @@ def set_probability_check(n: int, k: int, model: str, alpha: float, I,
     inside = np.bincount(rows[target[cols]], minlength=samples)
     outside = np.bincount(rows[~target[cols]], minlength=samples)
     support_match = (inside == len(I)) & (outside == 0)
-
-    def _estimate(mask):
-        est = float(mask.mean())
-        se = math.sqrt(max(est * (1 - est), 0.0) / samples)
-        return est, se
-
-    est_typ, se_typ = _estimate(support_match & typ)
+    est_typ, se_typ = walk._binomial(int((support_match & typ).sum()), samples)
     bound_typ = math.exp(-params.omega) / n / params.p_star ** len(I)
-    est_loc, se_loc = _estimate(support_match & local_only)
+    est_loc, se_loc = walk._binomial(int((support_match & local_only).sum()), samples)
     bound_loc = 2.0 ** (k - len(I)) * n ** (-1.0 + len(I) / k)
     violation = max(est_typ - (bound_typ + 3 * se_typ),
                     est_loc - (bound_loc + 3 * se_loc))
@@ -558,8 +536,7 @@ def eigenvalue_tail_probe(group: GroupSpec, k: int, s_target: int, samples: int,
     centered = frac - np.round(frac)
     statistic = (centered ** 2).mean(axis=1)
     threshold = c1 * n ** (-2.0 / k)
-    est = float((statistic <= threshold).mean())
-    se = math.sqrt(max(est * (1 - est), 0.0) / samples)
+    est, se = walk._binomial(int((statistic <= threshold).sum()), samples)
     if s_target <= n ** (1.0 / k):
         bound = float(s_target) ** (-0.9 * k)
         label = "s^(-9k/10)"
@@ -650,11 +627,19 @@ def _best_of(reports) -> CheckReport:
                        details={"cases": len(reports), **worst.details})
 
 
-def run_all(only: str | None = None, extra_checks: dict | None = None) -> list[CheckReport]:
-    """Run the registered checks (optionally a single one) and return reports."""
+#: the forced-failure check that `self_test=True` adds: the suite's negative control.
+SELF_TEST = "self_test"
+
+
+def run_all(only: str | None = None, self_test: bool = False) -> list[CheckReport]:
+    """Run the registered checks (optionally a single one) and return reports.
+
+    self_test registers SELF_TEST, which always fails, after the default checks.
+    """
     registry = dict(DEFAULT_CHECKS)
-    if extra_checks:
-        registry.update(extra_checks)
+    if self_test:
+        registry[SELF_TEST] = lambda: _report(
+            SELF_TEST, False, "forced failure (negative control)", 1.0)
     if only is not None:
         if only not in registry:
             raise KeyError(f"unknown check {only!r}; known: {sorted(registry)}")

@@ -308,8 +308,7 @@ def eigenvalues(group: GroupSpec, Z: GeneratorMultiset, model: str) -> SpectralD
     characters (x = 0 among them) are set to exactly 1.0; every other
     character keeps Re lambda < 1, so its gap 1 - Re lambda stays positive.
     """
-    if model not in entropic.MODELS:
-        raise ValueError(f"unknown model {model!r}")
+    entropic._check_model(model)
     counts = np.bincount(index_of(group, Z.generators), minlength=group.n).reshape(group.moduli)
     lam = _dft(counts, inverse=True).reshape(-1)
     lam /= Z.k

@@ -17,6 +17,9 @@ from scipy import special
 
 from . import entropic
 
+#: walks drawn per batch by the probes and the lemma checks that sample W.
+CHUNK = 20000
+
 
 @dataclass(frozen=True)
 class TypicalityParams:
@@ -35,6 +38,10 @@ class TypicalityParams:
     dist: entropic.StepDistribution
     q_threshold: float
 
+    def typical(self, q: np.ndarray, local: np.ndarray) -> np.ndarray:
+        """The rows that pass the local window and the global condition."""
+        return local & (q >= self.q_threshold)
+
 
 @dataclass(frozen=True)
 class ProbeResult:
@@ -52,6 +59,20 @@ def psi(alpha: float) -> float:
     return float(special.ndtr(-alpha))
 
 
+def _binomial(hits: int, samples: int) -> tuple[float, float]:
+    """The estimate hits/samples and its binomial standard error."""
+    est = hits / samples
+    return est, math.sqrt(est * (1.0 - est) / samples)
+
+
+def _sum_runs(cells: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum `values` over each run of equal sorted `cells`: the runs' cells and nonzero sums."""
+    first = np.flatnonzero(np.diff(cells, prepend=-1))
+    sums = np.add.reduceat(values, first)
+    nonzero = sums != 0
+    return cells[first[nonzero]], sums[nonzero]
+
+
 def _walk_cells(model: str, t: float, k: int, samples: int,
                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """The nonzero coordinates of `samples` independent draws of W(t).
@@ -67,8 +88,7 @@ def _walk_cells(model: str, t: float, k: int, samples: int,
     """
     if t < 0 or k < 1:
         raise ValueError("need t >= 0 and k >= 1")
-    if model not in entropic.MODELS:
-        raise ValueError(f"unknown model {model!r}")
+    entropic._check_model(model)
     if t > k:
         jumps = rng.poisson(t / k, size=(samples, k))
         w = (jumps if model == "directed" else 2 * rng.binomial(jumps, 0.5) - jumps).reshape(-1)
@@ -77,16 +97,13 @@ def _walk_cells(model: str, t: float, k: int, samples: int,
     per_walk = rng.poisson(t, size=samples)
     cells = (np.repeat(np.arange(samples, dtype=np.int64) * k, per_walk)
              + rng.integers(0, k, size=int(per_walk.sum())))
-    steps = (np.ones(cells.size, dtype=np.int64) if model == "directed"
-             else 2 * rng.integers(0, 2, size=cells.size) - 1)
-    # One sort of 2*cell + (step > 0) groups the jumps by cell; each step comes
-    # back from the low bit and is summed per cell.
-    keys = np.sort(2 * cells + (steps > 0))
-    cells = keys >> 1
-    first = np.flatnonzero(np.diff(cells, prepend=-1))
-    values = np.add.reduceat(2 * (keys & 1) - 1, first)
-    nonzero = values != 0
-    return cells[first[nonzero]], values[nonzero]
+    up = 1 if model == "directed" else rng.integers(0, 2, size=cells.size)
+    # One sort of 2*cell + up groups the jumps by cell; each step 2 up - 1
+    # comes back from the low bit and is summed per cell.  Only the sorted
+    # keys stay alive through the sum.
+    keys = np.sort(2 * cells + up)
+    del cells, up
+    return _sum_runs(keys >> 1, 2 * (keys & 1) - 1)
 
 
 def _cost(dist, x) -> np.ndarray:
@@ -113,10 +130,10 @@ def _row_terms(rows: np.ndarray, values: np.ndarray, samples: int, k: int, dist,
 
 
 def _probe_rows(model: str, t: float, k: int, samples: int, dist, r_alpha: float,
-                rng: np.random.Generator, chunk: int = 20000):
-    """Yield (Q, local test) per row for `samples` draws of W(t), `chunk` rows at a time."""
-    for start in range(0, samples, chunk):
-        m = min(chunk, samples - start)
+                rng: np.random.Generator):
+    """Yield (Q, local test) per row for `samples` draws of W(t), CHUNK rows at a time."""
+    for start in range(0, samples, CHUNK):
+        m = min(CHUNK, samples - start)
         cells, values = _walk_cells(model, t, k, m, rng)
         yield _row_terms(cells // k, values, m, k, dist, r_alpha)
 
@@ -135,10 +152,10 @@ def clt_probe(n: int, k: int, model: str, alpha: float, samples: int,
         hits_mid += int((q <= log_n).sum())
         hits_plus += int((q <= log_n + sol.omega).sum())
         hits_minus += int((q <= log_n - sol.omega).sum())
-    est = hits_mid / samples
+    est, stderr = _binomial(hits_mid, samples)
     return ProbeResult(
         estimate=est,
-        stderr=math.sqrt(est * (1.0 - est) / samples),
+        stderr=stderr,
         samples=samples,
         target=psi(alpha),
         details={
@@ -156,27 +173,16 @@ def typicality_params(n: int, k: int, model: str, alpha: float) -> TypicalityPar
     t_a = sol.t_alpha[float(alpha)]
     s = t_a / k
     level = k ** -1.5
-
-    def scan(dist):
-        mean = dist.mean
-        support = dist.support
-        for r in range(0, dist.hi - dist.lo + 1):
-            inside = np.abs(support - mean) <= r
-            tail = 1.0 - float(dist.pmf[inside].sum())
-            if tail <= level:
-                p_alpha = float(dist.pmf[inside].min())
-                return r, p_alpha
-        return None
-
     dist = entropic.step_distribution(model, s)
-    found = scan(dist)
-    if found is None:
-        # widen the window once, then give up
-        wide = entropic.step_distribution(model, s, 2 * (dist.hi - dist.lo + 1))
-        found = scan(wide)
-        if found is None:
-            raise RuntimeError("typicality level unreachable inside widened window")
-    r_alpha, p_alpha = found
+    distance = np.abs(dist.support - dist.mean)
+    for r_alpha in range(0, dist.hi - dist.lo + 1):
+        inside = distance <= r_alpha
+        if 1.0 - float(dist.pmf[inside].sum()) <= level:
+            break
+    else:
+        raise RuntimeError(f"typicality level k^(-3/2) unreachable inside the step "
+                           f"law's window at k = {k}")
+    p_alpha = float(dist.pmf[inside].min())
     return TypicalityParams(
         r_alpha=r_alpha,
         p_alpha=p_alpha,
@@ -202,12 +208,12 @@ def typicality_probe(n: int, k: int, model: str, alpha: float, samples: int,
     t_a = params.t_alpha
     fails = local_fails = 0
     for q, local in _probe_rows(model, t_a, k, samples, params.dist, params.r_alpha, rng):
-        fails += int((~local | (q < params.q_threshold)).sum())
+        fails += int((~params.typical(q, local)).sum())
         local_fails += int((~local).sum())
-    est = fails / samples
+    est, stderr = _binomial(fails, samples)
     return ProbeResult(
         estimate=est,
-        stderr=math.sqrt(est * (1.0 - est) / samples),
+        stderr=stderr,
         samples=samples,
         target=psi(alpha),
         details={"local_failure_rate": local_fails / samples, "t_alpha": t_a},

@@ -227,7 +227,7 @@ def test_instance_digest_is_pinned():
 
 @pytest.mark.parametrize("jobs, replicates, cpus, workers", [
     (5000, 2, 4, 2), (5000, 50, 4, 4), (3, 50, 4, 3),
-    (5000, 1, 4, None), (8, 8, None, None), (1, 8, 4, None),
+    (5000, 1, 4, None), (8, 8, 1, None), (1, 8, 4, None),
 ])
 def test_pool_has_at_most_one_worker_per_replicate_and_cpu(monkeypatch, jobs, replicates,
                                                           cpus, workers):
@@ -247,7 +247,7 @@ def test_pool_has_at_most_one_worker_per_replicate_and_cpu(monkeypatch, jobs, re
             return map(fn, *iterables)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(cpus)))
     config = _config(command="gap-scan", moduli=(64,), k=3, replicates=replicates, jobs=jobs)
     rows = run_gap_scan(config)[1]
     assert started == ([] if workers is None else [workers])
@@ -466,6 +466,7 @@ def test_cli_config_file_rejects_garbage(tmp_path):
     ("format=json", None, "'format'"),
     ("replicate=5", None, "'replicate'"),
     ("samples=1000", None, "'samples'"),
+    ("model=bogus", None, "--model"),
 ])
 def test_cli_config_file_force_and_unknown_keys(tmp_path, capsys, line, force, error):
     cfg = tmp_path / "run.cfg"

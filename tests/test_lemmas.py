@@ -13,7 +13,7 @@ from cayley_cutoff.lemmas import (cos_taylor_check, dirichlet_rate_check,
                                   modified_l2_probe, run_all,
                                   set_probability_check, tail_ratio_check,
                                   unimodality_check, vz_uniform_check,
-                                  _survival_series)
+                                  _killed_survival)
 from conftest import (dense_modified_l2_probe, dense_set_probability_check,
                       vz_uniform_oracle)
 
@@ -160,26 +160,31 @@ def test_cos_taylor_matches_stacked_argmax(grid_points):
     assert rep.max_violation == max(float(stacked.max()), 0.0)
 
 
+def _survival(ell, s):
+    """P_0(tau > s) from the killed walk's eigendecomposition."""
+    return math.exp(_killed_survival(ell)[1](s))
+
+
 def test_exit_interval_exponential_case():
     # ell = 1: exit time is Exponential(1)
     for s in (0.1, 1.0, 5.0):
-        assert abs(_survival_series(1, s) - math.exp(-s)) < 1e-12
+        assert abs(_survival(1, s) - math.exp(-s)) < 1e-12
     assert exit_interval_check(1, (0.1, 1.0, 5.0)).passed
 
 
 def test_exit_interval_floor_and_quasi_stationary():
     rep = exit_interval_check(5, (0.1, 1.0, 10.0))
     assert rep.passed
-    assert _survival_series(5, 10.0) >= math.exp(-10.0 * (1 - math.cos(math.pi / 10)))
+    assert _survival(5, 10.0) >= math.exp(-10.0 * (1 - math.cos(math.pi / 10)))
     assert rep.details["quasi_stationary_residual"] <= 1e-12
     with pytest.raises(ValueError):
         exit_interval_check(0, (1.0,))
 
 
 def test_exit_interval_survival_monotone():
-    surv = [_survival_series(6, s) for s in (0.5, 1.0, 2.0, 4.0)]
+    surv = [_survival(6, s) for s in (0.5, 1.0, 2.0, 4.0)]
     assert all(a > b for a, b in zip(surv, surv[1:]))
-    by_ell = [_survival_series(ell, 3.0) for ell in (2, 4, 8)]
+    by_ell = [_survival(ell, 3.0) for ell in (2, 4, 8)]
     assert all(a < b for a, b in zip(by_ell, by_ell[1:]))
 
 
@@ -359,6 +364,10 @@ def test_eigenvalue_tail_probe():
     assert rep.passed
     with pytest.raises(ValueError):
         eigenvalue_tail_probe(make_group([101]), 12, 7, 100, rng)
+    # s* = 6 <= n^{1/k} = 6: the bound is s*^{-9k/10}
+    rep = eigenvalue_tail_probe(make_group([36]), 2, 6, 20000, rng)
+    assert rep.passed
+    assert rep.details["bound"] == 6.0 ** (-0.9 * 2)
 
 
 def test_run_all_default_suite_passes():

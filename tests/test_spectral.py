@@ -33,6 +33,8 @@ def test_eigenvalues_z4_hand_values():
     g, Z = _instance([4], [(1,)])
     lam = eigenvalues(g, Z, "undirected").eigenvalues
     assert np.allclose(lam, [1.0, 0.0, -1.0, 0.0], atol=1e-15)
+    with pytest.raises(ValueError, match="unknown model 'bogus'"):
+        eigenvalues(g, Z, "bogus")
 
 
 def test_eigenvalues_subgroup_generator_disconnected():
@@ -258,6 +260,10 @@ def test_heat_kernel_row_guards():
     with pytest.raises(ValueError, match="negative probability"):
         heat_kernel_row(spec, 1.0)
     assert np.array_equal(spec.eigenvalues, [1.0, 2.0])
+    # lambda_0 = 0.5 < 1: the row keeps mass e^{-1/2} at t = 1.
+    spec = _hand_spectrum([0.5, 0.5])
+    with pytest.raises(ValueError, match=r"row mass 0\.6065"):
+        heat_kernel_row(spec, 1.0)
 
 
 @pytest.mark.parametrize("pair", [(1.0, 0.0), (0.0, 1.0), (1.0, 0.25), (0.25, 1.0)])
@@ -448,6 +454,8 @@ def test_heat_kernel_t0_is_indicator():
     assert row.probs[0] == 1.0 and row.probs[1:].sum() == 0.0
     with pytest.raises(ValueError):
         heat_kernel_row(spec, -1.0)
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        l2_bound(spec, -1.0)
 
 
 def test_heat_kernel_two_state_closed_form():

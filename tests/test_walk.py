@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -283,6 +284,19 @@ def test_typicality_params_minimality():
     if params.r_alpha > 0:
         assert tail(params.r_alpha - 1) > level
     assert params.p_alpha <= dist.prob(int(round(dist.mean)))
+
+
+def test_typicality_params_raises_when_the_window_falls_short(monkeypatch):
+    # every window holds mass 0.99 < 1 - k^{-3/2} = 0.999 at k = 100
+    law = entropic.step_distribution
+
+    def short(model, s, half_width=None):
+        dist = law(model, s, half_width)
+        return replace(dist, pmf=0.99 * dist.pmf)
+
+    monkeypatch.setattr(entropic, "step_distribution", short)
+    with pytest.raises(RuntimeError, match="at k = 100$"):
+        typicality_params(10 ** 6, 100, "undirected", 0.0)
 
 
 def test_typicality_probe_local_failures_small():
