@@ -63,7 +63,7 @@ def _flag(key: str) -> str:
     return "--format" if key == "fmt" else "--" + key.replace("_", "-")
 
 
-def load_config_file(path: str, keys=tuple(KEYS)) -> dict:
+def load_config_file(path: str, keys: tuple[str, ...]) -> dict:
     """Read a flat key=value file of the given config keys; '#' starts a comment."""
     values = {}
     with open(path) as fh:

@@ -130,12 +130,16 @@ def _poisson_pmf_centered(lo: int, hi: int, s: float) -> np.ndarray:
     return np.exp(logp)
 
 
-def step_distribution(model: str, s: float, half_width: int | None = None) -> StepDistribution:
-    """Truncated step pmf, centered at the mean (s directed, 0 undirected)."""
+def step_distribution(model: str, s: float, reach: int = 0) -> StepDistribution:
+    """Truncated step pmf, centered at the mean (s directed, 0 undirected).
+
+    The window reaches max(window_half_width(s), reach) from its center: a
+    caller can widen it past the 1e-15 tail bound, never narrow it.
+    """
     _check_model(model)
     if s < 0:
         raise ValueError("s must be >= 0")
-    half = window_half_width(s) if half_width is None else int(half_width)
+    half = max(window_half_width(s), reach)
     if model == "directed":
         center = int(round(s))
         lo = max(0, center - half)
@@ -153,19 +157,19 @@ def step_distribution(model: str, s: float, half_width: int | None = None) -> St
     return StepDistribution(model=model, s=float(s), lo=lo, hi=hi, pmf=np.asarray(pmf, float))
 
 
-def entropy(model: str, s: float, half_width: int | None = None) -> float:
+def entropy(model: str, s: float) -> float:
     """Shannon entropy H(s) of the step distribution, in nats: the mean of Q_1(s)."""
-    return _q1_mean(model, s, half_width)[0]
+    return _q1_mean(model, s)[0]
 
 
-def _q1_mean(model: str, s: float, half_width: int | None):
+def _q1_mean(model: str, s: float):
     """(H(s), p, log p): the mean of Q_1(s) and the pmf mass above PMF_FLOOR it sums.
 
     At s = 0 the law is a point mass, H = 0.0 and both arrays are empty.
     """
     if s == 0:
         return 0.0, np.zeros(0), np.zeros(0)
-    dist = step_distribution(model, s, half_width)
+    dist = step_distribution(model, s)
     p = dist.pmf[dist.pmf > PMF_FLOOR]
     logp = np.log(p)
     return -math.fsum(p * logp), p, logp
@@ -197,9 +201,9 @@ def entropy_derivative(model: str, s: float) -> float:
     return math.fsum(terms)
 
 
-def q1_moments(model: str, s: float, half_width: int | None = None) -> tuple[float, float]:
+def q1_moments(model: str, s: float) -> tuple[float, float]:
     """Mean and variance of Q_1(s) = -log nu_s(W_1)."""
-    mean, p, logp = _q1_mean(model, s, half_width)
+    mean, p, logp = _q1_mean(model, s)
     return mean, math.fsum(p * (-logp - mean) ** 2)
 
 

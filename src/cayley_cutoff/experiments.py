@@ -7,6 +7,7 @@ byte-identical across reruns and across serial/parallel execution.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -16,10 +17,10 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import entropic, lemmas, spectral, walk
+from . import __version__, entropic, lemmas, spectral, walk
 from .groups import GroupSpec, make_group, replicate_rng, sample_generators
 
-TOOL_VERSION = "cayley-cutoff 0.1.0"
+TOOL_VERSION = f"cayley-cutoff {__version__}"
 
 #: refuse runs estimated over this many DFT butterfly-equivalents without force.
 BUDGET_LIMIT = 10 ** 9
@@ -155,29 +156,26 @@ def _write(config: ExperimentConfig, text: str) -> str:
     return text
 
 
-def _map_replicates(config: ExperimentConfig, fn, payload) -> list:
-    """Run fn(replicate_index, payload) for each replicate, serial or pooled.
+def _map_replicates(config: ExperimentConfig, fn, *args) -> list:
+    """Run fn(config, *args, r) for each replicate r, serial or pooled.
 
     Results are merged in replicate order regardless of completion order.  Fork
     starts every worker on the first submit, so there is at most one per replicate and CPU.
     """
-    indices = list(range(config.replicates))
+    work = functools.partial(fn, config, *args)
+    indices = range(config.replicates)
     workers = min(config.jobs, config.replicates, len(os.sched_getaffinity(0)))
     if workers == 1:
-        return [fn(r, payload) for r in indices]
+        return [work(r) for r in indices]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, indices, [payload] * len(indices)))
+        return list(pool.map(work, indices))
 
 
-def _budget_check(config: ExperimentConfig, n: int, transforms_per_replicate: int,
-                  replicates: int | None = None):
-    """Price each replicate as its spectrum transform plus its row transforms.
-
-    `replicates` defaults to `config.replicates`; a runner that computes fewer
-    replicates passes the number it computes.
-    """
-    replicates = config.replicates if replicates is None else replicates
-    work = (replicates * (transforms_per_replicate + 1)
+def _budget_check(config: ExperimentConfig, n: int, rows_per_replicate: int):
+    """Price each of `config.replicates` replicates as one transform for its
+    spectrum plus one per heat-kernel row; `_tv_at` carries two rows in one
+    transform, so this over-prices the rows."""
+    work = (config.replicates * (rows_per_replicate + 1)
             * n * max(math.log2(n), 1.0))
     if work > BUDGET_LIMIT and not config.force:
         raise BudgetExceededError(
@@ -204,9 +202,8 @@ def _tv_at(spec: spectral.SpectralData, times: list[float]) -> list[float]:
     return [tv[t] for t in times]
 
 
-def _cutoff_worker(r: int, payload: dict) -> dict:
-    t_alpha: dict[float, float] = payload["t_alpha"]
-    _, spec, gaps, head = _instance(payload["config"], r)
+def _cutoff_worker(config: ExperimentConfig, t_alpha: dict[float, float], r: int) -> dict:
+    _, spec, gaps, head = _instance(config, r)
     alphas = sorted(t_alpha)
     row = {**head, "connected": gaps.connected}
     for alpha, tv in zip(alphas, _tv_at(spec, [t_alpha[a] for a in alphas])):
@@ -219,8 +216,7 @@ def run_cutoff_profile(config: ExperimentConfig) -> tuple[str, list[dict]]:
     alphas = config.alphas or (-1.5, 0.0, 1.5)
     _budget_check(config, group.n, len(alphas))
     sol = entropic.solve_times(group.n, config.k, config.model, alphas=alphas)
-    payload = {"config": config, "t_alpha": sol.t_alpha}
-    rows = _map_replicates(config, _cutoff_worker, payload)
+    rows = _map_replicates(config, _cutoff_worker, sol.t_alpha)
     summary = []
     for alpha in sorted(sol.t_alpha):
         vals = [row[f"tv_alpha_{alpha:g}"] for row in rows]
@@ -240,8 +236,7 @@ def run_cutoff_profile(config: ExperimentConfig) -> tuple[str, list[dict]]:
 # gap scan
 # ---------------------------------------------------------------------------
 
-def _gap_worker(r: int, payload: dict) -> dict:
-    config: ExperimentConfig = payload["config"]
+def _gap_worker(config: ExperimentConfig, r: int) -> dict:
     _, spec, gaps, head = _instance(config, r)
     scale = spec.group.n ** (2.0 / config.k)
     return {
@@ -257,7 +252,7 @@ def _gap_worker(r: int, payload: dict) -> dict:
 def run_gap_scan(config: ExperimentConfig) -> tuple[str, list[dict]]:
     group = config.group()
     _budget_check(config, group.n, 0)
-    rows = _map_replicates(config, _gap_worker, {"config": config})
+    rows = _map_replicates(config, _gap_worker)
     ratios = [row["t_rel_over_scale"] for row in rows if row["connected"]]
     summary = {
         "connected_fraction": sum(r["connected"] for r in rows) / len(rows),
@@ -287,11 +282,6 @@ def _t_grid_triple(text: str) -> tuple[float, float, int]:
     return lo, hi, pts
 
 
-def _parse_t_grid(text: str) -> np.ndarray:
-    """Parse "lo:hi:points" into a log-spaced grid."""
-    return np.geomspace(*_t_grid_triple(text))
-
-
 def default_t_grid(n: int, k: int, model: str) -> np.ndarray:
     """60 log-spaced times bracketing the cutoff window [t_-3, t_3]."""
     sol = entropic.solve_times(n, k, model, alphas=(-3.0, 3.0))
@@ -301,9 +291,9 @@ def default_t_grid(n: int, k: int, model: str) -> np.ndarray:
     return np.geomspace(lo, 2.0 * sol.t_alpha[3.0], 60)
 
 
-def _curve_worker(r: int, payload: dict) -> list[dict]:
-    _, spec, gaps, head = _instance(payload["config"], r)
-    grid = [float(t) for t in payload["grid"]]
+def _curve_worker(config: ExperimentConfig, grid: np.ndarray, r: int) -> list[dict]:
+    _, spec, gaps, head = _instance(config, r)
+    grid = [float(t) for t in grid]
     return [{**head, "t": t, "tv": tv, "l2_bound": spectral.l2_bound(spec, t),
              "gamma": gaps.gamma}
             for t, tv in zip(grid, _tv_at(spec, grid))]
@@ -312,18 +302,18 @@ def _curve_worker(r: int, payload: dict) -> list[dict]:
 def run_tv_curve(config: ExperimentConfig) -> tuple[str, list[dict]]:
     group = config.group()
     if config.t_grid:  # priced from its point count before the grid is built
-        _budget_check(config, group.n, _t_grid_triple(config.t_grid)[2])
-        grid = _parse_t_grid(config.t_grid)
+        lo, hi, points = _t_grid_triple(config.t_grid)
+        _budget_check(config, group.n, points)
+        grid = np.geomspace(lo, hi, points)
     else:
         grid = default_t_grid(group.n, config.k, config.model)
         _budget_check(config, group.n, len(grid))
-    payload = {"config": config, "grid": grid}
-    rows = [row for part in _map_replicates(config, _curve_worker, payload) for row in part]
+    rows = [row for part in _map_replicates(config, _curve_worker, grid) for row in part]
     return _emit(config, rows), rows
 
 
 def run_spectrum(config: ExperimentConfig) -> tuple[str, list[dict]]:
-    _budget_check(config, config.group().n, 0, replicates=1)
+    _budget_check(replace(config, replicates=1), config.group().n, 0)
     _, spec, gaps, head = _instance(config, 0)
     rows = [
         {"index": i, "instance_digest": head["instance_digest"],
@@ -335,8 +325,8 @@ def run_spectrum(config: ExperimentConfig) -> tuple[str, list[dict]]:
     return _emit(config, rows, summary), rows
 
 
-def _cheeger_worker(r: int, payload: dict) -> dict:
-    Z, spec, gaps, head = _instance(payload["config"], r)
+def _cheeger_worker(config: ExperimentConfig, r: int) -> dict:
+    Z, spec, gaps, head = _instance(config, r)
     lo, hi = spectral.cheeger_bounds(gaps) if gaps.connected else (0.0, 0.0)
     return {**head, "connected": gaps.connected, "gamma": gaps.gamma,
             "cheeger": spectral.cheeger_exact(spec.group, Z),
@@ -344,7 +334,7 @@ def _cheeger_worker(r: int, payload: dict) -> dict:
 
 
 def run_cheeger(config: ExperimentConfig) -> tuple[str, list[dict]]:
-    rows = _map_replicates(config, _cheeger_worker, {"config": config})
+    rows = _map_replicates(config, _cheeger_worker)
     return _emit(config, rows), rows
 
 

@@ -113,7 +113,9 @@ def replicate_rng(base_seed: int, replicate: int) -> np.random.Generator:
     """Counter-based stream for one replicate: Philox keyed by (base_seed, replicate).
 
     Streams for distinct replicates are independent and order-free, so parallel
-    and serial runs see identical randomness.
+    and serial runs see identical randomness.  Each key word is reduced mod 2^64
+    into a uint64 array, so seeds that differ mod 2^64, negative ones included,
+    key different streams.
     """
-    key = (int(base_seed) % 2 ** 64, int(replicate) % 2 ** 64)
+    key = np.array([int(base_seed) % 2 ** 64, int(replicate) % 2 ** 64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -115,8 +115,7 @@ def divisibility_check(model: str, s: float, r: int, gamma: int) -> CheckReport:
     """
     if gamma < 2 or r < 1:
         raise ValueError("need gamma >= 2 and r >= 1")
-    half = max(entropic.window_half_width(2 * s), 2 * r)
-    dist = entropic.step_distribution("undirected", 2.0 * s, half_width=half)
+    dist = entropic.step_distribution("undirected", 2.0 * s, reach=2 * r)
     xs = dist.support
     in_window = (np.abs(xs) <= 2 * r) & (xs != 0)
     total = float(dist.pmf[in_window].sum())
@@ -134,8 +133,7 @@ def unimodality_check(s: float, M: int) -> CheckReport:
         raise ValueError("s must be >= 0")
     if s == 0:
         return _report("unimodality", True, "degenerate at 0", 0.0)
-    half = max(entropic.window_half_width(s), M + 1)
-    dist = entropic.step_distribution("undirected", s, half_width=half)
+    dist = entropic.step_distribution("undirected", s, reach=M + 1)
     p = dist.prob(np.arange(M + 1))
     increase = np.diff(p)
     worst_idx = int(np.argmax(increase))
@@ -197,13 +195,7 @@ def level_set_count_check(group: GroupSpec) -> CheckReport:
 def _killed_transition(ell: int) -> np.ndarray:
     """Substochastic one-step matrix of the rate-1 SRW killed on leaving (-ell, ell)."""
     m = 2 * ell - 1
-    P = np.zeros((m, m))
-    for i in range(m):
-        if i + 1 < m:
-            P[i, i + 1] = 0.5
-        if i - 1 >= 0:
-            P[i, i - 1] = 0.5
-    return P
+    return 0.5 * (np.eye(m, k=1) + np.eye(m, k=-1))
 
 
 def _killed_survival(ell: int):
@@ -301,8 +293,7 @@ def tail_ratio_check(model: str, s_grid, r_grid) -> CheckReport:
             if r < math.sqrt(s) or r < 1:
                 continue
             dist = entropic.step_distribution(
-                "directed" if model == "poisson" else "undirected", float(s),
-                half_width=max(entropic.window_half_width(s), r + 80))
+                "directed" if model == "poisson" else "undirected", float(s), reach=r + 80)
             # tails summed from the window, which reaches r + 80 past each point
             xs = dist.support
             if model == "poisson":

@@ -91,9 +91,7 @@ class ImaginaryResidueError(RuntimeError):
 class SpectralData:
     """Eigenvalues lambda_x of the transition operator, indexed by element index."""
 
-    model: str
     group: GroupSpec
-    k: int
     eigenvalues: np.ndarray  # complex, shape (n,)
 
     @functools.cached_property
@@ -163,26 +161,27 @@ def _negated(a: np.ndarray, axes) -> np.ndarray:
     return a
 
 
-def _dft(a: np.ndarray, inverse: bool = False, overwrite: bool = False) -> np.ndarray:
+def _dft(a: np.ndarray, inverse: bool = False) -> np.ndarray:
     """numpy's `fftn(a)`, or `ifftn(a, norm="forward")`.
 
     Bit for bit, except on a 1-D `a` whose length is at least LONG_AXIS and not
     11-smooth: that one runs as a four-step Bluestein (`_chirp_z`) on
     `_fft_workers()` threads, within 57 eps log2(N) of the exact transform in
     relative 2-norm (N its padded length; the constant is derived in
-    tests/test_spectral.py::test_chirp_z_matches_numpy).  A complex `a` is left
-    intact unless `overwrite`; every intermediate this function owns is
-    transformed in place.  Below LONG_AXIS the spectrum's transform is therefore
-    numpy's; a heat-kernel row's is not, as its Hermitian-filled weights differ
-    from the full-spectrum ones in the last bits.
+    tests/test_spectral.py::test_chirp_z_matches_numpy).  A complex `a` is the
+    transform's work buffer and may be overwritten (the four-step returns `a`
+    itself); any other `a` is first copied to complex.  Below LONG_AXIS the
+    spectrum's transform is therefore numpy's; a heat-kernel row's is not, as
+    its Hermitian-filled weights differ from the full-spectrum ones in the last
+    bits.
     """
     out = a.astype(complex, copy=False)
     if out.ndim == 1 and out.size >= LONG_AXIS and fft.next_fast_len(out.size) != out.size:
-        return _chirp_z(out, out if overwrite or out is not a else np.empty_like(out), inverse)
+        return _chirp_z(out, inverse)
     transform = fft.ifft if inverse else fft.fft
     norm = "forward" if inverse else "backward"
     for axis in range(out.ndim - 1, -1, -1):
-        out = transform(out, axis=axis, norm=norm, overwrite_x=overwrite or out is not a)
+        out = transform(out, axis=axis, norm=norm, overwrite_x=True)
     return out
 
 
@@ -252,16 +251,17 @@ def _chirp_plan(m: int) -> _ChirpPlan:
     flat = kernel.reshape(-1)
     np.conjugate(chirp, out=flat[:m])
     flat[:-m:-1] = flat[1:m]
-    _four_step(plan, kernel, inverse=False, workers=_fft_workers())
+    _four_step(plan, kernel, inverse=False)
     kernel /= n1 * n2
     return plan
 
 
-def _four_step(plan: _ChirpPlan, v: np.ndarray, inverse: bool, workers: int):
+def _four_step(plan: _ChirpPlan, v: np.ndarray, inverse: bool):
     """Bailey's four-step DFT of length N = n1 n2, in place on the (n1, n2) view
     `v` of a length-N vector.  Forward: transform axis 0, twiddle, transform
     axis 1, which leaves X[k1 + n1 k2] at v[k1, k2]; inverse (unscaled): undo
-    the three steps from that order.  No transpose is made."""
+    the three steps from that order.  No transpose is made.  The batches run on
+    `_fft_workers()` threads."""
     twiddled = v.reshape(plan.n1, plan.twiddle_hi.shape[1], plan.twiddle_lo.shape[1])
     hi, lo = plan.twiddle_hi[:, :, None], plan.twiddle_lo[:, None, :]
     if inverse:
@@ -269,22 +269,22 @@ def _four_step(plan: _ChirpPlan, v: np.ndarray, inverse: bool, workers: int):
     axes = (1, 0) if inverse else (0, 1)
     transform = fft.ifft if inverse else fft.fft
     norm = "forward" if inverse else "backward"
+    workers = _fft_workers()
     transform(v, axis=axes[0], norm=norm, overwrite_x=True, workers=workers)
     twiddled *= hi
     twiddled *= lo
     transform(v, axis=axes[1], norm=norm, overwrite_x=True, workers=workers)
 
 
-def _chirp_z(x: np.ndarray, out: np.ndarray, inverse: bool) -> np.ndarray:
-    """The unscaled DFT of the 1-D `x` (e^{+} phases when `inverse`) into `out`.
+def _chirp_z(x: np.ndarray, inverse: bool) -> np.ndarray:
+    """The unscaled DFT of the complex 1-D `x` (e^{+} phases when `inverse`), in place.
 
     X_k = c_k sum_j (x_j c_j) conj c_{k-j}, c_j = e^{-i pi j^2 / m}: a
     convolution, run as two four-step transforms of length N around a product
-    with the cached kernel.  The inverse is conj DFT(conj x).  `out` may be `x`.
+    with the cached kernel.  The inverse is conj DFT(conj x).
     """
     m = x.size
     plan = _chirp_plan(m)
-    workers = _fft_workers()
     buf = np.zeros((plan.n1, plan.n2), dtype=complex)
     head = buf.reshape(-1)[:m]
     if inverse:
@@ -292,13 +292,13 @@ def _chirp_z(x: np.ndarray, out: np.ndarray, inverse: bool) -> np.ndarray:
         head *= plan.chirp
     else:
         np.multiply(x, plan.chirp, out=head)
-    _four_step(plan, buf, inverse=False, workers=workers)
+    _four_step(plan, buf, inverse=False)
     buf *= plan.kernel
-    _four_step(plan, buf, inverse=True, workers=workers)
-    np.multiply(head, plan.chirp, out=out)
+    _four_step(plan, buf, inverse=True)
+    np.multiply(head, plan.chirp, out=x)
     if inverse:
-        np.conjugate(out, out=out)
-    return out
+        np.conjugate(x, out=x)
+    return x
 
 
 def eigenvalues(group: GroupSpec, Z: GeneratorMultiset, model: str) -> SpectralData:
@@ -319,7 +319,7 @@ def eigenvalues(group: GroupSpec, Z: GeneratorMultiset, model: str) -> SpectralD
     # invariant characters reach 1.
     lam[near] = np.minimum(lam[near].real, np.nextafter(1.0, 0.0)) + 1j * lam[near].imag
     lam[_invariant_characters(group, Z, near)] = 1.0
-    return SpectralData(model=model, group=group, k=Z.k, eigenvalues=lam)
+    return SpectralData(group=group, eigenvalues=lam)
 
 
 def _packed_weights(spec: SpectralData, times: list[float]) -> np.ndarray:
@@ -396,7 +396,7 @@ def heat_kernel_row(spec: SpectralData, t) -> HeatKernelRow:
         if drift > 0 and math.log(drift) + excess > math.log(ROW_TOL):
             raise ImaginaryResidueError(
                 f"imaginary residue bound {drift:g} * e^{excess:g} > {ROW_TOL:g}")
-        row = _dft(_packed_weights(spec, times), overwrite=True).reshape(-1)
+        row = _dft(_packed_weights(spec, times)).reshape(-1)
         row /= n
     else:
         row = np.zeros(n, dtype=complex)

@@ -146,12 +146,11 @@ def dense_modified_l2_probe(group, k, model, alpha, replicates, samples, rng):
     params = walk.typicality_params(n, k, model, alpha)
     t_a = params.t_alpha
     hits = zero_hits = accepted_total = 0
-    chunk = 20000
     for rep in range(replicates):
         Z = sample_generators(group, k, rng)
         done = 0
         while done < samples:
-            m_chunk = min(chunk, samples - done)
+            m_chunk = min(walk.CHUNK, samples - done)
             done += m_chunk
             w1 = sample_walks(model, t_a, k, m_chunk, rng)
             w2 = sample_walks(model, t_a, k, m_chunk, rng)

@@ -137,14 +137,16 @@ def test_q1_moments():
 
 
 def test_window_truncation_soundness():
+    # the default window against one twice as wide, summed here
     for model in ("undirected", "directed"):
         for s in (0.7, 30.0):
-            half = window_half_width(s)
-            h1 = entropy(model, s, half)
-            h2 = entropy(model, s, 2 * half)
+            wide = step_distribution(model, s, reach=2 * window_half_width(s)).pmf
+            p = wide[wide > entropic.PMF_FLOOR]
+            h2 = -math.fsum(p * np.log(p))
+            v2 = math.fsum(p * (-np.log(p) - h2) ** 2)
+            h1, v1 = q1_moments(model, s)
+            assert abs(entropy(model, s) - h2) < 1e-12
             assert abs(h1 - h2) < 1e-12
-            _, v1 = q1_moments(model, s, half)
-            _, v2 = q1_moments(model, s, 2 * half)
             assert abs(v1 - v2) < 1e-12
 
 

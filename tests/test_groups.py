@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -172,3 +173,10 @@ def test_replicate_rng_streams():
     c = replicate_rng(99, 1).integers(0, 2 ** 32, size=8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+    # negative seeds and seeds from 2^63 on each key their own stream; a key
+    # cast through float64 would map every negative seed onto seed 0's
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = {tuple(replicate_rng(seed, 0).integers(0, 2 ** 32, size=8))
+                 for seed in (0, -1, -2, 2 ** 63, 2 ** 63 + 1)}
+    assert len(draws) == 5

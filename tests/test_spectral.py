@@ -171,10 +171,8 @@ def test_dft_is_numpy_fftn_bit_for_bit(shape):
     counts = rng.integers(0, 5, size=shape)
     z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     for a in (counts, z):
-        held = a.copy()
-        assert np.array_equal(_dft(a), np.fft.fftn(held))
-        assert np.array_equal(_dft(a, inverse=True), np.fft.ifftn(held, norm="forward"))
-        assert np.array_equal(a, held)
+        assert np.array_equal(_dft(a.copy()), np.fft.fftn(a))
+        assert np.array_equal(_dft(a.copy(), inverse=True), np.fft.ifftn(a, norm="forward"))
 
 
 @pytest.mark.parametrize("shape, long_axis", [((262147,), None), ((101,), 101),
@@ -212,20 +210,18 @@ def test_chirp_z_matches_numpy(monkeypatch, shape, long_axis):
     counts = rng.integers(0, 5, size=shape)
     z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     for a in (counts, z):
-        held = a.copy()
         for inverse in (False, True):
-            got = _dft(a, inverse=inverse)
-            ref = (np.fft.ifft(held.astype(np.clongdouble), norm="forward") if inverse
-                   else np.fft.fft(held.astype(np.clongdouble)))
+            got = _dft(a.copy(), inverse=inverse)
+            ref = (np.fft.ifft(a.astype(np.clongdouble), norm="forward") if inverse
+                   else np.fft.fft(a.astype(np.clongdouble)))
             plan = spectral._chirp_plan(a.size)
             big_n = plan.n1 * plan.n2
             kappa = np.abs(plan.kernel).max() * big_n / math.sqrt(a.size)
             assert big_n >= 2 * a.size - 1 and math.log2(big_n) >= 7 and kappa <= 3
             err = float(np.linalg.norm(got - ref) / np.linalg.norm(ref))
             assert err <= 57 * EPS * math.log2(big_n)
-            assert np.array_equal(a, held)
-    # overwrite: the result lands in the caller's buffer
-    assert _dft(z, overwrite=True) is z
+    # the result lands in the caller's buffer
+    assert _dft(z) is z
 
 
 def test_chirp_z_output_is_thread_count_free(monkeypatch):
@@ -244,7 +240,7 @@ def test_chirp_z_output_is_thread_count_free(monkeypatch):
 
 def _hand_spectrum(lam):
     lam = np.asarray(lam, dtype=complex)
-    return SpectralData(model="directed", group=make_group([lam.size]), k=1, eigenvalues=lam)
+    return SpectralData(group=make_group([lam.size]), eigenvalues=lam)
 
 
 def test_heat_kernel_row_guards():
@@ -308,7 +304,7 @@ def test_residue_terms_match_elementwise_negation(moduli):
     rng = replicate_rng(31, len(moduli))
     lam = eigenvalues(g, sample_generators(g, 5, rng), "directed").eigenvalues.copy()
     lam += 1e-6 * (rng.normal(size=g.n) + 1j * rng.normal(size=g.n))
-    spec = SpectralData(model="directed", group=g, k=5, eigenvalues=lam)
+    spec = SpectralData(group=g, eigenvalues=lam)
     minus = index_of(g, -element_of(g, np.arange(g.n)) % g.moduli)
     want = float(np.abs(lam - np.conj(lam[minus])).mean())
     assert want > 0
@@ -325,7 +321,7 @@ def test_residue_bound_never_below_unpacked_residue(moduli, seed, t, size, spike
     lam = eigenvalues(g, sample_generators(g, 3, rng), "directed").eigenvalues.copy()
     hit = rng.integers(0, g.n, size=spikes)
     lam[hit] += 10.0 ** size * (rng.normal(size=spikes) + 1j * rng.normal(size=spikes))
-    spec = SpectralData(model="directed", group=g, k=3, eigenvalues=lam)
+    spec = SpectralData(group=g, eigenvalues=lam)
     weights = np.exp(-t * (1.0 - lam)).reshape(moduli)
     residue = np.abs(np.fft.fftn(weights).imag).max() / g.n
     drift = np.abs(lam - np.conj(lam[_mirror_index(g)])).mean()
@@ -402,7 +398,7 @@ def test_half_spectrum_rows_stay_within_fill_bound(moduli, seed, t, size, spikes
     lam = eigenvalues(g, sample_generators(g, 3, rng), "directed").eigenvalues.copy()
     hit = rng.integers(1, g.n, size=spikes)
     lam[hit] += 10.0 ** size * (rng.normal(size=spikes) + 1j * rng.normal(size=spikes))
-    spec = SpectralData(model="directed", group=g, k=3, eigenvalues=lam)
+    spec = SpectralData(group=g, eigenvalues=lam)
     for pair in ([t, 0.5 * t], [0.5 * t, t]):
         try:
             _assert_matches_full_spectrum(spec, pair)

@@ -290,8 +290,8 @@ def test_typicality_params_raises_when_the_window_falls_short(monkeypatch):
     # every window holds mass 0.99 < 1 - k^{-3/2} = 0.999 at k = 100
     law = entropic.step_distribution
 
-    def short(model, s, half_width=None):
-        dist = law(model, s, half_width)
+    def short(model, s, reach=0):
+        dist = law(model, s, reach)
         return replace(dist, pmf=0.99 * dist.pmf)
 
     monkeypatch.setattr(entropic, "step_distribution", short)
