@@ -136,17 +136,17 @@ def main(argv=None) -> int:
         if config.only == SELF_TEST and not args.self_test_fail:
             args.error(f"--only {SELF_TEST} needs --self-test-fail")
         text, status = run_verify(config, self_test=args.self_test_fail)
+    else:
+        status = 0
+        try:
+            text, _ = RUNNERS[args.command](config)
+        except BudgetExceededError as exc:
+            args.error(str(exc))
+        except BracketError as exc:
+            args.error(f"--alpha/--k: {exc}; lower --alpha or raise --k")
+    if not config.out:  # --out holds the whole output
         sys.stdout.write(text)
-        return status
-    try:
-        text, _ = RUNNERS[args.command](config)
-    except BudgetExceededError as exc:
-        args.error(str(exc))
-    except BracketError as exc:
-        args.error(f"--alpha/--k: {exc}; lower --alpha or raise --k")
-    if not config.out:
-        sys.stdout.write(text)
-    return 0
+    return status
 
 
 if __name__ == "__main__":

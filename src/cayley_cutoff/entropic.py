@@ -70,7 +70,6 @@ class EntropicSolution:
     t0: float
     v: float
     omega: float
-    h_t0: float
     t_alpha: dict[float, float] = field(default_factory=dict)
 
 
@@ -181,21 +180,12 @@ def entropy_derivative(model: str, s: float) -> float:
     The time derivative of the pmf is p'(x) = (p(x+1) + p(x-1))/2 - p(x) for
     the undirected walk and p'(x) = p(x-1) - p(x) for the directed one.
     """
-    _check_model(model)
     if s <= 0:
         raise ValueError("s must be > 0")
-    dist = step_distribution(model, s)
-    p = dist.pmf
-    if model == "undirected":
-        up = np.roll(p, -1)
-        up[-1] = 0.0
-        down = np.roll(p, 1)
-        down[0] = 0.0
-        dp = 0.5 * (up + down) - p
-    else:
-        prev = np.roll(p, 1)
-        prev[0] = 0.0  # no inflow into the leftmost state of the window
-        dp = prev - p
+    p = step_distribution(model, s).pmf
+    padded = np.pad(p, 1)  # no flow across either end of the window
+    down, up = padded[:-2], padded[2:]
+    dp = 0.5 * (up + down) - p if model == "undirected" else down - p
     mask = p > PMF_FLOOR
     terms = -dp[mask] * (np.log(p[mask]) + 1.0)
     return math.fsum(terms)
@@ -255,9 +245,7 @@ def solve_times(n: int, k: int, model: str, alphas=()) -> EntropicSolution:
         else:
             t_alpha[float(alpha)] = k * entropy_inverse(model, target, s_hint)
     return EntropicSolution(
-        n=n, k=k, model=model, t0=k * s0, v=v, omega=omega, h_t0=entropy(model, s0),
-        t_alpha=t_alpha,
-    )
+        n=n, k=k, model=model, t0=k * s0, v=v, omega=omega, t_alpha=t_alpha)
 
 
 def f_lambda(lam: float, model: str) -> float:
@@ -283,14 +271,14 @@ REGIME_INTERMEDIATE = "k ~ lambda log n"
 REGIME_LARGE_K = "k >> log n"
 
 
-def asymptotic_times(n: int, k: int, model: str) -> AsymptoticReport:
-    """Evaluate the regime-matched closed-form prediction for t0 and the window.
+def asymptotic_times(sol: EntropicSolution) -> AsymptoticReport:
+    """The regime-matched closed-form prediction for t0 and the window, against sol.t0.
 
     kappa < 0.2: t0 ~ k n^{2/k} / (2 pi e), window sqrt(2) * t0 / sqrt(k);
     kappa > 5:   t0 ~ log n / log kappa, window sqrt(kappa log kappa) * t0 / sqrt(k);
     otherwise:   t0 = k f(kappa), window g(kappa) * t0 / sqrt(k).
     """
-    _check_model(model)
+    n, k, model = sol.n, sol.k, sol.model
     log_n = math.log(n)
     kappa = k / log_n
     if kappa < KAPPA_SMALL:
@@ -306,10 +294,8 @@ def asymptotic_times(n: int, k: int, model: str) -> AsymptoticReport:
         predicted_t0 = k * f_lambda(kappa, model)
         window_coeff = g_lambda(kappa, model)
     predicted_window = window_coeff * predicted_t0 / math.sqrt(k)
-    solver_t0 = solve_times(n, k, model).t0
-    relative_gap = abs(predicted_t0 - solver_t0) / solver_t0
     return AsymptoticReport(
         regime=regime, kappa=kappa, predicted_t0=predicted_t0,
-        predicted_window=predicted_window, solver_t0=solver_t0,
-        relative_gap=relative_gap,
+        predicted_window=predicted_window, solver_t0=sol.t0,
+        relative_gap=abs(predicted_t0 - sol.t0) / sol.t0,
     )

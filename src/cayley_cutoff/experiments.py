@@ -83,9 +83,13 @@ class ExperimentConfig:
         return make_group(self.moduli)
 
     def digest(self) -> str:
-        payload = {k: v for k, v in asdict(self).items() if k not in ("out", "jobs")}
-        blob = json.dumps(payload, sort_keys=True, default=str)
-        return hashlib.sha256(blob.encode()).hexdigest()[:12]
+        return _digest({k: v for k, v in asdict(self).items() if k not in ("out", "jobs")})
+
+
+def _digest(obj) -> str:
+    """The first 12 hex digits of the sha256 of obj as sorted-key JSON."""
+    blob = json.dumps(obj, sort_keys=True, default=str)
+    return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
 def _instance(config: ExperimentConfig, r: int):
@@ -93,9 +97,8 @@ def _instance(config: ExperimentConfig, r: int):
     group = config.group()
     Z = sample_generators(group, config.k, replicate_rng(config.base_seed, r))
     spec = spectral.eigenvalues(group, Z, config.model)
-    blob = json.dumps(Z.generators.tolist())
     head = {"replicate": r, "seed": config.base_seed,
-            "instance_digest": hashlib.sha256(blob.encode()).hexdigest()[:12]}
+            "instance_digest": _digest(Z.generators.tolist())}
     return Z, spec, spectral.gap_summary(spec), head
 
 
@@ -171,12 +174,13 @@ def _map_replicates(config: ExperimentConfig, fn, *args) -> list:
         return list(pool.map(work, indices))
 
 
-def _budget_check(config: ExperimentConfig, n: int, rows_per_replicate: int):
-    """Price each of `config.replicates` replicates as one transform for its
-    spectrum plus one per heat-kernel row; `_tv_at` carries two rows in one
-    transform, so this over-prices the rows."""
-    work = (config.replicates * (rows_per_replicate + 1)
-            * n * max(math.log2(n), 1.0))
+def _budget_check(config: ExperimentConfig, rows: int):
+    """Price each of `config.replicates` replicates as the transforms it runs:
+    one for its spectrum and one per pair of its `rows` heat-kernel rows, the
+    pairs `_tv_at` packs into one transform.  A transform of n points costs
+    n log2 n butterfly-equivalents."""
+    n = config.group().n
+    work = config.replicates * (1 + -(-rows // 2)) * n * max(math.log2(n), 1.0)
     if work > BUDGET_LIMIT and not config.force:
         raise BudgetExceededError(
             f"estimated {work:.3g} butterfly-equivalents exceeds {BUDGET_LIMIT:g}; "
@@ -212,10 +216,9 @@ def _cutoff_worker(config: ExperimentConfig, t_alpha: dict[float, float], r: int
 
 
 def run_cutoff_profile(config: ExperimentConfig) -> tuple[str, list[dict]]:
-    group = config.group()
     alphas = config.alphas or (-1.5, 0.0, 1.5)
-    _budget_check(config, group.n, len(alphas))
-    sol = entropic.solve_times(group.n, config.k, config.model, alphas=alphas)
+    _budget_check(config, len(alphas))
+    sol = entropic.solve_times(config.group().n, config.k, config.model, alphas=alphas)
     rows = _map_replicates(config, _cutoff_worker, sol.t_alpha)
     summary = []
     for alpha in sorted(sol.t_alpha):
@@ -250,8 +253,7 @@ def _gap_worker(config: ExperimentConfig, r: int) -> dict:
 
 
 def run_gap_scan(config: ExperimentConfig) -> tuple[str, list[dict]]:
-    group = config.group()
-    _budget_check(config, group.n, 0)
+    _budget_check(config, 0)
     rows = _map_replicates(config, _gap_worker)
     ratios = [row["t_rel_over_scale"] for row in rows if row["connected"]]
     summary = {
@@ -300,20 +302,19 @@ def _curve_worker(config: ExperimentConfig, grid: np.ndarray, r: int) -> list[di
 
 
 def run_tv_curve(config: ExperimentConfig) -> tuple[str, list[dict]]:
-    group = config.group()
     if config.t_grid:  # priced from its point count before the grid is built
         lo, hi, points = _t_grid_triple(config.t_grid)
-        _budget_check(config, group.n, points)
+        _budget_check(config, points)
         grid = np.geomspace(lo, hi, points)
     else:
-        grid = default_t_grid(group.n, config.k, config.model)
-        _budget_check(config, group.n, len(grid))
+        grid = default_t_grid(config.group().n, config.k, config.model)
+        _budget_check(config, len(grid))
     rows = [row for part in _map_replicates(config, _curve_worker, grid) for row in part]
     return _emit(config, rows), rows
 
 
 def run_spectrum(config: ExperimentConfig) -> tuple[str, list[dict]]:
-    _budget_check(replace(config, replicates=1), config.group().n, 0)
+    _budget_check(replace(config, replicates=1), 0)
     _, spec, gaps, head = _instance(config, 0)
     rows = [
         {"index": i, "instance_digest": head["instance_digest"],
@@ -343,21 +344,11 @@ def run_cheeger(config: ExperimentConfig) -> tuple[str, list[dict]]:
 # ---------------------------------------------------------------------------
 
 def run_entropic_report(config: ExperimentConfig) -> tuple[str, list[dict]]:
-    group = config.group()
     alphas = config.alphas or (-1.0, 0.0, 1.0)
-    sol = entropic.solve_times(group.n, config.k, config.model, alphas=alphas)
-    asym = entropic.asymptotic_times(group.n, config.k, config.model)
-    record = {
-        "n": sol.n, "k": sol.k, "model": sol.model,
-        "t0": sol.t0, "v": sol.v, "omega": sol.omega,
-        "t_alpha": {f"{a:g}": t for a, t in sorted(sol.t_alpha.items())},
-        "asymptotic": {
-            "regime": asym.regime, "kappa": asym.kappa,
-            "predicted_t0": asym.predicted_t0,
-            "predicted_window": asym.predicted_window,
-            "solver_t0": asym.solver_t0, "relative_gap": asym.relative_gap,
-        },
-    }
+    sol = entropic.solve_times(config.group().n, config.k, config.model, alphas=alphas)
+    record = {**asdict(sol),
+              "t_alpha": {f"{a:g}": t for a, t in sorted(sol.t_alpha.items())},
+              "asymptotic": asdict(entropic.asymptotic_times(sol))}
     # the report is JSON whatever --format says, and its digest says so too
     return _emit(replace(config, fmt="json"), [record]), [record]
 

@@ -279,11 +279,10 @@ LOG_TAIL_BAND = (0.1, 10.0)
 def tail_ratio_check(model: str, s_grid, r_grid) -> CheckReport:
     """Tail/point ratio ~ (s/r) v 1 and log-tail scale within frozen bands.
 
-    model is "poisson" (counting process; upper and lower tails) or "srw"
-    (symmetric walk; upper tail about 0).
+    The step law of `model`: "directed" is Poisson(s), whose upper and lower
+    tails about s are both checked; "undirected" is the symmetric walk, whose
+    upper tail about 0 is checked.
     """
-    if model not in ("poisson", "srw"):
-        raise ValueError("model must be poisson or srw")
     worst_violation = 0.0
     worst = "all ratios within bands"
     checked = 0
@@ -292,11 +291,10 @@ def tail_ratio_check(model: str, s_grid, r_grid) -> CheckReport:
             r = int(r)
             if r < math.sqrt(s) or r < 1:
                 continue
-            dist = entropic.step_distribution(
-                "directed" if model == "poisson" else "undirected", float(s), reach=r + 80)
+            dist = entropic.step_distribution(model, float(s), reach=r + 80)
             # tails summed from the window, which reaches r + 80 past each point
             xs = dist.support
-            if model == "poisson":
+            if model == "directed":
                 x = int(round(s + r))
                 pairs = [(float(dist.pmf[xs >= x].sum()), dist.prob(x))]
                 if s - r >= 0:
@@ -583,8 +581,8 @@ DEFAULT_CHECKS: dict[str, object] = {
     "dirichlet_rate": lambda: _best_of(
         [dirichlet_rate_check(ell) for ell in (1, 4, 8, 12)]),
     "tail_ratio": lambda: _best_of(
-        [tail_ratio_check("poisson", (25.0, 100.0, 400.0), (5, 10, 25, 60, 150)),
-         tail_ratio_check("srw", (25.0, 100.0, 400.0), (5, 10, 25, 60, 150))]),
+        [tail_ratio_check("directed", (25.0, 100.0, 400.0), (5, 10, 25, 60, 150)),
+         tail_ratio_check("undirected", (25.0, 100.0, 400.0), (5, 10, 25, 60, 150))]),
     "lclt": lambda: _best_of(
         [lclt_scan("directed", (100.0, 10000.0)),
          lclt_scan("undirected", (100.0, 10000.0))]),

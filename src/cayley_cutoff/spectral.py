@@ -96,15 +96,23 @@ class SpectralData:
 
     @functools.cached_property
     def _residue_terms(self) -> tuple[float, float]:
-        """mean_x |lambda_x - conj lambda_{-x}| and max_x Re lambda_x, once per spectrum.
+        """(mean_x |D_x|, g), D_x = lambda_x - conj lambda_{-x}, once per spectrum.
 
-        Every heat-kernel row bounds its imaginary residue from these two.
+        g is the least 1 - Re lambda_x over the x with D_x != 0 (0.0 when there
+        is none; the mean is 0 then).  They bound the imaginary residue of the
+        heat-kernel row at each time s by 0.5 s mean|D| e^{-s g}: the residue is
+        at most (1/2n) sum_x |w_x - conj w_{-x}|, w_x = e^{-s(1 - lambda_x)}, and
+        |e^{-sa} - e^{-sb}| <= s |a - b| e^{-s min(Re a, Re b)}.  Since D_{-x} =
+        -conj D_x, a term with D_x != 0 has D_{-x} != 0 too, so both of its
+        exponents have real part 1 - Re lambda >= g.
         """
         lam = self.eigenvalues
         mirror = _negated(lam.reshape(self.group.moduli), range(self.group.d)).reshape(-1)
         np.conjugate(mirror, out=mirror)
         np.subtract(lam, mirror, out=mirror)
-        return float(np.abs(mirror).mean()), float(lam.real.max())
+        asymmetric = mirror != 0
+        gap = float((1.0 - lam.real[asymmetric]).min()) if asymmetric.any() else 0.0
+        return float(np.abs(mirror).mean()), gap
 
     @functools.cached_property
     def _decay_rates(self) -> np.ndarray:
@@ -386,16 +394,15 @@ def heat_kernel_row(spec: SpectralData, t) -> HeatKernelRow:
     t_max = max(times)
     if t_max > 0:
         # Packing mixes each row's imaginary residue into the other row, so the
-        # residue is bounded from the spectrum instead:
-        # |Im P_t(0, y)| <= (1/2n) sum_x |w_x - conj w_{-x}|, and exp is
-        # e^{excess}-Lipschitz between the two exponents.  The same sum bounds
-        # what the Hermitian fill of `_packed_weights` changes in each row.
-        asymmetry, real_max = spec._residue_terms
-        drift = 0.5 * t_max * asymmetry
-        excess = t_max * max(0.0, real_max - 1.0)
-        if drift > 0 and math.log(drift) + excess > math.log(ROW_TOL):
-            raise ImaginaryResidueError(
-                f"imaginary residue bound {drift:g} * e^{excess:g} > {ROW_TOL:g}")
+        # residue is bounded from the spectrum instead, at each time, by a bound
+        # that decays with the gap (`_residue_terms`).  The sum it bounds also
+        # bounds what the Hermitian fill of `_packed_weights` changes in each row.
+        asymmetry, gap = spec._residue_terms
+        for s in times:
+            drift = 0.5 * s * asymmetry
+            if drift > 0 and math.log(drift) - s * gap > math.log(ROW_TOL):
+                raise ImaginaryResidueError(
+                    f"imaginary residue bound {drift:g} * e^{-s * gap:g} > {ROW_TOL:g}")
         row = _dft(_packed_weights(spec, times)).reshape(-1)
         row /= n
     else:

@@ -179,13 +179,13 @@ def test_undirected_pmf_beyond_bessel_range_raises():
 def test_solve_times_clamps_a_huge_hint_to_the_cap():
     # k = 1 passes the hint n^2 = 8.1e9, beyond the cap; t0 sits just below it
     sol = solve_times(90000, 1, "undirected")
-    assert abs(sol.h_t0 - math.log(90000)) < 1e-9
+    assert abs(entropy("undirected", sol.t0 / 1) - math.log(90000)) < 1e-9
 
 
 def test_solve_times_alpha_zero_is_t0():
     sol = solve_times(10 ** 4, 10, "undirected", alphas=[0.0])
     assert abs(sol.t_alpha[0.0] - sol.t0) < 1e-9 * sol.t0
-    assert abs(sol.h_t0 - math.log(10 ** 4) / 10) < 1e-9
+    assert abs(entropy("undirected", sol.t0 / 10) - math.log(10 ** 4) / 10) < 1e-9
     assert abs(sol.omega - (sol.v * 10) ** 0.25) < 1e-12
 
 
@@ -231,12 +231,12 @@ def test_f_lambda_identity_and_monotone():
 
 
 def test_asymptotic_report_regimes():
-    rep = asymptotic_times(10 ** 6, 2, "undirected")
+    rep = asymptotic_times(solve_times(10 ** 6, 2, "undirected"))
     assert rep.regime == "k << log n"
-    rep = asymptotic_times(10 ** 6, 14, "undirected")
+    rep = asymptotic_times(solve_times(10 ** 6, 14, "undirected"))
     assert rep.regime == "k ~ lambda log n"
     assert rep.relative_gap < 0.05  # prediction is the solver's own f(kappa) here
-    rep = asymptotic_times(10 ** 3, 10 ** 6, "undirected")
+    rep = asymptotic_times(solve_times(10 ** 3, 10 ** 6, "undirected"))
     assert rep.regime == "k >> log n"
     kappa = 10 ** 6 / math.log(10 ** 3)
     assert abs(rep.predicted_t0 - math.log(10 ** 3) / math.log(kappa)) < 1e-12
@@ -251,6 +251,6 @@ def test_asymptotic_window_small_k():
     sol = solve_times(n, k, "undirected", alphas=[1.0])
     rel = math.log(sol.t_alpha[1.0] / sol.t0)
     assert abs(rel - math.sqrt(2.0 / k)) / math.sqrt(2.0 / k) < 0.05
-    rep = asymptotic_times(n, 3, "undirected")  # kappa < 0.2 regime
+    rep = asymptotic_times(solve_times(n, 3, "undirected"))  # kappa < 0.2 regime
     assert rep.regime == "k << log n"
     assert abs(rep.predicted_window - math.sqrt(2.0) * rep.predicted_t0 / math.sqrt(3)) < 1e-12

@@ -149,10 +149,36 @@ def test_budget_check_prices_transforms_not_generators():
     # the scale target: one exact profile at n = 10^6 + 3 with k = 10^4
     cfg = _config(command="cutoff-profile", moduli=(10 ** 6 + 3,), k=10 ** 4,
                   alphas=(-1.5, 0.0, 1.5))
-    _budget_check(cfg, 10 ** 6 + 3, 3)
+    _budget_check(cfg, 3)
     with pytest.raises(BudgetExceededError):
-        _budget_check(_config(command="cutoff-profile", k=10 ** 4,
-                              replicates=20), 10 ** 6 + 3, 3)
+        _budget_check(replace(cfg, replicates=20), 3)
+
+
+def test_budget_prices_the_transforms_that_run(monkeypatch):
+    calls = []
+    real_dft = spectral._dft
+    monkeypatch.setattr(spectral, "_dft", lambda *a, **kw: calls.append(1) or real_dft(*a, **kw))
+    runs = ((run_cutoff_profile, _config(command="cutoff-profile", replicates=2,
+                                         alphas=(-1.5, 0.0, 1.5)), 3),
+            (run_tv_curve, _config(replicates=2, t_grid="1:100:5"), 5))
+    limit = experiments.BUDGET_LIMIT
+    for run, cfg, rows in runs:
+        calls.clear()
+        monkeypatch.setattr(experiments, "BUDGET_LIMIT", limit)
+        run(cfg)
+        # the spectrum, plus one transform per pair of heat-kernel rows
+        assert len(calls) == cfg.replicates * (1 + math.ceil(rows / 2))
+        # and the budget prices exactly those transforms, n log2 n each
+        price = len(calls) * 101 * math.log2(101)
+        monkeypatch.setattr(experiments, "BUDGET_LIMIT", price * (1 + 1e-9))
+        _budget_check(cfg, rows)
+        monkeypatch.setattr(experiments, "BUDGET_LIMIT", price * (1 - 1e-9))
+        with pytest.raises(BudgetExceededError):
+            _budget_check(cfg, rows)
+    monkeypatch.undo()
+    # 30 row pairs and the spectrum at n = 10^6 + 3: about 6.2e8, within the budget
+    _budget_check(_config(moduli=(10 ** 6 + 3,), k=14, model="directed",
+                          t_grid="1:10:60"), 60)
 
 
 def test_spectrum_budget_prices_the_one_transform_it_computes(capsys):
@@ -195,7 +221,7 @@ def test_window_sharpness_at_acceptance_scale():
     # the window is g * t0 / sqrt(k) with the regime-matched coefficient g
     # (here k >> log n, so g = sqrt(kappa log kappa), not the sparse sqrt(2)).
     n, k = 100003, 400
-    rep = entropic.asymptotic_times(n, k, "undirected")
+    rep = entropic.asymptotic_times(entropic.solve_times(n, k, "undirected"))
     t0 = rep.solver_t0
     cfg = _config(moduli=(n,), k=k, t_grid=f"{0.2 * t0}:{3 * t0}:50",
                   base_seed=17)
@@ -409,6 +435,10 @@ PINNED_STDOUT = {
         "97d689e3cc65354eb0908a4428eb467c6d3e50c359e4d6fe0088806cc248ca66",
     "entropic --group 1000003 --k 14 --seed 1":
         "38862a86c09336aa92ae5ef1b193fe2e6ecb6ee798a3e33d7b9f30104c16dd02",
+    "entropic --group 1000000 --k 2 --seed 1":
+        "608481ce22a089a1bc78ddaf6429c2e25e613c65ecf4c9d2d73dc74e1ac029e8",
+    "entropic --group 1000 --k 1000000 --seed 1":
+        "b60ba782fcfbe3287d52c22a9b2dc0f76d5f7244bf6c2e23120446740cbc4d65",
     "cutoff-profile --group 2,2,2,2,2,2,2,2,2,2,2,2 --k 30 --seed 3 --replicates 2":
         "a694c55c444b32f8b10602a2053c23b8edfb63ca20db79332d71fa8f86cc5b74",
     "cutoff-profile --group 262147 --k 14 --seed 5 --replicates 2 --model directed":
@@ -467,6 +497,22 @@ def test_cli_tv_curve_writes_file(tmp_path):
     text = out.read_text()
     assert text.startswith("# cayley-cutoff 0.1.0 config=")
     assert "t,tv,l2_bound" in text.splitlines()[1]
+
+
+def test_cli_verify_out_writes_only_the_file(tmp_path, capsys):
+    out = tmp_path / "verify.txt"
+    assert main(["verify", "--seed", "1", "--only", "cos_taylor", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == PINNED_STDOUT["verify --seed 1 --only cos_taylor"]
+
+
+def test_cli_tv_curve_long_after_mixing_exits_0(capsys):
+    # the residue bound decays with the gap, so rows far past mixing pass the guard
+    argv = "tv-curve --group 101 --k 4 --seed 1 --t-grid 1e5:1e9:5".split()
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert len(rows) == 5 and all(float(row.split(",")[4]) < 1e-12 for row in rows)
 
 
 def test_cli_config_file_precedence(tmp_path):

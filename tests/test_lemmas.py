@@ -203,11 +203,11 @@ def test_dirichlet_rate():
 
 
 def test_tail_ratio_bands():
-    rep = tail_ratio_check("poisson", (100.0,), (10, 30))
+    rep = tail_ratio_check("directed", (100.0,), (10, 30))
     assert rep.passed and rep.details["checked"] > 0
-    assert tail_ratio_check("srw", (25.0, 100.0), (5, 10, 25)).passed
+    assert tail_ratio_check("undirected", (25.0, 100.0), (5, 10, 25)).passed
     with pytest.raises(ValueError):
-        tail_ratio_check("poisson", (100.0,), (1,))  # r < sqrt(s) everywhere
+        tail_ratio_check("directed", (100.0,), (1,))  # r < sqrt(s) everywhere
     with pytest.raises(ValueError):
         tail_ratio_check("bogus", (100.0,), (10,))
 

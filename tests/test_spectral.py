@@ -306,9 +306,11 @@ def test_residue_terms_match_elementwise_negation(moduli):
     lam += 1e-6 * (rng.normal(size=g.n) + 1j * rng.normal(size=g.n))
     spec = SpectralData(group=g, eigenvalues=lam)
     minus = index_of(g, -element_of(g, np.arange(g.n)) % g.moduli)
-    want = float(np.abs(lam - np.conj(lam[minus])).mean())
+    delta = lam - np.conj(lam[minus])
+    want = float(np.abs(delta).mean())
     assert want > 0
-    assert spec._residue_terms == (want, float(lam.real.max()))
+    gap = min(1.0 - lam[x].real for x in range(g.n) if delta[x] != 0)
+    assert spec._residue_terms == (want, gap)
 
 
 @given(moduli=st.sampled_from([(12,), (9, 8), (4, 9, 25), (7, 6)]),
@@ -324,11 +326,18 @@ def test_residue_bound_never_below_unpacked_residue(moduli, seed, t, size, spike
     spec = SpectralData(group=g, eigenvalues=lam)
     weights = np.exp(-t * (1.0 - lam)).reshape(moduli)
     residue = np.abs(np.fft.fftn(weights).imag).max() / g.n
-    drift = np.abs(lam - np.conj(lam[_mirror_index(g)])).mean()
-    bound = 0.5 * t * math.exp(t * max(0.0, lam.real.max() - 1.0)) * drift
+    delta = lam - np.conj(lam[_mirror_index(g)])
+    drift = np.abs(delta).mean()
+    gap = (1.0 - lam.real)[delta != 0].min()
+
+    def bound_at(s):
+        return 0.5 * s * math.exp(-s * gap) * drift
+
+    bound = bound_at(t)
     # slack for the rounding of the transform itself, which the bound leaves out
     assert residue <= bound * (1 + 1e-9) + 1e-15
-    # the guard reads this bound: it raises above ROW_TOL and only there
+    # the guard reads this bound at both times: it raises above ROW_TOL and only there
+    bound = max(bound, bound_at(0.5 * t))
     if bound > ROW_TOL * (1 + 1e-9):
         with pytest.raises(ImaginaryResidueError):
             heat_kernel_row(spec, [t, 0.5 * t])
