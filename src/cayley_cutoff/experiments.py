@@ -164,6 +164,8 @@ def _map_replicates(config: ExperimentConfig, fn, *args) -> list:
 
     Results are merged in replicate order regardless of completion order.  Fork
     starts every worker on the first submit, so there is at most one per replicate and CPU.
+    Each worker gets one block of ceil(replicates / workers) replicates, one round
+    trip per block rather than per replicate.
     """
     work = functools.partial(fn, config, *args)
     indices = range(config.replicates)
@@ -171,7 +173,7 @@ def _map_replicates(config: ExperimentConfig, fn, *args) -> list:
     if workers == 1:
         return [work(r) for r in indices]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(work, indices))
+        return list(pool.map(work, indices, chunksize=-(-config.replicates // workers)))
 
 
 def _budget_check(config: ExperimentConfig, rows: int):
@@ -192,17 +194,17 @@ def _budget_check(config: ExperimentConfig, rows: int):
 # ---------------------------------------------------------------------------
 
 def _tv_at(spec: spectral.SpectralData, times: list[float]) -> list[float]:
-    """tv_exact of the heat-kernel row at each time, two nonzero times per transform.
+    """tv_exact of the heat-kernel row at each time, two times per transform.
 
-    A row at t = 0 takes no transform, so it is left out of the pairs.
+    Zeros go last (a stable sort), so every nonzero time keeps its partner, an
+    odd one out pairs with a zero (the zero weights of a single row), and a pair
+    of zeros takes no transform: `heat_kernel_row` owns the t = 0 rule.
     """
-    moving = [t for t in times if t != 0]
+    ordered = sorted(times, key=lambda t: t == 0)
     tv = {}
-    for i in range(0, len(moving), 2):
-        pair = moving[i:i + 2]
+    for i in range(0, len(ordered), 2):
+        pair = ordered[i:i + 2]
         tv.update(zip(pair, spectral.tv_exact(spectral.heat_kernel_row(spec, pair))))
-    if len(moving) < len(times):
-        tv[0.0] = spectral.tv_exact(spectral.heat_kernel_row(spec, 0.0))
     return [tv[t] for t in times]
 
 

@@ -41,20 +41,18 @@ def _report(name, passed, worst_case, max_violation, **details) -> CheckReport:
 # exact number-theoretic checks
 # ---------------------------------------------------------------------------
 
-def vz_uniform_check(moduli, V, k: int) -> CheckReport:
-    """V.Z over all Z in G^k is exactly uniform on the subgroup generated by gcds.
+def vz_uniform_check(moduli, V) -> CheckReport:
+    """V.Z over all Z in G^k, k = len(V), is exactly uniform on the subgroup generated by gcds.
 
     Requires every V_i nonzero mod every m_j and n^k <= 1e6 (exhaustive count).
     """
     group = make_group(moduli)
     V = [int(v) for v in V]
-    if len(V) != k:
-        raise ValueError("V must have length k")
     for v in V:
         for m in group.moduli:
             if v % m == 0:
                 raise ValueError(f"V entry {v} is 0 mod {m}")
-    if group.n ** k > VZ_EXHAUSTIVE_CAP:
+    if group.n ** len(V) > VZ_EXHAUSTIVE_CAP:
         raise ValueError("n^k exceeds the exhaustive cap 1e6")
 
     support_ok, uniform_ok, support_size, gcds = (a[0] for a in _vz_census(group, [V]))
@@ -556,7 +554,7 @@ def _vz_uniform_sweep() -> CheckReport:
             support_ok, uniform_ok, _, _ = _vz_census(make_group([m]), V)
             failed = np.flatnonzero(~(support_ok & uniform_ok))
             if failed.size:
-                return vz_uniform_check([m], V[failed[0]], k)
+                return vz_uniform_check([m], V[failed[0]])
             cases += len(V)
     return _report("vz_uniform", True, f"{cases} exact cases uniform", 0.0, cases=cases)
 

@@ -122,13 +122,9 @@ class SpectralData:
 
 @dataclass(frozen=True)
 class HeatKernelRow:
-    """Rows P_t(0, .) of the heat kernel, clamped and renormalized.
+    """Rows P_t(0, .) of the heat kernel, clamped and renormalized: shape (n,)
+    for one time, (len(t), n) for a sequence of times."""
 
-    For one time `t` is a float and `probs` has shape (n,); for a sequence of
-    times `t` is a tuple and `probs` has shape (len(t), n).
-    """
-
-    t: float | tuple[float, ...]
     probs: np.ndarray
 
 
@@ -382,7 +378,8 @@ def heat_kernel_row(spec: SpectralData, t) -> HeatKernelRow:
     `probs` is a view of that transform's output.  The weights are computed on
     half the group and filled as conj w_{-x} (`_packed_weights`), so no row is
     bit-identical to numpy's `fftn` of the full-spectrum weights.  A row at
-    t = 0 is the indicator of 0 and takes no transform.
+    t = 0 is the indicator of 0 and packs zero weights; a call whose times are
+    all 0 takes no transform.
     """
     if np.ndim(t) > 1 or not 1 <= np.size(t) <= 2:
         raise ValueError("t must be a time or a pair of times")
@@ -421,9 +418,7 @@ def heat_kernel_row(spec: SpectralData, t) -> HeatKernelRow:
             raise ValueError(f"row mass {total} deviates from 1 beyond tolerance")
         np.clip(probs, 0.0, None, out=probs)
         probs /= probs.sum()
-    if np.ndim(t) == 0:
-        return HeatKernelRow(t=times[0], probs=rows[0])
-    return HeatKernelRow(t=tuple(times), probs=rows)
+    return HeatKernelRow(probs=rows[0] if np.ndim(t) == 0 else rows)
 
 
 def tv_exact(row: HeatKernelRow) -> float | list[float]:

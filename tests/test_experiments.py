@@ -258,9 +258,9 @@ def test_instance_digest_is_pinned():
 ])
 def test_pool_has_at_most_one_worker_per_replicate_and_cpu(monkeypatch, jobs, replicates,
                                                           cpus, workers):
-    started = []
+    started, chunks = [], []
 
-    class RecordingPool:  # records its size and starts no process
+    class RecordingPool:  # records its size and chunk size and starts no process
         def __init__(self, max_workers):
             started.append(max_workers)
 
@@ -270,7 +270,8 @@ def test_pool_has_at_most_one_worker_per_replicate_and_cpu(monkeypatch, jobs, re
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
+        def map(self, fn, *iterables, chunksize):
+            chunks.append(chunksize)
             return map(fn, *iterables)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
@@ -278,6 +279,7 @@ def test_pool_has_at_most_one_worker_per_replicate_and_cpu(monkeypatch, jobs, re
     config = _config(command="gap-scan", moduli=(64,), k=3, replicates=replicates, jobs=jobs)
     rows = run_gap_scan(config)[1]
     assert started == ([] if workers is None else [workers])
+    assert chunks == ([] if workers is None else [-(-replicates // workers)])
     assert rows == run_gap_scan(replace(config, jobs=1))[1]
 
 
@@ -445,6 +447,13 @@ PINNED_STDOUT = {
         "91f697545446bc24c1bb148afe447b882d1911b0eeed80ed5e478910e2e0e52d",
     "verify --seed 1 --only cos_taylor":
         "cd167925de65f03bbd84204cdba5314df73b186c7c0a0bcbe70f4608fdfcea8b",
+    # t_{-40} and t_{-30} clamp to 0, so two zero times share one row pair
+    "cutoff-profile --group 101 --k 4 --seed 1 --alpha=-40,-30,0,1":
+        "d23fb46967e682c412e53f5a6938e53689cecebeee36c6b96a8320836ffb2990",
+    "cutoff-profile --group 101 --k 4 --seed 1 --alpha=-40,0,1 --model directed":
+        "5878ed8e2d776084b408ffe08e7a5939ecacf86b59c84c240833e1a228fdfa3a",
+    "gap-scan --group 1009 --k 20 --seed 1 --replicates 300 --jobs 2":
+        "ba58446ce2dbb7eda7532013af20c9a389a0519ccadc31db8ca1142342e27cc0",
 }
 
 
@@ -615,8 +624,11 @@ def test_cli_verify_single_check(capsys):
 
 def test_cli_import_leaves_out_scipy_stats():
     env = dict(os.environ, PYTHONPATH=str(Path(cayley_cutoff.__file__).parents[1]))
-    code = ("import sys, cayley_cutoff.cli; "
-            "print('scipy.stats' in sys.modules, 'scipy.optimize' in sys.modules)")
+    # the package root alone loads no submodule and no scipy module
+    code = ("import sys, cayley_cutoff; "
+            "root = [m for m in sys.modules if m.startswith(('cayley_cutoff.', 'scipy'))]; "
+            "import cayley_cutoff.cli; "
+            "print(root, 'scipy.stats' in sys.modules, 'scipy.optimize' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
-    assert out.strip() == "False False"
+    assert out.strip() == "[] False False"

@@ -19,32 +19,30 @@ from conftest import (dense_modified_l2_probe, dense_set_probability_check,
 
 
 def test_vz_uniform_examples():
-    rep = vz_uniform_check([6], (2, 4), 2)
+    rep = vz_uniform_check([6], (2, 4))
     assert rep.passed
     assert rep.details["support_size"] == 3  # {0, 2, 4}
     assert rep.details["gcds"] == [2]
 
     for V in [(1,), (2,), (1, 3), (4, 2)]:
-        rep = vz_uniform_check([5], V, len(V))
+        rep = vz_uniform_check([5], V)
         assert rep.passed and rep.details["support_size"] == 5
 
     for m in range(2, 13):
-        rep = vz_uniform_check([m], (1,), 1)
+        rep = vz_uniform_check([m], (1,))
         assert rep.passed and rep.details["support_size"] == m
 
 
 def test_vz_uniform_support_size_formula():
     for m, V in [(12, (2, 4)), (12, (3,)), (8, (2, 6)), (9, (3, 3))]:
-        rep = vz_uniform_check([m], V, len(V))
+        rep = vz_uniform_check([m], V)
         g = math.gcd(math.gcd(*(abs(v) for v in V)) if len(V) > 1 else abs(V[0]), m)
         assert rep.details["support_size"] == m // g
 
 
 def test_vz_uniform_rejects_degenerate_v():
     with pytest.raises(ValueError):
-        vz_uniform_check([6], (6,), 1)
-    with pytest.raises(ValueError):
-        vz_uniform_check([10], (1, 2), 1)
+        vz_uniform_check([6], (6,))
 
 
 def _assert_census_matches_oracle(moduli, V):
@@ -54,7 +52,7 @@ def _assert_census_matches_oracle(moduli, V):
         assert bool(support_ok[r] and uniform_ok[r]) == want.passed, (moduli, row)
         assert support_size[r] == want.details["support_size"], (moduli, row)
         assert gcds[r].tolist() == want.details["gcds"], (moduli, row)
-        assert vz_uniform_check(moduli, row, len(row)) == want
+        assert vz_uniform_check(moduli, row) == want
 
 
 def test_vz_census_matches_oracle_on_every_sweep_case():
@@ -110,7 +108,7 @@ def test_vz_uniform_sweep_negative_control(monkeypatch):
     assert rep == lemmas._report("vz_uniform", False, "nonuniform counts", 1.0,
                                  **oracle.details)
     # the m = 9 case alone: a count off the support is a support mismatch
-    assert lemmas.vz_uniform_check([9], (3,), 1).worst_case == "support mismatch"
+    assert lemmas.vz_uniform_check([9], (3,)).worst_case == "support mismatch"
 
 
 def test_divisibility_examples():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayley_cutoff import spectral
+from cayley_cutoff import entropic, spectral
 from cayley_cutoff.groups import (GeneratorMultiset, element_of, index_of,
                                   make_group, replicate_rng, sample_generators)
 from cayley_cutoff.spectral import (ROW_TOL, HeatKernelRow,
@@ -425,7 +425,7 @@ def test_paired_rows_equal_single_rows(moduli, model):
     held = spec.eigenvalues.copy()
     for pair in ([0.3, 2.0], [2.0, 0.3], [0.0, 1.5], [1.5, 0.0], [0.0, 0.0], [4.0]):
         row = heat_kernel_row(spec, pair)
-        assert row.t == tuple(pair) and row.probs.shape == (len(pair), g.n)
+        assert row.probs.shape == (len(pair), g.n)
         tvs = tv_exact(row)
         assert len(tvs) == len(pair)
         for probs, tv, t in zip(row.probs, tvs, pair):
@@ -522,7 +522,7 @@ def test_tv_exact_matches_elementwise_sum():
         for probs in rows:
             u = 1.0 / n
             expected = math.fsum(p - u for p in probs.tolist() if p > u)
-            assert tv_exact(HeatKernelRow(t=1.0, probs=probs)) == expected
+            assert tv_exact(HeatKernelRow(probs=probs)) == expected
 
 
 def _fsum_cases():
@@ -551,10 +551,10 @@ def test_exact_sum_is_fsum_bit_for_bit(monkeypatch, block):
     assert spectral._exact_sum(_fsum_cases()["tie to even below"]) == 1.0
     assert spectral._exact_sum(_fsum_cases()["tie to even above"]) == 1.0 + 2 * EPS
     for n in (1, 2):
-        assert tv_exact(HeatKernelRow(t=1.0, probs=np.full(n, 1.0 / n))) == 0.0
+        assert tv_exact(HeatKernelRow(probs=np.full(n, 1.0 / n))) == 0.0
     probs = np.stack([replicate_rng(31, j).dirichlet(np.full(1009, 0.3)) for j in range(2)])
     expected = [math.fsum(p - 1 / 1009 for p in r.tolist() if p > 1 / 1009) for r in probs]
-    assert tv_exact(HeatKernelRow(t=(1.0, 2.0), probs=probs)) == expected
+    assert tv_exact(HeatKernelRow(probs=probs)) == expected
 
 
 def test_tv_le_l2_bound_and_monotone():
@@ -640,3 +640,40 @@ def test_cheeger_bounds_bracket_exact_value():
         lo, hi = cheeger_bounds(gaps)
         phi = cheeger_exact(g, Z)
         assert lo - 1e-12 <= phi <= hi + 1e-12
+
+
+@pytest.mark.parametrize("model", ["undirected", "directed"])
+@pytest.mark.parametrize("n, split", [
+    (262202, (2, 131101)),  # 1-D: four-step Bluestein; split: pocketfft
+    (10 ** 4, (16, 625)), (900, (4, 9, 25)), (1001, (7, 11, 13)),
+])
+def test_isomorphic_labellings_agree(n, split, model):
+    """Z_n and its coprime split give the same walk, up to rounding.
+
+    Each generator maps by z -> (z mod m_j)_j, so the two instances are one
+    Cayley graph under two labellings: no oracle, only two transform routes.
+    With u = eps and L = log2 n, and times t_{-1.5}, t_0, t_{1.5}:
+    - connectivity is decided in integers and is identical;
+    - each lambda comes from one transform of the generator histogram, error
+      O(u L), so the sorted real spectra, gamma and gamma_star agree within u L,
+      absolutely (1 - lambda loses relative accuracy when gamma is small);
+    - TV agrees within 2 u L, and l2_bound relatively within 8 u L.  Both carry a
+      t max|d lambda| term; the times here stay below 30.
+    At k = 8 the worst readings over three other seeds were 0.25 u L (spectrum),
+    1.5 u (gammas), 0.47 u L (TV) and 2.4 u L (l2_bound).
+    """
+    k, bar = 8, EPS * math.log2(n)
+    cyclic, target = make_group([n]), make_group(split)
+    Z = sample_generators(cyclic, k, replicate_rng(8, 0))
+    specs = [eigenvalues(cyclic, Z, model),
+             eigenvalues(target, GeneratorMultiset(Z.generators % np.array(split)), model)]
+    a, b = (gap_summary(spec) for spec in specs)
+    assert a.connected == b.connected
+    assert abs(a.gamma - b.gamma) <= bar and abs(a.gamma_star - b.gamma_star) <= bar
+    ra, rb = (np.sort(spec.eigenvalues.real) for spec in specs)
+    assert np.max(np.abs(ra - rb)) <= bar
+    for t in entropic.solve_times(n, k, model, (-1.5, 0.0, 1.5)).t_alpha.values():
+        tv_a, tv_b = (tv_exact(heat_kernel_row(spec, t)) for spec in specs)
+        assert abs(tv_a - tv_b) <= 2 * bar, t
+        l2_a, l2_b = (l2_bound(spec, t) for spec in specs)
+        assert abs(l2_a / l2_b - 1) <= 8 * bar, t
