@@ -15,14 +15,21 @@ numpy's `fftn`; scipy's own `fftn` is not (it differs in the last bits at shape
 chirp-z (`_chirp_z`): the length-n DFT becomes a cyclic convolution of smooth
 length N = n1 n2 >= 2n - 1, and each length-N transform runs as Bailey's
 four-step FFT, batches of n1- and n2-point pocketfft transforms that stay in
-cache.  The batches are split over `len(os.sched_getaffinity(0))` threads, or
-one inside a multiprocessing worker, so `--jobs` does not oversubscribe; no
-output depends on the count.  The plan, cached for one n, holds the chirp and
-the kernel's spectrum, about 48 MB at n = 10^6 + 3, and scipy builds no
-prime-length plan of its own.  These long transforms are not bit-identical to
-numpy's: against pocketfft they move `tv-curve --group 1000003 --k 14 --model
-directed --seed 7 --t-grid 0.9:45:24` by at most 8.9e-16 in TV (24 of 24
-rows), 1.4e-14 in `l2_bound` and 3.3e-16 in gamma.
+cache.  The plan, cached for one n, holds the chirp and the kernel's spectrum,
+about 48 MB at n = 10^6 + 3, and scipy builds no prime-length plan of its own.
+These long transforms are not bit-identical to numpy's: against pocketfft they
+move `tv-curve --group 1000003 --k 14 --model directed --seed 7 --t-grid
+0.9:45:24` by at most 8.9e-16 in TV (24 of 24 rows), 1.4e-14 in `l2_bound` and
+3.3e-16 in gamma.
+
+Passes of at least LONG_AXIS elements run on `_fft_workers()` threads (one in
+a `--jobs` worker): every per-axis transform's batches and, as spans
+(`_in_spans`), the chirp products and zero fill, the four-step's row steps
+fused per cache-sized block of rows, the weights' exponentials and a row's
+division by n.  Each element takes the same operations in the same order on
+any count, so no output depends on it.  Serial stay shorter passes, the
+Hermitian fill, a row's two sums (pairwise, so their order sets the bits) and
+`tv_exact`, whose threaded temporaries raised peak RSS through malloc arenas.
 
 No heat-kernel row is bit-identical to numpy's transform of the full-spectrum
 weights: the exponentials run on half the group and the other half is filled by
@@ -45,6 +52,7 @@ import functools
 import math
 import multiprocessing
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,8 +84,15 @@ _EXP_OFFSET = 1073
 #: Shortest axis `_dft` runs as a four-step Bluestein (`_chirp_z`), when its
 #: length is not 11-smooth; shorter axes stay on pocketfft, bit-identical to
 #: numpy.  Near 10^4 the four-step is no faster than pocketfft; from 10^5 to
-#: 4e6 one transform took 1.1-2.4x less time on two cores.
+#: 4e6 one transform took 1.1-2.4x less time on two cores.  Also the fewest
+#: elements of a pass that `_in_spans` splits over threads.
 LONG_AXIS = 2 ** 18
+
+#: Most elements in one block of `_rows` (a multiple of 8 rows, at least 8): the
+#: block and its kernel rows, 2 MB, stay in one core's L2 cache (2 MB on the 2-core
+#: Xeon measured) through the five row steps.  From 2^13 to 2^18 one `_chirp_z`
+#: at 10^6 + 3 took 72-85 ms there.
+ROW_BLOCK = 2 ** 16
 
 #: largest group the exhaustive Cheeger scan accepts: it visits all 2^n subsets.
 CHEEGER_MAX_N = 24
@@ -168,9 +183,10 @@ def _negated(a: np.ndarray, axes) -> np.ndarray:
 def _dft(a: np.ndarray, inverse: bool = False) -> np.ndarray:
     """numpy's `fftn(a)`, or `ifftn(a, norm="forward")`.
 
-    Bit for bit, except on a 1-D `a` whose length is at least LONG_AXIS and not
-    11-smooth: that one runs as a four-step Bluestein (`_chirp_z`) on
-    `_fft_workers()` threads, within 57 eps log2(N) of the exact transform in
+    Bit for bit, on `_fft_workers()` threads (pocketfft splits an axis's batch
+    of 1-D transforms, each computed whole), except on a 1-D `a` whose length is
+    at least LONG_AXIS and not 11-smooth: that one runs as a four-step
+    Bluestein (`_chirp_z`), within 57 eps log2(N) of the exact transform in
     relative 2-norm (N its padded length; the constant is derived in
     tests/test_spectral.py::test_chirp_z_matches_numpy).  A complex `a` is the
     transform's work buffer and may be overwritten (the four-step returns `a`
@@ -185,7 +201,7 @@ def _dft(a: np.ndarray, inverse: bool = False) -> np.ndarray:
     transform = fft.ifft if inverse else fft.fft
     norm = "forward" if inverse else "backward"
     for axis in range(out.ndim - 1, -1, -1):
-        out = transform(out, axis=axis, norm=norm, overwrite_x=True)
+        out = transform(out, axis=axis, norm=norm, overwrite_x=True, workers=_fft_workers())
     return out
 
 
@@ -196,6 +212,27 @@ def _fft_workers() -> int:
     if multiprocessing.parent_process() is not None:
         return 1
     return len(os.sched_getaffinity(0))
+
+
+#: The threads of `_in_spans`: `_pool(w)` is built on first use, one per count w.
+_pool = functools.cache(ThreadPoolExecutor)
+
+
+def _in_spans(fn, total: int, unit: int = 1):
+    """fn(lo, hi) over [0, total), one contiguous span per `_fft_workers()` thread.
+
+    Index i covers `unit` elements; span bounds are multiples of 8 indices, so
+    SIMD ufuncs keep each element's offset modulo 8, and its bits.  Serial in a
+    `--jobs` worker (no pool is built after a fork) and for fewer than
+    LONG_AXIS elements.  numpy and pocketfft release the GIL; `fn` writes only
+    into existing buffers, as a thread's allocations stay in its malloc arena.
+    """
+    workers = _fft_workers()
+    if workers == 1 or total * unit < LONG_AXIS:
+        fn(0, total)
+        return
+    step = -(-total // (8 * workers)) * 8
+    list(_pool(workers).map(lambda lo: fn(lo, min(lo + step, total)), range(0, total, step)))
 
 
 @dataclass(frozen=True)
@@ -255,53 +292,73 @@ def _chirp_plan(m: int) -> _ChirpPlan:
     flat = kernel.reshape(-1)
     np.conjugate(chirp, out=flat[:m])
     flat[:-m:-1] = flat[1:m]
-    _four_step(plan, kernel, inverse=False)
+    _four_step(plan, kernel)
     kernel /= n1 * n2
     return plan
 
 
-def _four_step(plan: _ChirpPlan, v: np.ndarray, inverse: bool):
+def _four_step(plan: _ChirpPlan, v: np.ndarray, kernel: np.ndarray | None = None):
     """Bailey's four-step DFT of length N = n1 n2, in place on the (n1, n2) view
-    `v` of a length-N vector.  Forward: transform axis 0, twiddle, transform
-    axis 1, which leaves X[k1 + n1 k2] at v[k1, k2]; inverse (unscaled): undo
-    the three steps from that order.  No transpose is made.  The batches run on
-    `_fft_workers()` threads."""
-    twiddled = v.reshape(plan.n1, plan.twiddle_hi.shape[1], plan.twiddle_lo.shape[1])
-    hi, lo = plan.twiddle_hi[:, :, None], plan.twiddle_lo[:, None, :]
-    if inverse:
-        hi, lo = hi.conj(), lo.conj()
-    axes = (1, 0) if inverse else (0, 1)
-    transform = fft.ifft if inverse else fft.fft
-    norm = "forward" if inverse else "backward"
+    `v` of a length-N vector: transform axis 0, twiddle, transform axis 1, which
+    leaves X[k1 + n1 k2] at v[k1, k2]; no transpose is made.  With a `kernel` in
+    that order, v is then multiplied by it and the three steps are undone
+    (inverse, unscaled): a cyclic convolution, times N.  The axis-0 batches run
+    on `_fft_workers()` threads, the row steps in between as `_rows` spans."""
     workers = _fft_workers()
-    transform(v, axis=axes[0], norm=norm, overwrite_x=True, workers=workers)
-    twiddled *= hi
-    twiddled *= lo
-    transform(v, axis=axes[1], norm=norm, overwrite_x=True, workers=workers)
+    fft.fft(v, axis=0, overwrite_x=True, workers=workers)
+    _in_spans(functools.partial(_rows, plan, v, kernel), plan.n1, plan.n2)
+    if kernel is not None:
+        fft.ifft(v, axis=0, norm="forward", overwrite_x=True, workers=workers)
+
+
+def _rows(plan: _ChirpPlan, v: np.ndarray, kernel: np.ndarray | None, lo: int, hi: int):
+    """The row steps on rows lo..hi of `v`, a block of ROW_BLOCK elements at a
+    time: twiddle, transform axis 1; with a `kernel`, multiply, inverse-transform
+    axis 1, twiddle back.  Each element meets the whole-buffer passes' operations
+    in their order, so the bits do not change."""
+    block = 8 * max(1, ROW_BLOCK // (8 * plan.n2))
+    for start in range(lo, hi, block):
+        rows = slice(start, min(start + block, hi))
+        part = v[rows]
+        twiddled = part.reshape(-1, plan.twiddle_hi.shape[1], plan.twiddle_lo.shape[1])
+        th, tl = plan.twiddle_hi[rows, :, None], plan.twiddle_lo[rows, None, :]
+        twiddled *= th
+        twiddled *= tl
+        fft.fft(part, axis=1, overwrite_x=True)
+        if kernel is not None:
+            part *= kernel[rows]
+            fft.ifft(part, axis=1, norm="forward", overwrite_x=True)
+            twiddled *= th.conj()
+            twiddled *= tl.conj()
 
 
 def _chirp_z(x: np.ndarray, inverse: bool) -> np.ndarray:
     """The unscaled DFT of the complex 1-D `x` (e^{+} phases when `inverse`), in place.
 
     X_k = c_k sum_j (x_j c_j) conj c_{k-j}, c_j = e^{-i pi j^2 / m}: a
-    convolution, run as two four-step transforms of length N around a product
-    with the cached kernel.  The inverse is conj DFT(conj x).
+    convolution, run as one four-step convolution of length N with the cached
+    kernel.  The inverse is conj DFT(conj x).  The chirp products and the zero
+    fill run as `_in_spans` spans, the rest in `_four_step`.
     """
     m = x.size
     plan = _chirp_plan(m)
-    buf = np.zeros((plan.n1, plan.n2), dtype=complex)
-    head = buf.reshape(-1)[:m]
-    if inverse:
-        np.conjugate(x, out=head)
-        head *= plan.chirp
-    else:
-        np.multiply(x, plan.chirp, out=head)
-    _four_step(plan, buf, inverse=False)
-    buf *= plan.kernel
-    _four_step(plan, buf, inverse=True)
-    np.multiply(head, plan.chirp, out=x)
-    if inverse:
-        np.conjugate(x, out=x)
+    buf = np.empty((plan.n1, plan.n2), dtype=complex)
+    flat = buf.reshape(-1)
+
+    def chirp_in(lo, hi):
+        mid = min(max(lo, m), hi)
+        head = np.conjugate(x[lo:mid], out=flat[lo:mid]) if inverse else x[lo:mid]
+        np.multiply(head, plan.chirp[lo:mid], out=flat[lo:mid])
+        flat[mid:hi] = 0
+
+    def chirp_out(lo, hi):
+        np.multiply(flat[lo:hi], plan.chirp[lo:hi], out=x[lo:hi])
+        if inverse:
+            np.conjugate(x[lo:hi], out=x[lo:hi])
+
+    _in_spans(chirp_in, flat.size)
+    _four_step(plan, buf, plan.kernel)
+    _in_spans(chirp_out, m)
     return x
 
 
@@ -330,8 +387,9 @@ def _packed_weights(spec: SpectralData, times: list[float]) -> np.ndarray:
     """w(t_1) + i w(t_2), w_x = e^{-t(1-lambda_x)}, computed on half the group.
 
     The exponentials run on the slab x_a in [0, m_a // 2] of the axis a with the
-    largest modulus, with a real exp when the slab's spectrum is real; the other
-    planes are filled as w_x = conj w_{-x}, so both rows are exactly Hermitian.
+    largest modulus, with a real exp when the slab's spectrum is real, in
+    `_in_spans` spans along a; the other planes are filled as w_x = conj w_{-x},
+    serially, so both rows are exactly Hermitian.
     A zero time, or a missing second time, has zero weights.  Shape `moduli`.
     """
     moduli = spec.group.moduli
@@ -349,10 +407,21 @@ def _packed_weights(spec: SpectralData, times: list[float]) -> np.ndarray:
 
     half = spec.eigenvalues.reshape(moduli)[slab]
     real = not half.imag.any()
-    rate = np.subtract(1.0, half.real if real else half)
-    w2 = np.exp(np.multiply(-times[1], rate)) if len(times) == 2 and times[1] else 0.0
-    w1 = np.exp(np.multiply(-times[0], rate, out=rate), out=rate) if times[0] else 0.0
-    del rate
+    rate = np.empty(half.shape, dtype=float if real else complex)
+    pair = len(times) == 2 and times[1] > 0
+    w2 = np.empty_like(rate) if pair else 0.0
+
+    def exps(lo, hi):
+        span = lead + (slice(lo, hi),)
+        part = rate[span]
+        np.subtract(1.0, half[span].real if real else half[span], out=part)
+        if pair:
+            np.exp(np.multiply(-times[1], part, out=w2[span]), out=w2[span])
+        if times[0]:
+            np.exp(np.multiply(-times[0], part, out=part), out=part)
+
+    _in_spans(exps, h + 1, rate.size // (h + 1))
+    w1 = rate if times[0] else 0.0
     out = np.empty(moduli, dtype=complex)
     lo, up = out[slab], out[rest]
     if real:
@@ -401,7 +470,7 @@ def heat_kernel_row(spec: SpectralData, t) -> HeatKernelRow:
                 raise ImaginaryResidueError(
                     f"imaginary residue bound {drift:g} * e^{-s * gap:g} > {ROW_TOL:g}")
         row = _dft(_packed_weights(spec, times)).reshape(-1)
-        row /= n
+        _in_spans(lambda lo, hi: np.divide(row[lo:hi], n, out=row[lo:hi]), n)
     else:
         row = np.zeros(n, dtype=complex)
     rows = row.view(float).reshape(n, 2).T[:len(times)]

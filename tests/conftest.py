@@ -11,14 +11,18 @@ checks read only the nonzero cells.  `vz_uniform_oracle` counts V.Z case by
 case where the library runs one census per batch of cases, and
 `invariant_characters_oracle` filters by one generator at a time.
 `full_spectrum_row` computes every heat-kernel weight from the spectrum, where
-the library fills half of them by Hermitian symmetry.
+the library fills half of them by Hermitian symmetry.  `unfused_chirp_plan` and
+`chirp_z_unfused` run the Bluestein transform as separate passes over the whole
+buffer on one thread, where the library fuses the four-step's row steps into
+cache-sized blocks and splits every long pass over threads.
 """
 
+import dataclasses
 import math
 from itertools import product
 
 import numpy as np
-from scipy import stats
+from scipy import fft, stats
 
 from cayley_cutoff import entropic, walk
 from cayley_cutoff.groups import (GeneratorMultiset, GroupSpec, element_of, index_of,
@@ -288,3 +292,55 @@ def full_spectrum_row(spec, t) -> np.ndarray:
             np.clip(probs, 0.0, None, out=probs)
             probs /= probs.sum()
     return rows
+
+
+def _four_step_unfused(plan, v: np.ndarray, inverse: bool):
+    """`spectral._four_step` as whole-buffer passes: the axis-0 and axis-1
+    transforms, and the two twiddle products between them, each over all of
+    `v`; inverse (unscaled) undoes them in reverse order."""
+    twiddled = v.reshape(plan.n1, plan.twiddle_hi.shape[1], plan.twiddle_lo.shape[1])
+    hi, lo = plan.twiddle_hi[:, :, None], plan.twiddle_lo[:, None, :]
+    if inverse:
+        hi, lo = hi.conj(), lo.conj()
+    axes = (1, 0) if inverse else (0, 1)
+    transform = fft.ifft if inverse else fft.fft
+    norm = "forward" if inverse else "backward"
+    transform(v, axis=axes[0], norm=norm, overwrite_x=True)
+    twiddled *= hi
+    twiddled *= lo
+    transform(v, axis=axes[1], norm=norm, overwrite_x=True)
+
+
+def unfused_chirp_plan(plan):
+    """`plan` (a `spectral._chirp_plan`) with its chirp from the integer phases
+    j^2 mod 2m and its kernel transformed by `_four_step_unfused`."""
+    m = plan.chirp.size
+    phase = np.arange(m, dtype=np.int64) ** 2 % (2 * m)
+    phase[phase > m] -= 2 * m
+    chirp = np.exp(-2j * np.pi * (phase / (2 * m)))
+    kernel = np.zeros((plan.n1, plan.n2), dtype=complex)
+    flat = kernel.reshape(-1)
+    np.conjugate(chirp, out=flat[:m])
+    flat[:-m:-1] = flat[1:m]
+    _four_step_unfused(plan, kernel, inverse=False)
+    kernel /= plan.n1 * plan.n2
+    return dataclasses.replace(plan, chirp=chirp, kernel=kernel)
+
+
+def chirp_z_unfused(plan, x: np.ndarray, inverse: bool) -> np.ndarray:
+    """`spectral._chirp_z(x, inverse)` on `plan` as whole-buffer passes, in place."""
+    m = x.size
+    buf = np.zeros((plan.n1, plan.n2), dtype=complex)
+    head = buf.reshape(-1)[:m]
+    if inverse:
+        np.conjugate(x, out=head)
+        head *= plan.chirp
+    else:
+        np.multiply(x, plan.chirp, out=head)
+    _four_step_unfused(plan, buf, inverse=False)
+    buf *= plan.kernel
+    _four_step_unfused(plan, buf, inverse=True)
+    np.multiply(head, plan.chirp, out=x)
+    if inverse:
+        np.conjugate(x, out=x)
+    return x

@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,9 +17,9 @@ from cayley_cutoff.spectral import (ROW_TOL, HeatKernelRow,
                                     gap_summary, heat_kernel_row, l2_bound,
                                     tv_exact)
 
-from conftest import (add, dense_transition, full_spectrum_row,
+from conftest import (add, chirp_z_unfused, dense_transition, full_spectrum_row,
                       invariant_characters_oracle, neg, tv_from_uniform,
-                      uniformized_row, zero)
+                      unfused_chirp_plan, uniformized_row, zero)
 
 EPS = np.finfo(float).eps
 
@@ -224,18 +225,54 @@ def test_chirp_z_matches_numpy(monkeypatch, shape, long_axis):
     assert _dft(z) is z
 
 
-def test_chirp_z_output_is_thread_count_free(monkeypatch):
-    g = make_group([262147])
-    Z = sample_generators(g, 14, replicate_rng(38, 0))
-    outputs = []
-    for workers in (1, 2):
-        monkeypatch.setattr(spectral, "_fft_workers", lambda w=workers: w)
-        spectral._chirp_plan.cache_clear()  # the kernel is transformed with them too
-        spec = eigenvalues(g, Z, "directed")
-        outputs.append((spec.eigenvalues, heat_kernel_row(spec, (1.0, 6.0)).probs))
+@pytest.mark.parametrize("m, long_axis", [(262147, None), (100003, 100003)])
+def test_chirp_z_matches_unfused_passes(monkeypatch, m, long_axis):
+    """The fused row steps and the threaded spans of `_chirp_z` and its plan give
+    the bits of the whole-buffer passes they replaced, forward and inverse."""
+    if long_axis:
+        monkeypatch.setattr(spectral, "LONG_AXIS", long_axis)
     spectral._chirp_plan.cache_clear()
-    (lam_1, rows_1), (lam_2, rows_2) = outputs
-    assert np.array_equal(lam_1, lam_2) and np.array_equal(rows_1, rows_2)
+    plan = spectral._chirp_plan(m)
+    oracle = unfused_chirp_plan(plan)
+    assert np.array_equal(plan.chirp, oracle.chirp)
+    assert np.array_equal(plan.kernel, oracle.kernel)
+    rng = replicate_rng(39, 0)
+    z = rng.normal(size=m) + 1j * rng.normal(size=m)
+    for inverse in (False, True):
+        assert np.array_equal(spectral._chirp_z(z.copy(), inverse),
+                              chirp_z_unfused(oracle, z.copy(), inverse))
+    spectral._chirp_plan.cache_clear()
+
+
+def test_chirp_z_output_is_thread_count_free(monkeypatch):
+    """Spectra, row pairs and a multi-axis `_dft` are the same on 1, 2 and 3
+    threads (3 oversubscribes a 2-core host), whose span bounds differ: at
+    262147 (the four-step Bluestein) and on a directed d = 3 group whose largest
+    modulus, the axis the weights are split along, is not axis 0."""
+    instances = []
+    for moduli in ([262147], [2, 131101, 3]):
+        g = make_group(moduli)
+        instances.append((g, sample_generators(g, 14, replicate_rng(38, 0))))
+    rng = replicate_rng(38, 1)
+    a = rng.normal(size=(3, 512, 384)) + 1j * rng.normal(size=(3, 512, 384))
+    outputs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the GIL over often, so a lost write would show
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(spectral, "_fft_workers", lambda w=workers: w)
+            spectral._chirp_plan.cache_clear()  # the kernel is transformed with them too
+            out = [_dft(a.copy())]
+            for g, Z in instances:
+                spec = eigenvalues(g, Z, "directed")
+                out += [spec.eigenvalues, heat_kernel_row(spec, (1.0, 6.0)).probs]
+            outputs.append(out)
+    finally:
+        sys.setswitchinterval(interval)
+        spectral._chirp_plan.cache_clear()
+    assert np.array_equal(outputs[0][0], np.fft.fftn(a))
+    for out in outputs[1:]:
+        assert all(np.array_equal(x, y) for x, y in zip(outputs[0], out))
 
 
 def _hand_spectrum(lam):
@@ -677,3 +714,32 @@ def test_isomorphic_labellings_agree(n, split, model):
         assert abs(tv_a - tv_b) <= 2 * bar, t
         l2_a, l2_b = (l2_bound(spec, t) for spec in specs)
         assert abs(l2_a / l2_b - 1) <= 8 * bar, t
+
+
+@pytest.mark.parametrize("model", ["undirected", "directed"])
+@pytest.mark.parametrize("c", [2, 12345, 262146])
+def test_prime_order_automorphism_agrees(c, model):
+    """Z_n at prime n = 262147 with generators z and with c z mod n: the same walk.
+
+    z -> c z is an automorphism of Z_n, so the two instances are one Cayley
+    graph under two labellings, and lambda'_x = lambda_{c x}: the same spectrum,
+    permuted.  Both run the four-step Bluestein, on inputs that differ by that
+    permutation, so only rounding separates them; no oracle is involved.  With
+    u = eps and L = log2 n, TV at four times (two row pairs) and gamma agree
+    within u L, as for the coprime splits of `test_isomorphic_labellings_agree`.
+    Over replicates 1-3 of seed 8 the worst readings were 0.13 u L (TV) and
+    0.083 u L (gamma).
+    """
+    n, k = 262147, 8
+    bar = EPS * math.log2(n)
+    g = make_group([n])
+    Z = sample_generators(g, k, replicate_rng(8, 1))
+    specs = [eigenvalues(g, Z, model),
+             eigenvalues(g, GeneratorMultiset(Z.generators * c % n), model)]
+    a, b = (gap_summary(spec) for spec in specs)
+    assert a.connected and b.connected
+    assert abs(a.gamma - b.gamma) <= bar
+    times = list(entropic.solve_times(n, k, model, (-1.5, -0.5, 0.5, 1.5)).t_alpha.values())
+    for pair in (times[:2], times[2:]):
+        tv_a, tv_b = (tv_exact(heat_kernel_row(spec, pair)) for spec in specs)
+        assert max(abs(x - y) for x, y in zip(tv_a, tv_b)) <= bar, pair
