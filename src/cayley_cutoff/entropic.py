@@ -211,13 +211,60 @@ def entropy_inverse(model: str, target: float, s_hint: float = 4.0) -> float:
         hi *= 2.0
         if hi > BRACKET_CAP:
             raise BracketError(f"entropy target {target} unreachable below cap")
-    # Imported on first use, so that importing the package does not load
-    # scipy.optimize (most of its import time).
-    from scipy import optimize
+    return _brentq(lambda s: entropy(model, s) - target, 0.0, hi, xtol=1e-280, rtol=1e-12)
 
-    return optimize.brentq(
-        lambda s: entropy(model, s) - target, 0.0, hi, rtol=1e-12, xtol=1e-280
-    )
+
+def _brentq(f, xpre: float, xcur: float, xtol: float, rtol: float) -> float:
+    """A root of f between xpre and xcur, where f changes sign: the bits of
+    scipy's `optimize.brentq`, without the import of scipy.optimize.
+
+    A line-for-line port of scipy's Zeros/brentq.c (Brent's method, the same
+    float operations in the same order) with the checks of its wrapper that a
+    bracketed f can reach: a NaN f(x) raises ValueError naming x, and no
+    convergence within 100 iterations (scipy's default) raises RuntimeError.
+    Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers; BSD
+    3-clause license, whose full notice is in LICENSE-scipy.txt.
+    """
+    def call(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2  # the tolerance is 2 delta
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError("Failed to converge after 100 iterations.")
 
 
 def solve_times(n: int, k: int, model: str, alphas=()) -> EntropicSolution:

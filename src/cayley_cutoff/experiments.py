@@ -25,6 +25,13 @@ TOOL_VERSION = f"cayley-cutoff {__version__}"
 #: refuse runs estimated over this many DFT butterfly-equivalents without force.
 BUDGET_LIMIT = 10 ** 9
 
+#: Fewest elements of a group whose replicates, in one process, run one per
+#: `spectral._fft_workers()` thread (below LONG_AXIS).  Median of 3, 2 cores,
+#: serial against threads: gap scans 0.84 -> 1.89 s at n = 1009 (Python that
+#: holds the GIL), 0.35 -> 0.53 s at 4099, 0.38 -> 0.34 s at 8209, 0.73 -> 0.41 s
+#: at 16411; cutoff profiles 1.6-2.0x faster from 16411 to 100003 and on 256^2.
+SHORT_GROUP = 2 ** 14
+
 
 class BudgetExceededError(RuntimeError):
     """Estimated DFT work exceeds the budget; pass force=True to override."""
@@ -160,20 +167,29 @@ def _write(config: ExperimentConfig, text: str) -> str:
 
 
 def _map_replicates(config: ExperimentConfig, fn, *args) -> list:
-    """Run fn(config, *args, r) for each replicate r, serial or pooled.
+    """Run fn(config, *args, r) for each replicate r; return the results in
+    replicate order, whatever order they complete in.
 
-    Results are merged in replicate order regardless of completion order.  Fork
-    starts every worker on the first submit, so there is at most one per replicate and CPU.
-    Each worker gets one block of ceil(replicates / workers) replicates, one round
-    trip per block rather than per replicate.
+    With min(jobs, replicates, CPUs) > 1 they run in that many processes.  Fork
+    starts every worker on the first submit, and each gets one block of
+    ceil(replicates / workers) replicates, one round trip per block rather than
+    per replicate.  Otherwise a group of SHORT_GROUP to LONG_AXIS elements runs
+    one replicate per `spectral._fft_workers()` thread on `spectral._pool`
+    (numpy and pocketfft release the GIL; a replicate thread runs its passes
+    serially); the first exception in replicate order propagates and the
+    replicates not yet started are cancelled.  Anything else runs serially.
     """
     work = functools.partial(fn, config, *args)
     indices = range(config.replicates)
     workers = min(config.jobs, config.replicates, len(os.sched_getaffinity(0)))
-    if workers == 1:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(work, indices, chunksize=-(-config.replicates // workers)))
+    threads = spectral._fft_workers()
+    if (config.replicates == 1 or threads == 1
+            or not SHORT_GROUP <= config.group().n < spectral.LONG_AXIS):
         return [work(r) for r in indices]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(work, indices, chunksize=-(-config.replicates // workers)))
+    return list(spectral._pool(threads).map(work, indices))
 
 
 def _budget_check(config: ExperimentConfig, rows: int):

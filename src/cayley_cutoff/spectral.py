@@ -23,13 +23,15 @@ move `tv-curve --group 1000003 --k 14 --model directed --seed 7 --t-grid
 3.3e-16 in gamma.
 
 Passes of at least LONG_AXIS elements run on `_fft_workers()` threads (one in
-a `--jobs` worker): every per-axis transform's batches and, as spans
-(`_in_spans`), the chirp products and zero fill, the four-step's row steps
-fused per cache-sized block of rows, the weights' exponentials and a row's
-division by n.  Each element takes the same operations in the same order on
-any count, so no output depends on it.  Serial stay shorter passes, the
-Hermitian fill, a row's two sums (pairwise, so their order sets the bits) and
-`tv_exact`, whose threaded temporaries raised peak RSS through malloc arenas.
+a `--jobs` worker, and on the replicate threads on which
+`experiments._map_replicates` runs shorter groups): every per-axis transform's
+batches and, as spans (`_in_spans`), the chirp products and zero fill, the
+four-step's row steps fused per cache-sized block of rows, the weights'
+exponentials and a row's division by n.  Each element takes the same
+operations in the same order on any count, so no output depends on it.  Serial
+stay shorter passes, the Hermitian fill, a row's two sums (pairwise, so their
+order sets the bits) and `tv_exact`, whose threaded temporaries raised peak RSS
+through malloc arenas.
 
 No heat-kernel row is bit-identical to numpy's transform of the full-spectrum
 weights: the exponentials run on half the group and the other half is filled by
@@ -52,6 +54,7 @@ import functools
 import math
 import multiprocessing
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -206,10 +209,14 @@ def _dft(a: np.ndarray, inverse: bool = False) -> np.ndarray:
 
 
 def _fft_workers() -> int:
-    """Threads for the sub-transforms of `_chirp_z`: every CPU this process may
-    run on, or one inside a multiprocessing worker, whose pool (`--jobs`)
-    already spreads over them.  No output depends on it."""
-    if multiprocessing.parent_process() is not None:
+    """Threads for one pass (a `_dft` axis, a four-step's axis-0 batches, an
+    `_in_spans` pass): on the main thread, every CPU this process may run on;
+    one inside a `--jobs` worker or on any other thread, such as a replicate
+    thread of `experiments._map_replicates`, whose siblings already spread over
+    the CPUs.  So threads never nest, and none submits work to the pool it runs
+    on.  No output depends on it."""
+    if (multiprocessing.parent_process() is not None
+            or threading.current_thread() is not threading.main_thread()):
         return 1
     return len(os.sched_getaffinity(0))
 

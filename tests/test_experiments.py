@@ -5,6 +5,8 @@ import os
 import shlex
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -283,6 +285,107 @@ def test_pool_has_at_most_one_worker_per_replicate_and_cpu(monkeypatch, jobs, re
     assert rows == run_gap_scan(replace(config, jobs=1))[1]
 
 
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two CPUs for the process, so a one-process run of a group in
+    [SHORT_GROUP, LONG_AXIS) takes the replicate threads on any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+@pytest.fixture
+def recorded_threads(monkeypatch):
+    """The thread counts `_map_replicates` asks `spectral._pool` for."""
+    asked, pool = [], spectral._pool
+
+    def recording(workers):
+        asked.append(workers)
+        return pool(workers)
+
+    monkeypatch.setattr(spectral, "_pool", recording)
+    return asked
+
+
+THREADED_ARGV = [f"{cmd} --group {group} --k 8 --seed 4 --model {model}"
+                 for cmd in ("cutoff-profile --replicates 3", "gap-scan --replicates 5",
+                             "tv-curve --replicates 3")
+                 for group in ("16411", "128,160") for model in entropic.MODELS]
+
+
+@pytest.mark.parametrize("argv", THREADED_ARGV)
+def test_replicate_threads_leave_stdout_unchanged(monkeypatch, capsys, two_cpus,
+                                                  recorded_threads, argv):
+    def stdout(*extra):
+        assert main(argv.split() + list(extra)) == 0
+        return capsys.readouterr().out
+
+    threaded = stdout()
+    assert recorded_threads == [2]
+    assert stdout("--jobs", "2") == threaded
+    monkeypatch.setattr(spectral, "_fft_workers", lambda: 1)
+    assert stdout() == threaded
+    assert recorded_threads == [2]
+
+
+def test_replicate_threads_under_contention_match_serial(monkeypatch, recorded_threads):
+    # four replicate threads on the host's cores, switching every 10 us
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    config = _config(command="tv-curve", moduli=(128, 160), k=6, model="directed",
+                     replicates=9, t_grid="1:40:7")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threaded = run_tv_curve(config)[0]
+    finally:
+        sys.setswitchinterval(interval)
+    assert recorded_threads == [4]
+    monkeypatch.setattr(spectral, "_fft_workers", lambda: 1)
+    assert run_tv_curve(config)[0] == threaded
+
+
+@pytest.mark.parametrize("moduli, replicates, jobs, threads", [
+    ((2 ** 14,), 2, 1, [2]), ((128, 160), 3, 1, [2]), ((2 ** 18 - 1,), 2, 1, [2]),
+    ((2 ** 14 - 3,), 2, 1, []), ((2 ** 18,), 2, 1, []), ((512, 512), 2, 1, []),
+    ((16411,), 1, 1, []), ((16411,), 2, 2, []),
+])
+def test_replicate_threads_run_only_for_short_groups_in_one_process(
+        monkeypatch, two_cpus, recorded_threads, moduli, replicates, jobs, threads):
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor",
+                        lambda max_workers: ThreadPoolExecutor(max_workers))  # no fork
+    config = _config(command="gap-scan", moduli=moduli, k=3, replicates=replicates, jobs=jobs)
+    rows = experiments._map_replicates(config, lambda config, r: r)
+    assert rows == list(range(replicates))
+    assert recorded_threads == threads
+
+
+def test_replicate_thread_runs_its_passes_serially(two_cpus):
+    def where(config, r):
+        return threading.current_thread() is threading.main_thread(), spectral._fft_workers()
+
+    config = _config(command="gap-scan", moduli=(16411,), k=3, replicates=4)
+    assert spectral._fft_workers() == 2
+    assert experiments._map_replicates(config, where) == [(False, 1)] * 4
+
+
+def test_replicate_thread_raises_the_serial_runs_exception(monkeypatch, two_cpus,
+                                                           recorded_threads):
+    instance = experiments._instance
+
+    def failing(config, r):  # every replicate from r = 2 on fails, each its own way
+        if r >= 2:
+            raise spectral.ImaginaryResidueError(f"replicate {r} failed")
+        return instance(config, r)
+
+    monkeypatch.setattr(experiments, "_instance", failing)
+    config = _config(command="gap-scan", moduli=(16411,), k=8, replicates=6)
+    with pytest.raises(spectral.ImaginaryResidueError) as threaded:
+        run_gap_scan(config)
+    assert recorded_threads == [2]
+    monkeypatch.setattr(spectral, "_fft_workers", lambda: 1)
+    with pytest.raises(spectral.ImaginaryResidueError) as serial:
+        run_gap_scan(config)
+    assert str(threaded.value) == str(serial.value) == "replicate 2 failed"
+
+
 def test_verify_runner_and_filter():
     text, status = run_verify(_config(command="verify", moduli=(), k=0,
                                       only="cos_taylor"))
@@ -454,6 +557,11 @@ PINNED_STDOUT = {
         "5878ed8e2d776084b408ffe08e7a5939ecacf86b59c84c240833e1a228fdfa3a",
     "gap-scan --group 1009 --k 20 --seed 1 --replicates 300 --jobs 2":
         "ba58446ce2dbb7eda7532013af20c9a389a0519ccadc31db8ca1142342e27cc0",
+    # groups of SHORT_GROUP to LONG_AXIS elements: replicates run on threads
+    "cutoff-profile --group 16411 --k 14 --seed 5 --replicates 4 --model directed":
+        "14414a58cebafdfc612c104975a9b311b99eab8cb693448165c433b0ad07ef55",
+    "gap-scan --group 128,160 --k 12 --seed 4 --replicates 6":
+        "21cd5a10d3ebecfc168c8b1f332b7fe1a1211853d7904c267039b68bb765ee56",
 }
 
 
@@ -628,7 +736,11 @@ def test_cli_import_leaves_out_scipy_stats():
     code = ("import sys, cayley_cutoff; "
             "root = [m for m in sys.modules if m.startswith(('cayley_cutoff.', 'scipy'))]; "
             "import cayley_cutoff.cli; "
-            "print(root, 'scipy.stats' in sys.modules, 'scipy.optimize' in sys.modules)")
+            "loaded = lambda: ('scipy.stats' in sys.modules, 'scipy.optimize' in sys.modules); "
+            "cli = loaded(); "
+            # a solving command: brentq is entropic's own port
+            "cayley_cutoff.cli.main('cutoff-profile --group 101 --k 4 --seed 1'.split()); "
+            "print(root, cli, loaded())")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
-    assert out.strip() == "[] False False"
+    assert out.splitlines()[-1] == "[] (False, False) (False, False)"
