@@ -25,13 +25,16 @@ move `tv-curve --group 1000003 --k 14 --model directed --seed 7 --t-grid
 Passes of at least LONG_AXIS elements run on `_fft_workers()` threads (one in
 a `--jobs` worker, and on the replicate threads on which
 `experiments._map_replicates` runs shorter groups): every per-axis transform's
-batches and, as spans (`_in_spans`), the chirp products and zero fill, the
-four-step's row steps fused per cache-sized block of rows, the weights'
-exponentials and a row's division by n.  Each element takes the same
-operations in the same order on any count, so no output depends on it.  Serial
-stay shorter passes, the Hermitian fill, a row's two sums (pairwise, so their
-order sets the bits) and `tv_exact`, whose threaded temporaries raised peak RSS
-through malloc arenas.
+batches; as spans (`_in_spans`), the chirp products and zero fill, the
+four-step's row steps fused per cache-sized block of rows, and a row's final
+scaling; and as leaves of at most ROW_BLOCK elements, each thread with scratch
+its caller allocates (`_in_leaves`), the weights' exponentials with their
+Hermitian fill, a row's division by n, guards, clamp and sums, `tv_exact` and
+`l2_bound`.  A sum over leaves is numpy's pairwise summation cut at its own
+tree's nodes (`_tree_sum`), so it keeps `np.sum`'s bits; `tv_exact` adds
+exactly, in any order.  Each element takes the same operations in the same
+order on any count, so no output depends on it.  A shorter pass runs serially,
+as one leaf.
 
 No heat-kernel row is bit-identical to numpy's transform of the full-spectrum
 weights: the exponentials run on half the group and the other half is filled by
@@ -76,9 +79,9 @@ INVARIANT_BLOCK = 2 ** 16
 #: tolerance for the imaginary residue and negative-probability clamp of a row.
 ROW_TOL = 1e-9
 
-#: Most values one block of the exact sum in `tv_exact` adds: per exponent,
-#: that many integer parts of magnitude at most 2^27 stay within 2^53, where
-#: float64 holds every integer, so `np.bincount` adds them exactly.
+#: Most values one run sum of `_exact_int` (`np.add.reduceat` over values of one
+#: exponent) takes: that many integer parts of magnitude at most 2^27 stay
+#: within 2^53, where float64 holds every integer, so the sum is exact.
 EXACT_SUM_BLOCK = 2 ** 26
 
 #: -np.frexp(5e-324)[1], which makes every frexp exponent a bincount index.
@@ -94,7 +97,8 @@ LONG_AXIS = 2 ** 18
 #: Most elements in one block of `_rows` (a multiple of 8 rows, at least 8): the
 #: block and its kernel rows, 2 MB, stay in one core's L2 cache (2 MB on the 2-core
 #: Xeon measured) through the five row steps.  From 2^13 to 2^18 one `_chirp_z`
-#: at 10^6 + 3 took 72-85 ms there.
+#: at 10^6 + 3 took 72-85 ms there.  Also the most elements in one threaded leaf
+#: of `_in_leaves`, or 8 planes of the weights if more.
 ROW_BLOCK = 2 ** 16
 
 #: largest group the exhaustive Cheeger scan accepts: it visits all 2^n subsets.
@@ -124,8 +128,11 @@ class SpectralData:
         -conj D_x, a term with D_x != 0 has D_{-x} != 0 too, so both of its
         exponents have real part 1 - Re lambda >= g.
         """
-        lam = self.eigenvalues
-        mirror = _negated(lam.reshape(self.group.moduli), range(self.group.d)).reshape(-1)
+        lam, moduli = self.eigenvalues, self.group.moduli
+        mirror = np.empty(moduli, dtype=complex)
+        _negate(mirror, lam.reshape(moduli), range(len(moduli)),
+                np.empty_like(mirror) if len(moduli) > 1 else None)
+        mirror = mirror.reshape(-1)
         np.conjugate(mirror, out=mirror)
         np.subtract(lam, mirror, out=mirror)
         asymmetric = mirror != 0
@@ -173,14 +180,20 @@ def _invariant_characters(group: GroupSpec, Z: GeneratorMultiset,
     return candidates[ok]
 
 
-def _negated(a: np.ndarray, axes) -> np.ndarray:
-    """a_{-x} along each of `axes`, a flip and a roll by one per axis; `a` itself if none.
+def _negate(dst: np.ndarray, src: np.ndarray, axes, spare: np.ndarray | None):
+    """dst = src_{-x} along each of `axes`, by two slice copies per axis (x -> 0
+    for x = 0, m - x for x > 0); with no axes, src must be dst.
 
-    One axis at a time: numpy rolls a tuple of d axes as 2^d slice copies.
+    The copies alternate between dst and `spare` (shaped like dst, unused for
+    fewer than two axes) and end in dst: no copy is allocated, and a d = 20
+    group pays 40 slice copies rather than numpy's 2^d for a tuple of axes.
     """
-    for axis in axes:
-        a = np.roll(np.flip(a, axis), 1, axis)
-    return a
+    for i, axis in enumerate(axes):
+        to = dst if (len(axes) - i) % 2 else spare
+        head = (slice(None),) * axis
+        to[head + (0,)] = src[head + (0,)]
+        to[head + (slice(1, None),)] = src[head + (slice(None, 0, -1),)]
+        src = to
 
 
 def _dft(a: np.ndarray, inverse: bool = False) -> np.ndarray:
@@ -210,23 +223,30 @@ def _dft(a: np.ndarray, inverse: bool = False) -> np.ndarray:
 
 def _fft_workers() -> int:
     """Threads for one pass (a `_dft` axis, a four-step's axis-0 batches, an
-    `_in_spans` pass): on the main thread, every CPU this process may run on;
-    one inside a `--jobs` worker or on any other thread, such as a replicate
-    thread of `experiments._map_replicates`, whose siblings already spread over
-    the CPUs.  So threads never nest, and none submits work to the pool it runs
-    on.  No output depends on it."""
+    `_in_spans` or `_in_leaves` pass): on the main thread, every CPU this
+    process may run on; one inside a `--jobs` worker or on any other thread,
+    such as a replicate thread of `experiments._map_replicates`, whose siblings
+    already spread over the CPUs.  So threads never nest, and none submits work
+    to the pool it runs on.  No output depends on it."""
     if (multiprocessing.parent_process() is not None
             or threading.current_thread() is not threading.main_thread()):
         return 1
     return len(os.sched_getaffinity(0))
 
 
-#: The threads of `_in_spans`: `_pool(w)` is built on first use, one per count w.
+def _threads(elements: int) -> int:
+    """Threads for a pass over `elements` values: `_fft_workers()`, one below LONG_AXIS."""
+    return _fft_workers() if elements >= LONG_AXIS else 1
+
+
+#: The threads of `_in_spans` and `_in_leaves`: `_pool(w)` is built on first
+#: use, one per count w.
 _pool = functools.cache(ThreadPoolExecutor)
 
 
 def _in_spans(fn, total: int, unit: int = 1):
-    """fn(lo, hi) over [0, total), one contiguous span per `_fft_workers()` thread.
+    """fn(lo, hi) over [0, total), one contiguous span per `_threads` thread, run
+    by `_in_leaves` with no scratch.
 
     Index i covers `unit` elements; span bounds are multiples of 8 indices, so
     SIMD ufuncs keep each element's offset modulo 8, and its bits.  Serial in a
@@ -234,12 +254,53 @@ def _in_spans(fn, total: int, unit: int = 1):
     LONG_AXIS elements.  numpy and pocketfft release the GIL; `fn` writes only
     into existing buffers, as a thread's allocations stay in its malloc arena.
     """
+    step = -(-total // (8 * _threads(total * unit))) * 8
+    _in_leaves(lambda lo, hi, _: fn(lo, hi), [(lo, min(lo + step, total)) for lo in range(0, total, step)])
+
+
+def _in_leaves(fn, leaves: list, scratch: tuple = (0,), dtype=float) -> list:
+    """[fn(lo, hi, s) for lo, hi in leaves], in order, on up to `_fft_workers()`
+    threads, each taking one contiguous run of the leaves; one leaf runs on the
+    caller's thread.  `s`, of shape `scratch`, is the run's own scratch, which
+    this (the caller's) thread allocates: `fn` writes its temporaries there, as
+    a pool thread's allocations stay in its malloc arena and raise peak RSS.
+    """
     workers = _fft_workers()
-    if workers == 1 or total * unit < LONG_AXIS:
-        fn(0, total)
-        return
-    step = -(-total // (8 * workers)) * 8
-    list(_pool(workers).map(lambda lo: fn(lo, min(lo + step, total)), range(0, total, step)))
+    runs = min(len(leaves), workers)
+    step = -(-len(leaves) // runs)
+    space = np.empty((runs, *scratch), dtype=dtype)
+
+    def run(j):
+        return [fn(lo, hi, space[j]) for lo, hi in leaves[j * step:(j + 1) * step]]
+
+    parts = [run(0)] if runs == 1 else _pool(workers).map(run, range(runs))
+    return [result for part in parts for result in part]
+
+
+def _leaf_size(m: int) -> int:
+    """The largest leaf of a pass over m values: ROW_BLOCK on threads, all m serially."""
+    return ROW_BLOCK if _threads(m) > 1 else m
+
+
+def _tree_sum(leaf_sum, m: int, leaf: int, lo: int = 0):
+    """leaf_sum(lo, hi) of each leaf of numpy's pairwise summation of the m
+    values from lo, split until a leaf holds at most `leaf` (at least 128,
+    below which numpy splits no further), added in the tree's order.
+
+    numpy's `np.add.reduce` of a 1-D float array splits m > 128 values at
+    m // 2 rounded down to a multiple of 8 and adds the halves' sums, so with
+    each leaf's own `np.add.reduce` this gives its bits.  Every bound but the
+    last is a multiple of 8, as `_in_spans` keeps.
+    """
+    if m <= leaf:
+        return leaf_sum(lo, lo + m)
+    half = m // 2 // 8 * 8
+    return _tree_sum(leaf_sum, half, leaf, lo) + _tree_sum(leaf_sum, m - half, leaf, lo + half)
+
+
+def _tree_leaves(m: int, leaf: int) -> list[tuple[int, int]]:
+    """Bounds of the leaves of `_tree_sum` over m values, in its order."""
+    return _tree_sum(lambda lo, hi: [(lo, hi)], m, leaf)
 
 
 @dataclass(frozen=True)
@@ -394,53 +455,67 @@ def _packed_weights(spec: SpectralData, times: list[float]) -> np.ndarray:
     """w(t_1) + i w(t_2), w_x = e^{-t(1-lambda_x)}, computed on half the group.
 
     The exponentials run on the slab x_a in [0, m_a // 2] of the axis a with the
-    largest modulus, with a real exp when the slab's spectrum is real, in
-    `_in_spans` spans along a; the other planes are filled as w_x = conj w_{-x},
-    serially, so both rows are exactly Hermitian.
+    largest modulus, with a real exp when the slab's spectrum is real; the other
+    planes are filled as w_x = conj w_{-x}, so both rows are exactly Hermitian.
+    One pass does both, in blocks of slab planes (multiples of 8 planes, each
+    within ROW_BLOCK elements or 8 planes, on `_in_leaves` threads; one block
+    serially): a block's exponentials, in its thread's scratch, then its packed
+    planes, and the mirrored planes x_a -> m_a - x_a it owns, packed in scratch
+    and negated along the other axes (`_negate`) when there are any.  numpy's
+    exp gives each element the same bits at any offset or stride, so the blocks
+    do not change them.
     A zero time, or a missing second time, has zero weights.  Shape `moduli`.
     """
     moduli = spec.group.moduli
     a = int(np.argmax(moduli))
-    h = moduli[a] // 2
+    m, h = moduli[a], moduli[a] // 2
     lead = (slice(None),) * a
-    slab, rest = lead + (slice(0, h + 1),), lead + (slice(h + 1, None),)
     others = tuple(b for b in range(len(moduli)) if b != a)
-
-    def mirror(w):
-        """w_{-x} for the filled planes x_a = h+1 .. m_a-1, from slab weights w."""
-        if np.ndim(w) == 0:
-            return w
-        return _negated(w[lead + (slice(moduli[a] - h - 1, 0, -1),)], others)
-
-    half = spec.eigenvalues.reshape(moduli)[slab]
+    half = spec.eigenvalues.reshape(moduli)[lead + (slice(0, h + 1),)]
     real = not half.imag.any()
-    rate = np.empty(half.shape, dtype=float if real else complex)
     pair = len(times) == 2 and times[1] > 0
-    w2 = np.empty_like(rate) if pair else 0.0
-
-    def exps(lo, hi):
-        span = lead + (slice(lo, hi),)
-        part = rate[span]
-        np.subtract(1.0, half[span].real if real else half[span], out=part)
-        if pair:
-            np.exp(np.multiply(-times[1], part, out=w2[span]), out=w2[span])
-        if times[0]:
-            np.exp(np.multiply(-times[0], part, out=part), out=part)
-
-    _in_spans(exps, h + 1, rate.size // (h + 1))
-    w1 = rate if times[0] else 0.0
     out = np.empty(moduli, dtype=complex)
-    lo, up = out[slab], out[rest]
-    if real:
-        lo.real, lo.imag = w1, w2
-        up[...] = mirror(lo)
-    else:
-        np.subtract(np.real(w1), np.imag(w2), out=lo.real)
-        np.add(np.imag(w1), np.real(w2), out=lo.imag)
-        w1, w2 = mirror(w1), mirror(w2)
-        # conj w_1 + i conj w_2, not the conjugate of the packed value
-        np.add(np.real(w1), np.imag(w2), out=up.real)
-        np.subtract(np.real(w2), np.imag(w1), out=up.imag)
+    own = 1 if real else 2  # scratch rows of a block's two weights; then `_negate`'s
+
+    def fill(lo, hi, scratch):
+        span = lead + (slice(lo, hi),)
+        shape = half[span].shape
+        size = math.prod(shape)
+        rows = scratch[:own].reshape(-1).view(float if real else complex)
+        rate, w2 = rows[:size].reshape(shape), rows[size:2 * size].reshape(shape)
+        np.subtract(1.0, half[span].real if real else half[span], out=rate)
+        if pair:
+            np.exp(np.multiply(-times[1], rate, out=w2), out=w2)
+        if times[0]:
+            np.exp(np.multiply(-times[0], rate, out=rate), out=rate)
+
+        def pack(o, planes, mirror):
+            """o = w1 + i w2 on the block's `planes`; conj w1 + i conj w2 if `mirror`."""
+            w1_ = rate[lead + (planes,)] if times[0] else 0.0
+            w2_ = w2[lead + (planes,)] if pair else 0.0
+            if real:
+                o.real, o.imag = w1_, w2_
+            elif mirror:
+                np.add(np.real(w1_), np.imag(w2_), out=o.real)
+                np.subtract(np.real(w2_), np.imag(w1_), out=o.imag)
+            else:
+                np.subtract(np.real(w1_), np.imag(w2_), out=o.real)
+                np.add(np.imag(w1_), np.real(w2_), out=o.imag)
+
+        pack(out[span], slice(None), False)
+        first, stop = max(lo, 1), min(hi, m - h)  # planes whose mirror m - x_a > h
+        if first < stop:
+            mirrored = out[lead + (slice(m - first, m - stop, -1),)]
+            t, spare = mirrored, None
+            if others:
+                t, spare = (row[:t.size].reshape(t.shape) for row in scratch[own:])
+            pack(t, slice(first - lo, stop - lo), True)
+            _negate(mirrored, t, others, spare)
+
+    unit = half.size // (h + 1)
+    per = 8 * max(1, ROW_BLOCK // (8 * unit)) if _threads(half.size) > 1 else h + 1
+    _in_leaves(fill, [(lo, min(lo + per, h + 1)) for lo in range(0, h + 1, per)],
+               (own + 2 * bool(others), per * unit), complex)
     return out
 
 
@@ -455,7 +530,10 @@ def heat_kernel_row(spec: SpectralData, t) -> HeatKernelRow:
     half the group and filled as conj w_{-x} (`_packed_weights`), so no row is
     bit-identical to numpy's `fftn` of the full-spectrum weights.  A row at
     t = 0 is the indicator of 0 and packs zero weights; a call whose times are
-    all 0 takes no transform.
+    all 0 takes no transform.  One pass per leaf of `_tree_leaves` divides by n
+    and takes each row's min, sum, clamp and clamped sum; the guards read them
+    in order (row 0's min and mass, then row 1's), and one span pass divides
+    each row by its clamped sum: the bits of whole-row passes.
     """
     if np.ndim(t) > 1 or not 1 <= np.size(t) <= 2:
         raise ValueError("t must be a time or a pair of times")
@@ -477,23 +555,45 @@ def heat_kernel_row(spec: SpectralData, t) -> HeatKernelRow:
                 raise ImaginaryResidueError(
                     f"imaginary residue bound {drift:g} * e^{-s * gap:g} > {ROW_TOL:g}")
         row = _dft(_packed_weights(spec, times)).reshape(-1)
-        _in_spans(lambda lo, hi: np.divide(row[lo:hi], n, out=row[lo:hi]), n)
     else:
         row = np.zeros(n, dtype=complex)
     rows = row.view(float).reshape(n, 2).T[:len(times)]
+    live = [j for j, s in enumerate(times) if s > 0]
+
+    def sums(lo, hi, _):
+        """Divide the leaf by n; per live row, its min, sum, clamp and clamped sum."""
+        np.divide(row[lo:hi], n, out=row[lo:hi])
+        stats = []
+        for j in live:
+            probs = rows[j, lo:hi]
+            low, mass = probs.min(), probs.sum()
+            np.clip(probs, 0.0, None, out=probs)
+            stats.append((low, mass, probs.sum()))
+        return stats
+
+    if live:
+        leaf = _leaf_size(n)
+        totals = []
+        for per_leaf in zip(*_in_leaves(sums, _tree_leaves(n, leaf))):
+            lows, masses, clamped = zip(*per_leaf)
+            worst_negative = float(np.min(lows))
+            if worst_negative < -ROW_TOL:
+                raise ValueError(f"negative probability {worst_negative:g} beyond clamp tolerance")
+            masses, clamped = iter(masses), iter(clamped)
+            total = float(_tree_sum(lambda lo, hi: next(masses), n, leaf))
+            if abs(total - 1.0) > ROW_TOL:
+                raise ValueError(f"row mass {total} deviates from 1 beyond tolerance")
+            totals.append(_tree_sum(lambda lo, hi: next(clamped), n, leaf))
+
+        def scale(lo, hi):
+            for j, total in zip(live, totals):
+                np.divide(rows[j, lo:hi], total, out=rows[j, lo:hi])
+
+        _in_spans(scale, n)
     for probs, s in zip(rows, times):
         if s == 0:
             probs[:] = 0.0
             probs[0] = 1.0
-            continue
-        worst_negative = float(probs.min())
-        if worst_negative < -ROW_TOL:
-            raise ValueError(f"negative probability {worst_negative:g} beyond clamp tolerance")
-        total = float(probs.sum())
-        if abs(total - 1.0) > ROW_TOL:
-            raise ValueError(f"row mass {total} deviates from 1 beyond tolerance")
-        np.clip(probs, 0.0, None, out=probs)
-        probs /= probs.sum()
     return HeatKernelRow(probs=rows[0] if np.ndim(t) == 0 else rows)
 
 
@@ -501,46 +601,94 @@ def tv_exact(row: HeatKernelRow) -> float | list[float]:
     """Total variation distance from uniform: half the L1 discrepancy.
 
     Accumulated as the positive-part sum (equal to half the L1 distance for
-    probability vectors), added exactly and rounded once (`_exact_sum`, equal
-    to `math.fsum`), which keeps boundary identities like tv(0) = 1 - 1/n exact
-    to the last bit.  A row of stacked times gives one float per time.
+    probability vectors), added exactly and rounded once (equal to
+    `math.fsum`), which keeps boundary identities like tv(0) = 1 - 1/n exact
+    to the last bit.  Each leaf of `_tree_leaves` (one serially) writes
+    max(r - u, 0) into its thread's scratch and sorts it there, so the masked
+    r[r > u] - u lies in (0, inf], between the zeros and any NaN, with one run
+    per exponent for `_exact_int`; the values tied at 0 make the sort cheaper
+    than that of r - u.  A row of stacked times gives one float per time.
     """
     p = row.probs
-    u = 1.0 / p.shape[-1]
-    tvs = [_exact_sum(r[r > u] - u) for r in np.atleast_2d(p)]
+    n = p.shape[-1]
+    u = 1.0 / n
+
+    def excess(lo, hi, scratch):
+        x = scratch[0, :hi - lo]
+        parts = []
+        for r in np.atleast_2d(p):
+            np.subtract(r[lo:hi], u, out=x)
+            np.maximum(x, 0.0, out=x)
+            x.sort()
+            above = slice(*np.searchsorted(x, [0.0, np.inf], "right"))
+            parts.append(_exact_int(x[above], scratch[1]))
+        return parts
+
+    leaf = _leaf_size(n)
+    parts = _in_leaves(excess, _tree_leaves(n, leaf), (2, leaf))
+    tvs = [sum(ints) / (1 << _EXP_OFFSET + 53) for ints in zip(*parts)]
     return tvs if p.ndim == 2 else tvs[0]
 
 
-def _exact_sum(x: np.ndarray) -> float:
-    """`math.fsum` of a 1-D array of finite floats, bit for bit.
+def _exact_int(x: np.ndarray, spare: np.ndarray) -> int:
+    """sum(x) 2^(_EXP_OFFSET + 53), exact, as a Python int, for a 1-D array of
+    finite floats, which it overwrites.
 
     Each value is M 2^(e-53) with an integer |M| < 2^53 (`np.frexp`), split as
-    M = 2^26 high + low with integers |high| <= 2^27 and 0 <= low < 2^26.
-    `np.bincount` adds each part per exponent in float64, which is exact while
-    a block holds at most EXACT_SUM_BLOCK values.  The buckets are combined as
-    Python ints and divided by a power of two; `int / int` rounds correctly,
-    as fsum does.
+    M = 2^26 high + low with integers |high| <= 2^27 and 0 <= low < 2^26.  Each
+    run of consecutive values with one exponent adds its highs and its lows in
+    float64 (`np.add.reduceat`), exact while a block holds at most
+    EXACT_SUM_BLOCK values; a sorted x has one run per exponent.  The run sums
+    are combined as Python ints.  `spare`, a float row of min(x.size,
+    EXACT_SUM_BLOCK) values, holds the exponents and run starts, then the
+    highs: nothing but the runs' values is allocated.
     """
     total = 0
     for start in range(0, x.size, EXACT_SUM_BLOCK):
-        mant, exp = np.frexp(x[start:start + EXACT_SUM_BLOCK])
+        mant = x[start:start + EXACT_SUM_BLOCK]
+        high = spare[:mant.size]
+        exp = high.view(np.int32)[:mant.size]
+        heads = high.view(bool)[4 * mant.size:5 * mant.size]  # past exp's bytes
+        np.frexp(mant, out=(mant, exp))
+        heads[0] = True
+        np.not_equal(exp[1:], exp[:-1], out=heads[1:])
+        starts = np.flatnonzero(heads)
+        exps = (exp[starts] + _EXP_OFFSET).tolist()
         mant *= 2.0 ** 27
-        high = np.floor(mant)
+        np.floor(mant, out=high)
         mant -= high  # low / 2^26
-        exp += _EXP_OFFSET
-        highs = np.bincount(exp, weights=high)
-        lows = np.bincount(exp, weights=mant) * 2.0 ** 26
-        for e in np.flatnonzero((highs != 0) | (lows != 0)):
-            total += ((int(highs[e]) << 26) + int(lows[e])) << int(e)
-    return total / (1 << _EXP_OFFSET + 53)
+        highs = np.add.reduceat(high, starts).tolist()
+        lows = (np.add.reduceat(mant, starts) * 2.0 ** 26).tolist()
+        for h, low, e in zip(highs, lows, exps):
+            total += ((int(h) << 26) + int(low)) << e
+    return total
+
+
+def _exact_sum(x: np.ndarray) -> float:
+    """`math.fsum` of a 1-D array of finite floats, bit for bit: `_exact_int`
+    of x sorted, divided by a power of two; `int / int` rounds correctly, as
+    fsum does."""
+    return _exact_int(np.sort(x), np.empty(min(x.size, EXACT_SUM_BLOCK))) / (1 << _EXP_OFFSET + 53)
 
 
 def l2_bound(spec: SpectralData, t: float) -> float:
-    """L2 upper bound on TV: half the root of sum_{x!=0} e^{-2t(1-Re lambda_x)}."""
+    """L2 upper bound on TV: half the root of sum_{x!=0} e^{-2t(1-Re lambda_x)}.
+
+    The exponentials are summed per leaf of `_tree_leaves` (one serially), in
+    each thread's scratch, and the leaf sums added in the tree's order: the bits
+    of the whole array's `np.sum`.
+    """
     if t < 0:
         raise ValueError("t must be >= 0")
-    decay = np.multiply(-2.0 * t, spec._decay_rates)
-    return 0.5 * math.sqrt(float(np.exp(decay, out=decay).sum()))
+    rates = spec._decay_rates
+    leaf = _leaf_size(rates.size)
+
+    def terms(lo, hi, scratch):
+        decay = np.multiply(-2.0 * t, rates[lo:hi], out=scratch[:hi - lo])
+        return np.exp(decay, out=decay).sum()
+
+    sums = iter(_in_leaves(terms, _tree_leaves(rates.size, leaf), (leaf,)))
+    return 0.5 * math.sqrt(float(_tree_sum(lambda lo, hi: next(sums), rates.size, leaf)))
 
 
 def gap_summary(spec: SpectralData) -> GapSummary:

@@ -11,7 +11,10 @@ checks read only the nonzero cells.  `vz_uniform_oracle` counts V.Z case by
 case where the library runs one census per batch of cases, and
 `invariant_characters_oracle` filters by one generator at a time.
 `full_spectrum_row` computes every heat-kernel weight from the spectrum, where
-the library fills half of them by Hermitian symmetry.  `unfused_chirp_plan` and
+the library fills half of them by Hermitian symmetry.  `heat_kernel_row_unfused`
+fills them as the library does, but each step as one pass over the whole array
+on one thread, where the library runs blocks and leaves over threads.
+`unfused_chirp_plan` and
 `chirp_z_unfused` run the Bluestein transform as separate passes over the whole
 buffer on one thread, where the library fuses the four-step's row steps into
 cache-sized blocks and splits every long pass over threads.
@@ -28,7 +31,7 @@ from cayley_cutoff import entropic, walk
 from cayley_cutoff.groups import (GeneratorMultiset, GroupSpec, element_of, index_of,
                                   make_group, sample_generators)
 from cayley_cutoff.lemmas import _report
-from cayley_cutoff.spectral import _dft
+from cayley_cutoff.spectral import ROW_TOL, _dft
 
 Element = tuple[int, ...]
 
@@ -291,6 +294,55 @@ def full_spectrum_row(spec, t) -> np.ndarray:
         else:
             np.clip(probs, 0.0, None, out=probs)
             probs /= probs.sum()
+    return rows
+
+
+def heat_kernel_row_unfused(spec, t) -> np.ndarray:
+    """`spectral.heat_kernel_row(spec, t).probs` as whole-array passes on one thread.
+
+    The exponentials on the slab x_a <= m_a // 2 of the longest axis a, the
+    other planes filled as conj w_{-x} (a flip and a roll by one per axis for
+    -x), one `_dft`, then per row the division by n, the guards, the clamp and
+    the division by the clamped sum.  Shape (len(times), n).
+    """
+    times = [float(s) for s in np.atleast_1d(t)]
+    moduli, n = spec.group.moduli, spec.group.n
+    a = int(np.argmax(moduli))
+    m, h = moduli[a], moduli[a] // 2
+    lead = (slice(None),) * a
+    half = spec.eigenvalues.reshape(moduli)[lead + (slice(0, h + 1),)]
+    real = not half.imag.any()
+    rate = np.subtract(1.0, half.real if real else half)
+    w1, w2 = (np.exp(np.multiply(-s, rate)) if s else 0.0
+              for s in (times + [0.0])[:2])
+
+    def mirror(w):  # w_{-x} for x_a = h+1 .. m-1, from slab weights
+        if np.ndim(w) == 0:
+            return w
+        w = w[lead + (slice(m - h - 1, 0, -1),)]
+        for axis in (b for b in range(len(moduli)) if b != a):
+            w = np.roll(np.flip(w, axis), 1, axis)
+        return w
+
+    out = np.empty(moduli, dtype=complex)
+    low, up = out[lead + (slice(0, h + 1),)], out[lead + (slice(h + 1, None),)]
+    if real:
+        low.real, low.imag = w1, w2
+        up.real, up.imag = mirror(w1), mirror(w2)
+    else:
+        low.real, low.imag = np.real(w1) - np.imag(w2), np.imag(w1) + np.real(w2)
+        m1, m2 = mirror(w1), mirror(w2)
+        up.real, up.imag = np.real(m1) + np.imag(m2), np.real(m2) - np.imag(m1)
+    row = _dft(out).reshape(-1) / n
+    rows = row.view(float).reshape(n, 2).T[:len(times)].copy()
+    for probs, s in zip(rows, times):
+        if s == 0:
+            probs[:] = 0.0
+            probs[0] = 1.0
+            continue
+        assert probs.min() >= -ROW_TOL and abs(probs.sum() - 1.0) <= ROW_TOL
+        np.clip(probs, 0.0, None, out=probs)
+        probs /= probs.sum()
     return rows
 
 

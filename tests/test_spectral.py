@@ -1,6 +1,7 @@
 import functools
 import math
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from cayley_cutoff.spectral import (ROW_TOL, HeatKernelRow,
                                     tv_exact)
 
 from conftest import (add, chirp_z_unfused, dense_transition, full_spectrum_row,
-                      invariant_characters_oracle, neg, tv_from_uniform,
-                      unfused_chirp_plan, uniformized_row, zero)
+                      heat_kernel_row_unfused, invariant_characters_oracle, neg,
+                      tv_from_uniform, unfused_chirp_plan, uniformized_row, zero)
 
 EPS = np.finfo(float).eps
 
@@ -245,10 +246,11 @@ def test_chirp_z_matches_unfused_passes(monkeypatch, m, long_axis):
 
 
 def test_chirp_z_output_is_thread_count_free(monkeypatch):
-    """Spectra, row pairs and a multi-axis `_dft` are the same on 1, 2 and 3
-    threads (3 oversubscribes a 2-core host), whose span bounds differ: at
-    262147 (the four-step Bluestein) and on a directed d = 3 group whose largest
-    modulus, the axis the weights are split along, is not axis 0."""
+    """Spectra, row pairs, their TV, `l2_bound` at two times and a multi-axis
+    `_dft` are the same on 1, 2 and 3 threads (3 oversubscribes a 2-core host),
+    whose span bounds and leaf runs differ (one leaf on 1): at 262147 (the
+    four-step Bluestein) and on a directed d = 3 group whose largest modulus,
+    the axis the weights are split along, is not axis 0."""
     instances = []
     for moduli in ([262147], [2, 131101, 3]):
         g = make_group(moduli)
@@ -265,7 +267,9 @@ def test_chirp_z_output_is_thread_count_free(monkeypatch):
             out = [_dft(a.copy())]
             for g, Z in instances:
                 spec = eigenvalues(g, Z, "directed")
-                out += [spec.eigenvalues, heat_kernel_row(spec, (1.0, 6.0)).probs]
+                row = heat_kernel_row(spec, (1.0, 6.0))
+                out += [spec.eigenvalues, row.probs, tv_exact(row),
+                        l2_bound(spec, 1.0), l2_bound(spec, 6.0)]
             outputs.append(out)
     finally:
         sys.setswitchinterval(interval)
@@ -273,6 +277,57 @@ def test_chirp_z_output_is_thread_count_free(monkeypatch):
     assert np.array_equal(outputs[0][0], np.fft.fftn(a))
     for out in outputs[1:]:
         assert all(np.array_equal(x, y) for x, y in zip(outputs[0], out))
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 127, 128, 129, 2 ** 18 - 1, 262147, 10 ** 6 + 3])
+def test_tree_sum_is_numpy_sum_bit_for_bit(n):
+    """Leaf sums of `_tree_leaves`, added by `_tree_sum`, give `np.add.reduce`'s
+    bits: on the strided rows of a packed (n, 2) pair, as `heat_kernel_row`
+    reads them, and on a contiguous row, at ROW_BLOCK leaves and smaller."""
+    rng = replicate_rng(41, 0)
+    pair = rng.random((n, 2)) * rng.choice([1e-8, 1.0, 1e8], size=(n, 2))
+    for leaf in (128, 2 ** 12, spectral.ROW_BLOCK):
+        leaves = spectral._tree_leaves(n, leaf)
+        assert leaves[0][0] == 0 and leaves[-1][1] == n
+        assert all(hi == lo2 and hi % 8 == 0 and 0 < hi - lo <= leaf
+                   for (lo, hi), (lo2, _) in zip(leaves, leaves[1:]))
+        for r in (*pair.T, pair[:, 0].copy()):
+            got = spectral._tree_sum(lambda lo, hi: np.add.reduce(r[lo:hi]), n, leaf)
+            assert got.hex() == np.add.reduce(r).hex()
+
+
+@pytest.mark.parametrize("model", ["undirected", "directed"])
+@pytest.mark.parametrize("moduli", [(262147,), (12,), (101,), (8, 10), (6, 4, 10),
+                                    (4, 9, 25), (3,) * 6])
+def test_row_pair_matches_whole_array_passes(monkeypatch, moduli, model):
+    """Rows of the blocked fill and the leaf epilogue, their TV and `l2_bound`
+    are the bits of whole-array passes on one thread (`heat_kernel_row_unfused`,
+    `math.fsum` of the masked excess, the `l2_bound` formula), on 1, 2 and 3
+    threads.  Groups below LONG_AXIS run with it lowered and ROW_BLOCK at 128,
+    so that they split into leaves too; odd and even slab axes, d = 1..6, and
+    times whose rows clamp.  The spectrum runs as drawn and with 1e-12 of
+    imaginary noise, which makes it complex and not exactly Hermitian, so a
+    misplaced mirror plane shows."""
+    g = make_group(moduli)
+    if g.n < spectral.LONG_AXIS:
+        monkeypatch.setattr(spectral, "LONG_AXIS", 64)
+        monkeypatch.setattr(spectral, "ROW_BLOCK", 128)
+    spec = eigenvalues(g, sample_generators(g, 6, replicate_rng(43, len(moduli))), model)
+    noise = 1e-12j * (replicate_rng(43, 9).random(g.n) - 0.5)
+    noise[0] = 0
+    u = 1.0 / g.n
+    for spec in (spec, SpectralData(group=g, eigenvalues=spec.eigenvalues + noise)):
+        l2 = {s: 0.5 * math.sqrt(float(np.exp(-2.0 * s * (1.0 - spec.eigenvalues.real[1:])).sum()))
+              for s in (0.3, 4.0)}
+        for t in (0.3, (0.05, 4.0), (0.0, 2.0), (2.0, 0.0)):
+            want = heat_kernel_row_unfused(spec, t)
+            tvs = [math.fsum(p - u for p in r.tolist() if p > u) for r in want]
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(spectral, "_fft_workers", lambda w=workers: w)
+                row = heat_kernel_row(spec, t)
+                assert np.array_equal(np.atleast_2d(row.probs), want), (workers, t)
+                assert np.atleast_1d(tv_exact(row)).tolist() == tvs
+                assert [l2_bound(spec, s) for s in l2] == list(l2.values())
 
 
 def _hand_spectrum(lam):
@@ -297,6 +352,40 @@ def test_heat_kernel_row_guards():
     spec = _hand_spectrum([0.5, 0.5])
     with pytest.raises(ValueError, match=r"row mass 0\.6065"):
         heat_kernel_row(spec, 1.0)
+
+
+def test_threaded_row_guards_match_serial(monkeypatch):
+    """At n >= LONG_AXIS on 2 threads, the guards of `heat_kernel_row` raise
+    the serial path's ValueError text, in its order (row 0's min, then its
+    mass, then row 1's), and leave no pool work running."""
+    n = 262147
+    negative = np.zeros(n)
+    negative[[0, 1, -1]] = 1.0, 2.0, 2.0  # lambda_{+-1} = 2: P_1(0, n/2) ~ -4.1/n
+    leaking = np.zeros(n)
+    leaking[0] = 0.5  # the row keeps mass e^{-t/2}
+    both = negative.copy()
+    both[0] = 0.5
+    # the row at t = 1 fails first wherever it sits
+    cases = [(lam, t) for lam in (negative, leaking, both)
+             for t in (1.0, (1.0, 2.0), (0.0, 1.0), (1.0, 0.0))]
+    texts = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(spectral, "_fft_workers", lambda w=workers: w)
+        heat_kernel_row(eigenvalues(make_group([n]), GeneratorMultiset(np.array([[1]])),
+                                    "undirected"), (1.0, 2.0))  # builds the pool
+        threads = threading.active_count()
+        for lam, t in cases:
+            with pytest.raises(ValueError) as raised:
+                heat_kernel_row(_hand_spectrum(lam), t)
+            texts.setdefault(workers, []).append(str(raised.value))
+        assert threading.active_count() == threads
+        if workers > 1:
+            assert spectral._pool(workers)._work_queue.empty()
+    assert texts[1] == texts[2]
+    negatives, leaks, boths = texts[1][:4], texts[1][4:8], texts[1][8:]
+    assert len(set(negatives)) == 1 and negatives[0].startswith("negative probability -1.5")
+    assert all(text.startswith("row mass 0.6065") for text in leaks)
+    assert all(text.startswith("negative probability") for text in boths)
 
 
 @pytest.mark.parametrize("pair", [(1.0, 0.0), (0.0, 1.0), (1.0, 0.25), (0.25, 1.0)])
@@ -556,6 +645,7 @@ def test_tv_exact_matches_elementwise_sum():
     rng = replicate_rng(17, 0)
     for n in (1, 2, 7, 1000, 100003):
         rows = [rng.dirichlet(np.full(n, 0.3)) if n > 1 else np.ones(1), np.full(n, 1.0 / n)]
+        rows.append(np.where(np.arange(n) % 7 == 3, np.nan, rows[0]))  # r > u drops NaN
         for probs in rows:
             u = 1.0 / n
             expected = math.fsum(p - u for p in probs.tolist() if p > u)
@@ -717,20 +807,24 @@ def test_isomorphic_labellings_agree(n, split, model):
 
 
 @pytest.mark.parametrize("model", ["undirected", "directed"])
-@pytest.mark.parametrize("c", [2, 12345, 262146])
-def test_prime_order_automorphism_agrees(c, model):
-    """Z_n at prime n = 262147 with generators z and with c z mod n: the same walk.
+@pytest.mark.parametrize("n, c", [(262147, 2), (262147, 12345), (262147, 262146),
+                                  (100003, 2), (100003, 12345), (100003, 100002)])
+def test_prime_order_automorphism_agrees(n, c, model):
+    """Z_n at a prime n with generators z and with c z mod n: the same walk.
 
     z -> c z is an automorphism of Z_n, so the two instances are one Cayley
     graph under two labellings, and lambda'_x = lambda_{c x}: the same spectrum,
-    permuted.  Both run the four-step Bluestein, on inputs that differ by that
-    permutation, so only rounding separates them; no oracle is involved.  With
-    u = eps and L = log2 n, TV at four times (two row pairs) and gamma agree
-    within u L, as for the coprime splits of `test_isomorphic_labellings_agree`.
-    Over replicates 1-3 of seed 8 the worst readings were 0.13 u L (TV) and
-    0.083 u L (gamma).
+    permuted.  At 262147 both run the four-step Bluestein and the threaded
+    passes, at 100003 pocketfft and the serial ones, on inputs that differ by
+    that permutation, so only rounding separates them; no oracle is involved.
+    With u = eps and L = log2 n, gamma and TV at four times (two row pairs)
+    agree within u L absolutely, as for the coprime splits of
+    `test_isomorphic_labellings_agree`, and `l2_bound` relatively within
+    (1 + t) u L / 4: its exponents carry a t max|d lambda| term.  Over
+    replicates 1-4 of seed 8 the worst readings were 0.09 u L (gamma),
+    0.31 u L (TV) and 0.054 (1 + t) u L (l2_bound).
     """
-    n, k = 262147, 8
+    k = 8
     bar = EPS * math.log2(n)
     g = make_group([n])
     Z = sample_generators(g, k, replicate_rng(8, 1))
@@ -742,4 +836,7 @@ def test_prime_order_automorphism_agrees(c, model):
     times = list(entropic.solve_times(n, k, model, (-1.5, -0.5, 0.5, 1.5)).t_alpha.values())
     for pair in (times[:2], times[2:]):
         tv_a, tv_b = (tv_exact(heat_kernel_row(spec, pair)) for spec in specs)
-        assert max(abs(x - y) for x, y in zip(tv_a, tv_b)) <= bar, pair
+        for t, x, y in zip(pair, tv_a, tv_b):
+            assert abs(x - y) <= bar, t
+            l2_a, l2_b = (l2_bound(spec, t) for spec in specs)
+            assert abs(l2_a / l2_b - 1) <= (1 + t) * bar / 4, t
