@@ -25,8 +25,8 @@ TOOL_VERSION = f"cayley-cutoff {__version__}"
 #: refuse runs estimated over this many DFT butterfly-equivalents without force.
 BUDGET_LIMIT = 10 ** 9
 
-#: Fewest elements of a group whose replicates, in one process, run one per
-#: `spectral._fft_workers()` thread (below LONG_AXIS).  Median of 3, 2 cores,
+#: Fewest elements of a group whose replicates, in one process, run on the
+#: `spectral._fft_workers()` threads (below LONG_AXIS).  Median of 3, 2 cores,
 #: serial against threads: gap scans 0.84 -> 1.89 s at n = 1009 (Python that
 #: holds the GIL), 0.35 -> 0.53 s at 4099, 0.38 -> 0.34 s at 8209, 0.73 -> 0.41 s
 #: at 16411; cutoff profiles 1.6-2.0x faster from 16411 to 100003 and on 256^2.
@@ -174,10 +174,11 @@ def _map_replicates(config: ExperimentConfig, fn, *args) -> list:
     starts every worker on the first submit, and each gets one block of
     ceil(replicates / workers) replicates, one round trip per block rather than
     per replicate.  Otherwise a group of SHORT_GROUP to LONG_AXIS elements runs
-    one replicate per `spectral._fft_workers()` thread on `spectral._pool`
-    (numpy and pocketfft release the GIL; a replicate thread runs its passes
-    serially); the first exception in replicate order propagates and the
-    replicates not yet started are cancelled.  Anything else runs serially.
+    its replicates as one-replicate leaves of `spectral._in_leaves`, one
+    contiguous run of them per `spectral._fft_workers()` thread (numpy and
+    pocketfft release the GIL; a replicate thread runs its passes serially); a
+    run stops at its first exception, and the first in replicate order
+    propagates.  Anything else runs serially.
     """
     work = functools.partial(fn, config, *args)
     indices = range(config.replicates)
@@ -185,11 +186,9 @@ def _map_replicates(config: ExperimentConfig, fn, *args) -> list:
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(work, indices, chunksize=-(-config.replicates // workers)))
-    threads = spectral._fft_workers()
-    if (config.replicates == 1 or threads == 1
-            or not SHORT_GROUP <= config.group().n < spectral.LONG_AXIS):
+    if not SHORT_GROUP <= config.group().n < spectral.LONG_AXIS:
         return [work(r) for r in indices]
-    return list(spectral._pool(threads).map(work, indices))
+    return spectral._in_leaves(lambda r, _, __: work(r), [(r, r + 1) for r in indices])
 
 
 def _budget_check(config: ExperimentConfig, rows: int):

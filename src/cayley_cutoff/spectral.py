@@ -22,19 +22,21 @@ move `tv-curve --group 1000003 --k 14 --model directed --seed 7 --t-grid
 0.9:45:24` by at most 8.9e-16 in TV (24 of 24 rows), 1.4e-14 in `l2_bound` and
 3.3e-16 in gamma.
 
-Passes of at least LONG_AXIS elements run on `_fft_workers()` threads (one in
-a `--jobs` worker, and on the replicate threads on which
-`experiments._map_replicates` runs shorter groups): every per-axis transform's
-batches; as spans (`_in_spans`), the chirp products and zero fill, the
-four-step's row steps fused per cache-sized block of rows, and a row's final
-scaling; and as leaves of at most ROW_BLOCK elements, each thread with scratch
-its caller allocates (`_in_leaves`), the weights' exponentials with their
-Hermitian fill, a row's division by n, guards, clamp and sums, `tv_exact` and
-`l2_bound`.  A sum over leaves is numpy's pairwise summation cut at its own
-tree's nodes (`_tree_sum`), so it keeps `np.sum`'s bits; `tv_exact` adds
-exactly, in any order.  Each element takes the same operations in the same
-order on any count, so no output depends on it.  A shorter pass runs serially,
-as one leaf.
+Every other pass runs through `_in_leaves`, cut by one rule (`_leaves`): a
+pass under LONG_AXIS elements is one leaf; a longer one takes the leaves of
+numpy's pairwise-summation tree (`_tree_leaves`), each within ROW_BLOCK
+elements or 16 items, so the leaves depend on the sizes alone.  Those passes
+are the chirp products and zero fill, the four-step's row steps (leaves of
+rows), the weights' exponentials with their Hermitian fill (leaves of slab
+planes), a row's division by n, guards, clamp, sums and scaling, `tv_exact`
+and `l2_bound`.  `_in_leaves` runs the leaves on `_fft_workers()` threads, as
+pocketfft runs a per-axis transform's batches: one in a `--jobs` worker and on
+the replicate threads on which `experiments._map_replicates` runs shorter
+groups, where a long pass still runs leaf by leaf in cache.  A sum over leaves
+is numpy's pairwise summation cut at its own tree's nodes (`_tree_sum`), so it
+keeps `np.sum`'s bits; `tv_exact` adds exactly, in any order.  Each element
+takes the same operations in the same order on any thread count, so no output
+depends on it.
 
 No heat-kernel row is bit-identical to numpy's transform of the full-spectrum
 weights: the exponentials run on half the group and the other half is filled by
@@ -91,14 +93,13 @@ _EXP_OFFSET = 1073
 #: length is not 11-smooth; shorter axes stay on pocketfft, bit-identical to
 #: numpy.  Near 10^4 the four-step is no faster than pocketfft; from 10^5 to
 #: 4e6 one transform took 1.1-2.4x less time on two cores.  Also the fewest
-#: elements of a pass that `_in_spans` splits over threads.
+#: elements of a pass that `_leaves` cuts into more than one leaf.
 LONG_AXIS = 2 ** 18
 
-#: Most elements in one block of `_rows` (a multiple of 8 rows, at least 8): the
-#: block and its kernel rows, 2 MB, stay in one core's L2 cache (2 MB on the 2-core
-#: Xeon measured) through the five row steps.  From 2^13 to 2^18 one `_chirp_z`
-#: at 10^6 + 3 took 72-85 ms there.  Also the most elements in one threaded leaf
-#: of `_in_leaves`, or 8 planes of the weights if more.
+#: Most elements in one leaf of `_leaves`, or 16 items if more: a leaf of the
+#: four-step's rows and its kernel rows, 2 MB, stay in one core's L2 cache (2 MB
+#: on the 2-core Xeon measured) through the five row steps.  From 2^13 to 2^18
+#: one `_chirp_z` at 10^6 + 3 took 72-85 ms there.
 ROW_BLOCK = 2 ** 16
 
 #: largest group the exhaustive Cheeger scan accepts: it visits all 2^n subsets.
@@ -138,6 +139,17 @@ class SpectralData:
         asymmetric = mirror != 0
         gap = float((1.0 - lam.real[asymmetric]).min()) if asymmetric.any() else 0.0
         return float(np.abs(mirror).mean()), gap
+
+    @functools.cached_property
+    def _slab(self) -> tuple[int, np.ndarray, bool]:
+        """(a, lambda on the slab x_a in [0, m_a // 2], whether that is real), a
+        the axis of the largest modulus: the half group on which `_packed_weights`
+        takes its exponentials.  The realness is a pass over the slab, made once
+        per spectrum."""
+        moduli = self.group.moduli
+        a = int(np.argmax(moduli))
+        half = self.eigenvalues.reshape(moduli)[(slice(None),) * a + (slice(moduli[a] // 2 + 1),)]
+        return a, half, not half.imag.any()
 
     @functools.cached_property
     def _decay_rates(self) -> np.ndarray:
@@ -222,53 +234,36 @@ def _dft(a: np.ndarray, inverse: bool = False) -> np.ndarray:
 
 
 def _fft_workers() -> int:
-    """Threads for one pass (a `_dft` axis, a four-step's axis-0 batches, an
-    `_in_spans` or `_in_leaves` pass): on the main thread, every CPU this
-    process may run on; one inside a `--jobs` worker or on any other thread,
-    such as a replicate thread of `experiments._map_replicates`, whose siblings
-    already spread over the CPUs.  So threads never nest, and none submits work
-    to the pool it runs on.  No output depends on it."""
+    """Threads for one pass (a `_dft` axis, a four-step's axis-0 batches, the
+    runs of `_in_leaves`): on the main thread, every CPU this process may run
+    on; one inside a `--jobs` worker (no pool is built after a fork) or on any
+    other thread, such as a replicate thread of `experiments._map_replicates`,
+    whose siblings already spread over the CPUs.  So threads never nest, and
+    none submits work to the pool it runs on.  No output depends on it, as no
+    leaf of `_leaves` does."""
     if (multiprocessing.parent_process() is not None
             or threading.current_thread() is not threading.main_thread()):
         return 1
     return len(os.sched_getaffinity(0))
 
 
-def _threads(elements: int) -> int:
-    """Threads for a pass over `elements` values: `_fft_workers()`, one below LONG_AXIS."""
-    return _fft_workers() if elements >= LONG_AXIS else 1
-
-
-#: The threads of `_in_spans` and `_in_leaves`: `_pool(w)` is built on first
-#: use, one per count w.
+#: The threads of `_in_leaves`: `_pool(w)` is built on first use, one per count w.
 _pool = functools.cache(ThreadPoolExecutor)
 
 
-def _in_spans(fn, total: int, unit: int = 1):
-    """fn(lo, hi) over [0, total), one contiguous span per `_threads` thread, run
-    by `_in_leaves` with no scratch.
-
-    Index i covers `unit` elements; span bounds are multiples of 8 indices, so
-    SIMD ufuncs keep each element's offset modulo 8, and its bits.  Serial in a
-    `--jobs` worker (no pool is built after a fork) and for fewer than
-    LONG_AXIS elements.  numpy and pocketfft release the GIL; `fn` writes only
-    into existing buffers, as a thread's allocations stay in its malloc arena.
-    """
-    step = -(-total // (8 * _threads(total * unit))) * 8
-    _in_leaves(lambda lo, hi, _: fn(lo, hi), [(lo, min(lo + step, total)) for lo in range(0, total, step)])
-
-
-def _in_leaves(fn, leaves: list, scratch: tuple = (0,), dtype=float) -> list:
+def _in_leaves(fn, leaves: list, rows: int = 0, unit: int = 1, dtype=float) -> list:
     """[fn(lo, hi, s) for lo, hi in leaves], in order, on up to `_fft_workers()`
-    threads, each taking one contiguous run of the leaves; one leaf runs on the
-    caller's thread.  `s`, of shape `scratch`, is the run's own scratch, which
-    this (the caller's) thread allocates: `fn` writes its temporaries there, as
-    a pool thread's allocations stay in its malloc arena and raise peak RSS.
+    threads, each taking one contiguous run of the leaves; a lone run goes on the
+    caller's thread.  `s`, of shape (rows, unit * the widest leaf's hi - lo), is
+    the run's own scratch, which this (the caller's) thread allocates: `fn`
+    writes its temporaries there or into existing buffers, as a pool thread's
+    allocations stay in its malloc arena and raise peak RSS.  numpy and
+    pocketfft release the GIL.
     """
     workers = _fft_workers()
     runs = min(len(leaves), workers)
     step = -(-len(leaves) // runs)
-    space = np.empty((runs, *scratch), dtype=dtype)
+    space = np.empty((runs, rows, unit * max(hi - lo for lo, hi in leaves)), dtype=dtype)
 
     def run(j):
         return [fn(lo, hi, space[j]) for lo, hi in leaves[j * step:(j + 1) * step]]
@@ -277,20 +272,35 @@ def _in_leaves(fn, leaves: list, scratch: tuple = (0,), dtype=float) -> list:
     return [result for part in parts for result in part]
 
 
-def _leaf_size(m: int) -> int:
-    """The largest leaf of a pass over m values: ROW_BLOCK on threads, all m serially."""
-    return ROW_BLOCK if _threads(m) > 1 else m
+def _leaves(m: int, unit: int = 1) -> list[tuple[int, int]]:
+    """The leaves (lo, hi) of a pass over m items of `unit` elements each: one
+    below LONG_AXIS elements, else those of `_tree_leaves`, each within
+    ROW_BLOCK elements or 16 items.  The floor of 16 makes the split end, as
+    `_tree_sum` cuts fewer than 16 items into none and all.  Every bound but the
+    last is a multiple of 8 items, so SIMD ufuncs keep each element's offset
+    modulo 8, and its bits."""
+    if m * unit < LONG_AXIS:
+        return [(0, m)]
+    return _tree_leaves(m, max(16, ROW_BLOCK // unit))
+
+
+def _leaf_total(values, leaves: list):
+    """`values`, one per leaf of `_leaves(m)`, added in the order of its tree
+    (`_tree_sum`): the nodes it splits are those wider than the widest leaf."""
+    values = iter(values)
+    return _tree_sum(lambda lo, hi: next(values), leaves[-1][1], max(hi - lo for lo, hi in leaves))
 
 
 def _tree_sum(leaf_sum, m: int, leaf: int, lo: int = 0):
     """leaf_sum(lo, hi) of each leaf of numpy's pairwise summation of the m
-    values from lo, split until a leaf holds at most `leaf` (at least 128,
-    below which numpy splits no further), added in the tree's order.
+    values from lo, split until a leaf holds at most `leaf`, added in the
+    tree's order.
 
     numpy's `np.add.reduce` of a 1-D float array splits m > 128 values at
     m // 2 rounded down to a multiple of 8 and adds the halves' sums, so with
-    each leaf's own `np.add.reduce` this gives its bits.  Every bound but the
-    last is a multiple of 8, as `_in_spans` keeps.
+    each leaf's own `np.add.reduce` and `leaf` at least 128 (below which numpy
+    splits no further) this gives its bits.  Every bound but the last is a
+    multiple of 8.
     """
     if m <= leaf:
         return leaf_sum(lo, lo + m)
@@ -371,33 +381,30 @@ def _four_step(plan: _ChirpPlan, v: np.ndarray, kernel: np.ndarray | None = None
     leaves X[k1 + n1 k2] at v[k1, k2]; no transpose is made.  With a `kernel` in
     that order, v is then multiplied by it and the three steps are undone
     (inverse, unscaled): a cyclic convolution, times N.  The axis-0 batches run
-    on `_fft_workers()` threads, the row steps in between as `_rows` spans."""
+    on `_fft_workers()` threads, the row steps in between as leaves of rows."""
     workers = _fft_workers()
     fft.fft(v, axis=0, overwrite_x=True, workers=workers)
-    _in_spans(functools.partial(_rows, plan, v, kernel), plan.n1, plan.n2)
+    _in_leaves(functools.partial(_rows, plan, v, kernel), _leaves(plan.n1, plan.n2))
     if kernel is not None:
         fft.ifft(v, axis=0, norm="forward", overwrite_x=True, workers=workers)
 
 
-def _rows(plan: _ChirpPlan, v: np.ndarray, kernel: np.ndarray | None, lo: int, hi: int):
-    """The row steps on rows lo..hi of `v`, a block of ROW_BLOCK elements at a
-    time: twiddle, transform axis 1; with a `kernel`, multiply, inverse-transform
-    axis 1, twiddle back.  Each element meets the whole-buffer passes' operations
-    in their order, so the bits do not change."""
-    block = 8 * max(1, ROW_BLOCK // (8 * plan.n2))
-    for start in range(lo, hi, block):
-        rows = slice(start, min(start + block, hi))
-        part = v[rows]
-        twiddled = part.reshape(-1, plan.twiddle_hi.shape[1], plan.twiddle_lo.shape[1])
-        th, tl = plan.twiddle_hi[rows, :, None], plan.twiddle_lo[rows, None, :]
-        twiddled *= th
-        twiddled *= tl
-        fft.fft(part, axis=1, overwrite_x=True)
-        if kernel is not None:
-            part *= kernel[rows]
-            fft.ifft(part, axis=1, norm="forward", overwrite_x=True)
-            twiddled *= th.conj()
-            twiddled *= tl.conj()
+def _rows(plan: _ChirpPlan, v: np.ndarray, kernel: np.ndarray | None, lo: int, hi: int, _):
+    """The row steps on the leaf of rows lo..hi of `v`: twiddle, transform axis
+    1; with a `kernel`, multiply, inverse-transform axis 1, twiddle back.  Each
+    element meets the whole-buffer passes' operations in their order, so the
+    bits do not change."""
+    part = v[lo:hi]
+    twiddled = part.reshape(-1, plan.twiddle_hi.shape[1], plan.twiddle_lo.shape[1])
+    th, tl = plan.twiddle_hi[lo:hi, :, None], plan.twiddle_lo[lo:hi, None, :]
+    twiddled *= th
+    twiddled *= tl
+    fft.fft(part, axis=1, overwrite_x=True)
+    if kernel is not None:
+        part *= kernel[lo:hi]
+        fft.ifft(part, axis=1, norm="forward", overwrite_x=True)
+        twiddled *= th.conj()
+        twiddled *= tl.conj()
 
 
 def _chirp_z(x: np.ndarray, inverse: bool) -> np.ndarray:
@@ -406,27 +413,27 @@ def _chirp_z(x: np.ndarray, inverse: bool) -> np.ndarray:
     X_k = c_k sum_j (x_j c_j) conj c_{k-j}, c_j = e^{-i pi j^2 / m}: a
     convolution, run as one four-step convolution of length N with the cached
     kernel.  The inverse is conj DFT(conj x).  The chirp products and the zero
-    fill run as `_in_spans` spans, the rest in `_four_step`.
+    fill run as leaves of `_in_leaves`, the rest in `_four_step`.
     """
     m = x.size
     plan = _chirp_plan(m)
     buf = np.empty((plan.n1, plan.n2), dtype=complex)
     flat = buf.reshape(-1)
 
-    def chirp_in(lo, hi):
+    def chirp_in(lo, hi, _):
         mid = min(max(lo, m), hi)
         head = np.conjugate(x[lo:mid], out=flat[lo:mid]) if inverse else x[lo:mid]
         np.multiply(head, plan.chirp[lo:mid], out=flat[lo:mid])
         flat[mid:hi] = 0
 
-    def chirp_out(lo, hi):
+    def chirp_out(lo, hi, _):
         np.multiply(flat[lo:hi], plan.chirp[lo:hi], out=x[lo:hi])
         if inverse:
             np.conjugate(x[lo:hi], out=x[lo:hi])
 
-    _in_spans(chirp_in, flat.size)
+    _in_leaves(chirp_in, _leaves(flat.size))
     _four_step(plan, buf, plan.kernel)
-    _in_spans(chirp_out, m)
+    _in_leaves(chirp_out, _leaves(m))
     return x
 
 
@@ -455,42 +462,39 @@ def _packed_weights(spec: SpectralData, times: list[float]) -> np.ndarray:
     """w(t_1) + i w(t_2), w_x = e^{-t(1-lambda_x)}, computed on half the group.
 
     The exponentials run on the slab x_a in [0, m_a // 2] of the axis a with the
-    largest modulus, with a real exp when the slab's spectrum is real; the other
-    planes are filled as w_x = conj w_{-x}, so both rows are exactly Hermitian.
-    One pass does both, in blocks of slab planes (multiples of 8 planes, each
-    within ROW_BLOCK elements or 8 planes, on `_in_leaves` threads; one block
-    serially): a block's exponentials, in its thread's scratch, then its packed
+    largest modulus (`SpectralData._slab`), with a real exp when the slab's
+    spectrum is real; the other planes are filled as w_x = conj w_{-x}, so both
+    rows are exactly Hermitian.  One pass does both, per leaf of slab planes
+    (`_leaves`): a leaf's exponentials, in its run's scratch, then its packed
     planes, and the mirrored planes x_a -> m_a - x_a it owns, packed in scratch
     and negated along the other axes (`_negate`) when there are any.  numpy's
-    exp gives each element the same bits at any offset or stride, so the blocks
+    exp gives each element the same bits at any offset or stride, so the leaves
     do not change them.
     A zero time, or a missing second time, has zero weights.  Shape `moduli`.
     """
     moduli = spec.group.moduli
-    a = int(np.argmax(moduli))
+    a, half, real = spec._slab
     m, h = moduli[a], moduli[a] // 2
     lead = (slice(None),) * a
     others = tuple(b for b in range(len(moduli)) if b != a)
-    half = spec.eigenvalues.reshape(moduli)[lead + (slice(0, h + 1),)]
-    real = not half.imag.any()
     pair = len(times) == 2 and times[1] > 0
     out = np.empty(moduli, dtype=complex)
-    own = 1 if real else 2  # scratch rows of a block's two weights; then `_negate`'s
+    own = 1 if real else 2  # scratch rows of a leaf's two weights; then `_negate`'s
 
     def fill(lo, hi, scratch):
-        span = lead + (slice(lo, hi),)
-        shape = half[span].shape
+        part = lead + (slice(lo, hi),)
+        shape = half[part].shape
         size = math.prod(shape)
         rows = scratch[:own].reshape(-1).view(float if real else complex)
         rate, w2 = rows[:size].reshape(shape), rows[size:2 * size].reshape(shape)
-        np.subtract(1.0, half[span].real if real else half[span], out=rate)
+        np.subtract(1.0, half[part].real if real else half[part], out=rate)
         if pair:
             np.exp(np.multiply(-times[1], rate, out=w2), out=w2)
         if times[0]:
             np.exp(np.multiply(-times[0], rate, out=rate), out=rate)
 
         def pack(o, planes, mirror):
-            """o = w1 + i w2 on the block's `planes`; conj w1 + i conj w2 if `mirror`."""
+            """o = w1 + i w2 on the leaf's `planes`; conj w1 + i conj w2 if `mirror`."""
             w1_ = rate[lead + (planes,)] if times[0] else 0.0
             w2_ = w2[lead + (planes,)] if pair else 0.0
             if real:
@@ -502,7 +506,7 @@ def _packed_weights(spec: SpectralData, times: list[float]) -> np.ndarray:
                 np.subtract(np.real(w1_), np.imag(w2_), out=o.real)
                 np.add(np.imag(w1_), np.real(w2_), out=o.imag)
 
-        pack(out[span], slice(None), False)
+        pack(out[part], slice(None), False)
         first, stop = max(lo, 1), min(hi, m - h)  # planes whose mirror m - x_a > h
         if first < stop:
             mirrored = out[lead + (slice(m - first, m - stop, -1),)]
@@ -513,9 +517,7 @@ def _packed_weights(spec: SpectralData, times: list[float]) -> np.ndarray:
             _negate(mirrored, t, others, spare)
 
     unit = half.size // (h + 1)
-    per = 8 * max(1, ROW_BLOCK // (8 * unit)) if _threads(half.size) > 1 else h + 1
-    _in_leaves(fill, [(lo, min(lo + per, h + 1)) for lo in range(0, h + 1, per)],
-               (own + 2 * bool(others), per * unit), complex)
+    _in_leaves(fill, _leaves(h + 1, unit), own + 2 * bool(others), unit, complex)
     return out
 
 
@@ -530,10 +532,10 @@ def heat_kernel_row(spec: SpectralData, t) -> HeatKernelRow:
     half the group and filled as conj w_{-x} (`_packed_weights`), so no row is
     bit-identical to numpy's `fftn` of the full-spectrum weights.  A row at
     t = 0 is the indicator of 0 and packs zero weights; a call whose times are
-    all 0 takes no transform.  One pass per leaf of `_tree_leaves` divides by n
-    and takes each row's min, sum, clamp and clamped sum; the guards read them
-    in order (row 0's min and mass, then row 1's), and one span pass divides
-    each row by its clamped sum: the bits of whole-row passes.
+    all 0 takes no transform.  One pass over the leaves of `_leaves` divides by
+    n and takes each row's min, sum, clamp and clamped sum; the guards read them
+    in order (row 0's min and mass, then row 1's), and a second divides each
+    row by its clamped sum: the bits of whole-row passes.
     """
     if np.ndim(t) > 1 or not 1 <= np.size(t) <= 2:
         raise ValueError("t must be a time or a pair of times")
@@ -572,24 +574,23 @@ def heat_kernel_row(spec: SpectralData, t) -> HeatKernelRow:
         return stats
 
     if live:
-        leaf = _leaf_size(n)
+        leaves = _leaves(n)
         totals = []
-        for per_leaf in zip(*_in_leaves(sums, _tree_leaves(n, leaf))):
+        for per_leaf in zip(*_in_leaves(sums, leaves)):
             lows, masses, clamped = zip(*per_leaf)
             worst_negative = float(np.min(lows))
             if worst_negative < -ROW_TOL:
                 raise ValueError(f"negative probability {worst_negative:g} beyond clamp tolerance")
-            masses, clamped = iter(masses), iter(clamped)
-            total = float(_tree_sum(lambda lo, hi: next(masses), n, leaf))
+            total = float(_leaf_total(masses, leaves))
             if abs(total - 1.0) > ROW_TOL:
                 raise ValueError(f"row mass {total} deviates from 1 beyond tolerance")
-            totals.append(_tree_sum(lambda lo, hi: next(clamped), n, leaf))
+            totals.append(_leaf_total(clamped, leaves))
 
-        def scale(lo, hi):
+        def scale(lo, hi, _):
             for j, total in zip(live, totals):
                 np.divide(rows[j, lo:hi], total, out=rows[j, lo:hi])
 
-        _in_spans(scale, n)
+        _in_leaves(scale, leaves)
     for probs, s in zip(rows, times):
         if s == 0:
             probs[:] = 0.0
@@ -603,11 +604,11 @@ def tv_exact(row: HeatKernelRow) -> float | list[float]:
     Accumulated as the positive-part sum (equal to half the L1 distance for
     probability vectors), added exactly and rounded once (equal to
     `math.fsum`), which keeps boundary identities like tv(0) = 1 - 1/n exact
-    to the last bit.  Each leaf of `_tree_leaves` (one serially) writes
-    max(r - u, 0) into its thread's scratch and sorts it there, so the masked
-    r[r > u] - u lies in (0, inf], between the zeros and any NaN, with one run
-    per exponent for `_exact_int`; the values tied at 0 make the sort cheaper
-    than that of r - u.  A row of stacked times gives one float per time.
+    to the last bit.  Each leaf of `_leaves` writes max(r - u, 0) into its
+    run's scratch and sorts it there, so the masked r[r > u] - u lies in
+    (0, inf], between the zeros and any NaN, with one run per exponent for
+    `_exact_int`; the values tied at 0 make the sort cheaper than that of
+    r - u.  A row of stacked times gives one float per time.
     """
     p = row.probs
     n = p.shape[-1]
@@ -624,8 +625,7 @@ def tv_exact(row: HeatKernelRow) -> float | list[float]:
             parts.append(_exact_int(x[above], scratch[1]))
         return parts
 
-    leaf = _leaf_size(n)
-    parts = _in_leaves(excess, _tree_leaves(n, leaf), (2, leaf))
+    parts = _in_leaves(excess, _leaves(n), 2)
     tvs = [sum(ints) / (1 << _EXP_OFFSET + 53) for ints in zip(*parts)]
     return tvs if p.ndim == 2 else tvs[0]
 
@@ -664,31 +664,23 @@ def _exact_int(x: np.ndarray, spare: np.ndarray) -> int:
     return total
 
 
-def _exact_sum(x: np.ndarray) -> float:
-    """`math.fsum` of a 1-D array of finite floats, bit for bit: `_exact_int`
-    of x sorted, divided by a power of two; `int / int` rounds correctly, as
-    fsum does."""
-    return _exact_int(np.sort(x), np.empty(min(x.size, EXACT_SUM_BLOCK))) / (1 << _EXP_OFFSET + 53)
-
-
 def l2_bound(spec: SpectralData, t: float) -> float:
     """L2 upper bound on TV: half the root of sum_{x!=0} e^{-2t(1-Re lambda_x)}.
 
-    The exponentials are summed per leaf of `_tree_leaves` (one serially), in
-    each thread's scratch, and the leaf sums added in the tree's order: the bits
-    of the whole array's `np.sum`.
+    The exponentials are summed per leaf of `_leaves`, in its run's scratch,
+    and the leaf sums added in the tree's order: the bits of the whole array's
+    `np.sum`.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
     rates = spec._decay_rates
-    leaf = _leaf_size(rates.size)
+    leaves = _leaves(rates.size)
 
     def terms(lo, hi, scratch):
-        decay = np.multiply(-2.0 * t, rates[lo:hi], out=scratch[:hi - lo])
+        decay = np.multiply(-2.0 * t, rates[lo:hi], out=scratch[0, :hi - lo])
         return np.exp(decay, out=decay).sum()
 
-    sums = iter(_in_leaves(terms, _tree_leaves(rates.size, leaf), (leaf,)))
-    return 0.5 * math.sqrt(float(_tree_sum(lambda lo, hi: next(sums), rates.size, leaf)))
+    return 0.5 * math.sqrt(float(_leaf_total(_in_leaves(terms, leaves, 1), leaves)))
 
 
 def gap_summary(spec: SpectralData) -> GapSummary:

@@ -13,11 +13,13 @@ case where the library runs one census per batch of cases, and
 `full_spectrum_row` computes every heat-kernel weight from the spectrum, where
 the library fills half of them by Hermitian symmetry.  `heat_kernel_row_unfused`
 fills them as the library does, but each step as one pass over the whole array
-on one thread, where the library runs blocks and leaves over threads.
+on one thread, where the library runs leaves over threads.
 `unfused_chirp_plan` and
 `chirp_z_unfused` run the Bluestein transform as separate passes over the whole
 buffer on one thread, where the library fuses the four-step's row steps into
-cache-sized blocks and splits every long pass over threads.
+cache-sized leaves and splits every long pass over threads.  `exact_sum` is
+`math.fsum` through the library's exact integer sum, which `tv_exact` runs per
+leaf.
 """
 
 import dataclasses
@@ -27,7 +29,7 @@ from itertools import product
 import numpy as np
 from scipy import fft, stats
 
-from cayley_cutoff import entropic, walk
+from cayley_cutoff import entropic, spectral, walk
 from cayley_cutoff.groups import (GeneratorMultiset, GroupSpec, element_of, index_of,
                                   make_group, sample_generators)
 from cayley_cutoff.lemmas import _report
@@ -260,6 +262,14 @@ def invariant_characters_oracle(group: GroupSpec, Z: GeneratorMultiset,
         ok = coords @ z % lcm == 0
         candidates, coords = candidates[ok], coords[ok]
     return candidates
+
+
+def exact_sum(x: np.ndarray) -> float:
+    """`math.fsum` of a 1-D array of finite floats, bit for bit: `_exact_int`
+    of x sorted, divided by a power of two; `int / int` rounds correctly, as
+    fsum does."""
+    spare = np.empty(min(x.size, spectral.EXACT_SUM_BLOCK))
+    return spectral._exact_int(np.sort(x), spare) / (1 << spectral._EXP_OFFSET + 53)
 
 
 def full_spectrum_row(spec, t) -> np.ndarray:

@@ -562,6 +562,13 @@ PINNED_STDOUT = {
         "14414a58cebafdfc612c104975a9b311b99eab8cb693448165c433b0ad07ef55",
     "gap-scan --group 128,160 --k 12 --seed 4 --replicates 6":
         "21cd5a10d3ebecfc168c8b1f332b7fe1a1211853d7904c267039b68bb765ee56",
+    # n >= LONG_AXIS: the four-step Bluestein, its passes in leaves on the main
+    # thread's pool, then serially in each --jobs worker
+    "tv-curve --group 262147 --k 14 --model directed --seed 7 --t-grid 0.9:40:6":
+        "73325d62361af53bef115ddaaa9158c690f06d10b2fe32fa7ff30f3c559649b0",
+    "tv-curve --group 262147 --k 14 --model directed --seed 7 --t-grid 0.9:40:6"
+    " --replicates 2 --jobs 2":
+        "5a306cd68b91c33fd7040050103cb557366bedf1368566cbab930a03b58ab2a4",
 }
 
 

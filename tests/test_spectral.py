@@ -18,8 +18,8 @@ from cayley_cutoff.spectral import (ROW_TOL, HeatKernelRow,
                                     gap_summary, heat_kernel_row, l2_bound,
                                     tv_exact)
 
-from conftest import (add, chirp_z_unfused, dense_transition, full_spectrum_row,
-                      heat_kernel_row_unfused, invariant_characters_oracle, neg,
+from conftest import (add, chirp_z_unfused, dense_transition, exact_sum,
+                      full_spectrum_row, heat_kernel_row_unfused, invariant_characters_oracle, neg,
                       tv_from_uniform, unfused_chirp_plan, uniformized_row, zero)
 
 EPS = np.finfo(float).eps
@@ -228,8 +228,8 @@ def test_chirp_z_matches_numpy(monkeypatch, shape, long_axis):
 
 @pytest.mark.parametrize("m, long_axis", [(262147, None), (100003, 100003)])
 def test_chirp_z_matches_unfused_passes(monkeypatch, m, long_axis):
-    """The fused row steps and the threaded spans of `_chirp_z` and its plan give
-    the bits of the whole-buffer passes they replaced, forward and inverse."""
+    """The fused row steps and the threaded leaves of `_chirp_z` and its plan
+    give the bits of the whole-buffer passes they replaced, forward and inverse."""
     if long_axis:
         monkeypatch.setattr(spectral, "LONG_AXIS", long_axis)
     spectral._chirp_plan.cache_clear()
@@ -248,7 +248,7 @@ def test_chirp_z_matches_unfused_passes(monkeypatch, m, long_axis):
 def test_chirp_z_output_is_thread_count_free(monkeypatch):
     """Spectra, row pairs, their TV, `l2_bound` at two times and a multi-axis
     `_dft` are the same on 1, 2 and 3 threads (3 oversubscribes a 2-core host),
-    whose span bounds and leaf runs differ (one leaf on 1): at 262147 (the
+    whose runs of leaves differ (one run on 1): at 262147 (the
     four-step Bluestein) and on a directed d = 3 group whose largest modulus,
     the axis the weights are split along, is not axis 0."""
     instances = []
@@ -296,18 +296,45 @@ def test_tree_sum_is_numpy_sum_bit_for_bit(n):
             assert got.hex() == np.add.reduce(r).hex()
 
 
+@pytest.mark.parametrize("m, unit", [
+    (1, 1), (2 ** 18 - 1, 1), (2 ** 18, 1), (262147, 1), (10 ** 6 + 3, 1), (36, 4096),
+    (64, 4160), (1400, 1458), (64, 2 ** 12), (65, 2 ** 12), (17, 2 ** 20), (10 ** 5, 2 ** 16),
+])
+def test_leaves_cover_the_pass_by_size_alone(monkeypatch, m, unit):
+    """`_leaves(m, unit)` is one leaf below LONG_AXIS elements; from there a
+    contiguous cover of [0, m) whose bounds but the last are multiples of 8,
+    each leaf within ROW_BLOCK elements or 16 items.  It is the same on 1 and 2
+    threads, and it ends for units of ROW_BLOCK // 16 and more, where the floor
+    of 16 items is the leaf size."""
+    got = []
+    for workers in (1, 2):
+        monkeypatch.setattr(spectral, "_fft_workers", lambda w=workers: w)
+        got.append(spectral._leaves(m, unit))
+    leaves = got[0]
+    assert got[1] == leaves
+    if m * unit < spectral.LONG_AXIS:
+        assert leaves == [(0, m)]
+        return
+    assert leaves[0][0] == 0 and leaves[-1][1] == m
+    assert all(hi == lo2 and hi % 8 == 0 for (_, hi), (lo2, _) in zip(leaves, leaves[1:]))
+    assert all(0 < hi - lo and ((hi - lo) * unit <= spectral.ROW_BLOCK or hi - lo <= 16)
+               for lo, hi in leaves)
+
+
 @pytest.mark.parametrize("model", ["undirected", "directed"])
-@pytest.mark.parametrize("moduli", [(262147,), (12,), (101,), (8, 10), (6, 4, 10),
-                                    (4, 9, 25), (3,) * 6])
+@pytest.mark.parametrize("moduli", [(262147,), (64, 65, 127), (12,), (101,), (8, 10),
+                                    (6, 4, 10), (4, 9, 25), (3,) * 6])
 def test_row_pair_matches_whole_array_passes(monkeypatch, moduli, model):
-    """Rows of the blocked fill and the leaf epilogue, their TV and `l2_bound`
-    are the bits of whole-array passes on one thread (`heat_kernel_row_unfused`,
+    """Rows of the leafwise fill and epilogue, their TV and `l2_bound` are the
+    bits of whole-array passes on one thread (`heat_kernel_row_unfused`,
     `math.fsum` of the masked excess, the `l2_bound` formula), on 1, 2 and 3
     threads.  Groups below LONG_AXIS run with it lowered and ROW_BLOCK at 128,
-    so that they split into leaves too; odd and even slab axes, d = 1..6, and
-    times whose rows clamp.  The spectrum runs as drawn and with 1e-12 of
-    imaginary noise, which makes it complex and not exactly Hermitian, so a
-    misplaced mirror plane shows."""
+    so that their passes over the row split into leaves too (their weights, at
+    most 16 slab planes, stay one leaf); (64, 65, 127), 64 slab planes of 4160
+    elements, splits the weights at the floor of 16 planes.  Odd and even slab
+    axes, d = 1..6, and times whose rows clamp.  The spectrum runs as drawn and
+    with 1e-12 of imaginary noise, which makes it complex and not exactly
+    Hermitian, so a misplaced mirror plane shows."""
     g = make_group(moduli)
     if g.n < spectral.LONG_AXIS:
         monkeypatch.setattr(spectral, "LONG_AXIS", 64)
@@ -673,10 +700,10 @@ def _fsum_cases():
 def test_exact_sum_is_fsum_bit_for_bit(monkeypatch, block):
     monkeypatch.setattr(spectral, "EXACT_SUM_BLOCK", block)
     for name, x in _fsum_cases().items():
-        got, want = spectral._exact_sum(x), math.fsum(x.tolist())
+        got, want = exact_sum(x), math.fsum(x.tolist())
         assert got.hex() == want.hex(), name
-    assert spectral._exact_sum(_fsum_cases()["tie to even below"]) == 1.0
-    assert spectral._exact_sum(_fsum_cases()["tie to even above"]) == 1.0 + 2 * EPS
+    assert exact_sum(_fsum_cases()["tie to even below"]) == 1.0
+    assert exact_sum(_fsum_cases()["tie to even above"]) == 1.0 + 2 * EPS
     for n in (1, 2):
         assert tv_exact(HeatKernelRow(probs=np.full(n, 1.0 / n))) == 0.0
     probs = np.stack([replicate_rng(31, j).dirichlet(np.full(1009, 0.3)) for j in range(2)])
