@@ -176,9 +176,9 @@ def _map_replicates(config: ExperimentConfig, fn, *args) -> list:
     per replicate.  Otherwise a group of SHORT_GROUP to LONG_AXIS elements runs
     its replicates as one-replicate leaves of `spectral._in_leaves`, one
     contiguous run of them per `spectral._fft_workers()` thread (numpy and
-    pocketfft release the GIL; a replicate thread runs its passes serially); a
-    run stops at its first exception, and the first in replicate order
-    propagates.  Anything else runs serially.
+    pocketfft release the GIL; a replicate thread runs each pass's leaves of
+    `spectral._leaves` serially); a run stops at its first exception, and the
+    first in replicate order propagates.  Anything else runs serially.
     """
     work = functools.partial(fn, config, *args)
     indices = range(config.replicates)

@@ -32,9 +32,10 @@ class CheckReport:
 VZ_EXHAUSTIVE_CAP = 10 ** 6
 
 
-def _report(name, passed, worst_case, max_violation, **details) -> CheckReport:
-    return CheckReport(name=name, passed=bool(passed), worst_case=str(worst_case),
-                       max_violation=float(max_violation), details=details)
+def _report(name, worst_case, violation, **details) -> CheckReport:
+    """The check passes iff violation <= 0; its max_violation is the positive part."""
+    return CheckReport(name=name, passed=bool(violation <= 0), worst_case=str(worst_case),
+                       max_violation=float(max(violation, 0.0)), details=details)
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +60,7 @@ def vz_uniform_check(moduli, V) -> CheckReport:
     passed = support_ok and uniform_ok
     worst = "support mismatch" if not support_ok else (
         "nonuniform counts" if not uniform_ok else "uniform on %d points" % support_size)
-    return _report("vz_uniform", passed, worst, 0.0 if passed else 1.0,
+    return _report("vz_uniform", worst, 0.0 if passed else 1.0,
                    support_size=int(support_size), gcds=gcds.tolist())
 
 
@@ -120,9 +121,8 @@ def divisibility_check(model: str, s: float, r: int, gamma: int) -> CheckReport:
     divisible = float(dist.pmf[in_window & (xs % gamma == 0)].sum())
     prob = divisible / total
     violation = prob - (1.0 / gamma + 1e-12)
-    return _report("divisibility", violation <= 0,
-                   f"model={model} s={s} r={r} gamma={gamma} prob={prob:.6g}",
-                   max(violation, 0.0), probability=prob)
+    return _report("divisibility", f"model={model} s={s} r={r} gamma={gamma} prob={prob:.6g}",
+                   violation, probability=prob)
 
 
 def unimodality_check(s: float, M: int) -> CheckReport:
@@ -130,14 +130,13 @@ def unimodality_check(s: float, M: int) -> CheckReport:
     if s < 0:
         raise ValueError("s must be >= 0")
     if s == 0:
-        return _report("unimodality", True, "degenerate at 0", 0.0)
+        return _report("unimodality", "degenerate at 0", 0.0)
     dist = entropic.step_distribution("undirected", s, reach=M + 1)
     p = dist.prob(np.arange(M + 1))
     increase = np.diff(p)
     worst_idx = int(np.argmax(increase))
-    violation = float(max(increase.max() - 1e-14, 0.0))
-    return _report("unimodality", violation <= 0,
-                   f"s={s} worst step {worst_idx}->{worst_idx + 1}", violation)
+    return _report("unimodality", f"s={s} worst step {worst_idx}->{worst_idx + 1}",
+                   float(increase.max()) - 1e-14)
 
 
 def cos_taylor_check(grid_points: int) -> CheckReport:
@@ -164,7 +163,7 @@ def cos_taylor_check(grid_points: int) -> CheckReport:
             if top > best[j][0]:
                 best[j] = (top, start + int(np.argmax(violation)))
     worst, i = max(best, key=lambda entry: entry[0])
-    return _report("cos_taylor", worst <= 0, f"theta={theta[i]:.6f}", max(worst, 0.0))
+    return _report("cos_taylor", f"theta={theta[i]:.6f}", worst)
 
 
 def level_set_count_check(group: GroupSpec) -> CheckReport:
@@ -182,8 +181,7 @@ def level_set_count_check(group: GroupSpec) -> CheckReport:
         if count - bound > worst_violation:
             worst_violation = count - bound
             worst = f"s={level}: |A(s)|={count} > {bound}"
-    return _report("level_set", worst_violation <= 0, worst, worst_violation,
-                   census=census)
+    return _report("level_set", worst, worst_violation, census=census)
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +240,7 @@ def exit_interval_check(ell: int, s_grid) -> CheckReport:
     if resid > 1e-12:
         worst_violation = max(worst_violation, resid)
         worst = f"quasi-stationary residual {resid:g}"
-    return _report("exit_interval", worst_violation <= 0, worst, worst_violation,
-                   quasi_stationary_residual=resid)
+    return _report("exit_interval", worst, worst_violation, quasi_stationary_residual=resid)
 
 
 def dirichlet_rate_check(ell: int, t_max: float | None = None) -> CheckReport:
@@ -261,9 +258,8 @@ def dirichlet_rate_check(ell: int, t_max: float | None = None) -> CheckReport:
     closed_form = 1.0 - math.cos(math.pi / (2 * ell))
     eig_err = abs(lam_A - closed_form)
     violation = max(gap - 0.01, eig_err - 1e-10)
-    return _report("dirichlet_rate", violation <= 0,
-                   f"ell={ell} rate={rate:.10g} lam_A={lam_A:.10g}", max(violation, 0.0),
-                   relative_gap=gap, lambda_A=lam_A)
+    return _report("dirichlet_rate", f"ell={ell} rate={rate:.10g} lam_A={lam_A:.10g}",
+                   violation, relative_gap=gap, lambda_A=lam_A)
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +314,7 @@ def tail_ratio_check(model: str, s_grid, r_grid) -> CheckReport:
                         worst = f"{model} s={s} r={r} {label}={value:.4g}"
     if checked == 0:
         raise ValueError("no (s, r) pair satisfied r >= sqrt(s)")
-    return _report("tail_ratio", worst_violation <= 0, worst, max(worst_violation, 0.0),
-                   checked=checked)
+    return _report("tail_ratio", worst, worst_violation, checked=checked)
 
 
 def lclt_scan(model: str, s_grid) -> CheckReport:
@@ -347,7 +342,7 @@ def lclt_scan(model: str, s_grid) -> CheckReport:
         if violation > worst_violation:
             worst_violation = violation
             worst = f"{model} s={s} max log-error {float(log_err.max()):.4g}"
-    return _report("lclt", worst_violation <= 0, worst, max(worst_violation, 0.0))
+    return _report("lclt", worst, worst_violation)
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +378,7 @@ def gcd_expectation_probe(d: int, I_size: int, r: int, samples: int,
         harmonic = 2.0 * math.log(2.0 * r)
         violation = max(violation, est - (harmonic + 3 * se))
         worst += f" harmonic={harmonic:.4g}"
-    return _report("gcd_expectation", violation <= 0, worst, max(violation, 0.0),
-                   estimate=est, stderr=se)
+    return _report("gcd_expectation", worst, violation, estimate=est, stderr=se)
 
 
 def _typical_pairs(params, model: str, k: int, samples: int, rng: np.random.Generator):
@@ -463,10 +457,8 @@ def modified_l2_probe(group: GroupSpec, k: int, model: str, alpha: float,
     empty_budget = math.exp(-params.omega) / max(efficiency, 1e-12)
     empty_rate = n * zero_hits / accepted_total
     violation = d_est - slack - 0.5
-    return _report("modified_l2", violation <= 0,
-                   f"n={n} k={k} alpha={alpha} D={d_est:.4g} (3sigma={slack:.3g})",
-                   max(violation, 0.0),
-                   d_estimate=d_est, stderr=n * sigma_p,
+    return _report("modified_l2", f"n={n} k={k} alpha={alpha} D={d_est:.4g} (3sigma={slack:.3g})",
+                   violation, d_estimate=d_est, stderr=n * sigma_p,
                    rejection_efficiency=efficiency,
                    empty_contribution=empty_rate, empty_budget=empty_budget)
 
@@ -495,10 +487,9 @@ def set_probability_check(n: int, k: int, model: str, alpha: float, I,
     bound_loc = 2.0 ** (k - len(I)) * n ** (-1.0 + len(I) / k)
     violation = max(est_typ - (bound_typ + 3 * se_typ),
                     est_loc - (bound_loc + 3 * se_loc))
-    return _report("set_probability", violation <= 0,
+    return _report("set_probability",
                    f"n={n} k={k} |I|={len(I)} est={est_typ:.3g} bound={bound_typ:.3g}",
-                   max(violation, 0.0),
-                   estimate=est_typ, bound=bound_typ,
+                   violation, estimate=est_typ, bound=bound_typ,
                    local_estimate=est_loc, local_bound=bound_loc)
 
 
@@ -531,9 +522,9 @@ def eigenvalue_tail_probe(group: GroupSpec, k: int, s_target: int, samples: int,
         bound = 2.0 ** -k / n
         label = "2^(-k)/n"
     violation = est - (bound + 3 * se)
-    return _report("eigenvalue_tail", violation <= 0,
+    return _report("eigenvalue_tail",
                    f"n={n} k={k} s*={s_target} est={est:.3g} {label}={bound:.3g}",
-                   max(violation, 0.0), estimate=est, bound=bound)
+                   violation, estimate=est, bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +547,7 @@ def _vz_uniform_sweep() -> CheckReport:
             if failed.size:
                 return vz_uniform_check([m], V[failed[0]])
             cases += len(V)
-    return _report("vz_uniform", True, f"{cases} exact cases uniform", 0.0, cases=cases)
+    return _report("vz_uniform", f"{cases} exact cases uniform", 0.0, cases=cases)
 
 
 def _seeded(fn, seed):
@@ -625,8 +616,7 @@ def run_all(only: str | None = None, self_test: bool = False) -> list[CheckRepor
     """
     registry = dict(DEFAULT_CHECKS)
     if self_test:
-        registry[SELF_TEST] = lambda: _report(
-            SELF_TEST, False, "forced failure (negative control)", 1.0)
+        registry[SELF_TEST] = lambda: _report(SELF_TEST, "forced failure (negative control)", 1.0)
     if only is not None:
         if only not in registry:
             raise KeyError(f"unknown check {only!r}; known: {sorted(registry)}")

@@ -22,21 +22,20 @@ move `tv-curve --group 1000003 --k 14 --model directed --seed 7 --t-grid
 0.9:45:24` by at most 8.9e-16 in TV (24 of 24 rows), 1.4e-14 in `l2_bound` and
 3.3e-16 in gamma.
 
-Every other pass runs through `_in_leaves`, cut by one rule (`_leaves`): a
-pass under LONG_AXIS elements is one leaf; a longer one takes the leaves of
-numpy's pairwise-summation tree (`_tree_leaves`), each within ROW_BLOCK
-elements or 16 items, so the leaves depend on the sizes alone.  Those passes
-are the chirp products and zero fill, the four-step's row steps (leaves of
-rows), the weights' exponentials with their Hermitian fill (leaves of slab
-planes), a row's division by n, guards, clamp, sums and scaling, `tv_exact`
-and `l2_bound`.  `_in_leaves` runs the leaves on `_fft_workers()` threads, as
-pocketfft runs a per-axis transform's batches: one in a `--jobs` worker and on
-the replicate threads on which `experiments._map_replicates` runs shorter
-groups, where a long pass still runs leaf by leaf in cache.  A sum over leaves
-is numpy's pairwise summation cut at its own tree's nodes (`_tree_sum`), so it
-keeps `np.sum`'s bits; `tv_exact` adds exactly, in any order.  Each element
-takes the same operations in the same order on any thread count, so no output
-depends on it.
+Every other pass runs through `_in_leaves`, cut by one rule (`_leaves`): the
+leaves of numpy's pairwise-summation tree (`_tree_sum`), each within ROW_BLOCK
+elements or 16 items, so the leaves depend on the sizes alone and a pass of at
+most ROW_BLOCK elements is one leaf.  Those passes are the chirp products and
+zero fill, the four-step's row steps (leaves of rows), the weights'
+exponentials with their Hermitian fill (leaves of slab planes), a row's
+division by n, guards, clamp, sums and scaling, `tv_exact` and `l2_bound`.
+`_in_leaves` runs the leaves on `_fft_workers()` threads, as pocketfft runs a
+per-axis transform's batches: one in a `--jobs` worker and on the replicate
+threads of `experiments._map_replicates`, where a pass runs leaf by leaf in
+cache.  A sum over leaves is numpy's pairwise summation cut at its own tree's
+nodes, so it keeps `np.sum`'s bits; `tv_exact` adds exactly, in any order.
+Each element takes the same operations in the same order on any thread count,
+so no output depends on it.
 
 No heat-kernel row is bit-identical to numpy's transform of the full-spectrum
 weights: the exponentials run on half the group and the other half is filled by
@@ -81,25 +80,21 @@ INVARIANT_BLOCK = 2 ** 16
 #: tolerance for the imaginary residue and negative-probability clamp of a row.
 ROW_TOL = 1e-9
 
-#: Most values one run sum of `_exact_int` (`np.add.reduceat` over values of one
-#: exponent) takes: that many integer parts of magnitude at most 2^27 stay
-#: within 2^53, where float64 holds every integer, so the sum is exact.
-EXACT_SUM_BLOCK = 2 ** 26
-
 #: -np.frexp(5e-324)[1], which makes every frexp exponent a bincount index.
 _EXP_OFFSET = 1073
 
 #: Shortest axis `_dft` runs as a four-step Bluestein (`_chirp_z`), when its
 #: length is not 11-smooth; shorter axes stay on pocketfft, bit-identical to
 #: numpy.  Near 10^4 the four-step is no faster than pocketfft; from 10^5 to
-#: 4e6 one transform took 1.1-2.4x less time on two cores.  Also the fewest
-#: elements of a pass that `_leaves` cuts into more than one leaf.
+#: 4e6 one transform took 1.1-2.4x less time on two cores.  Also the end of the
+#: band of groups whose replicates `experiments._map_replicates` runs on threads.
 LONG_AXIS = 2 ** 18
 
-#: Most elements in one leaf of `_leaves`, or 16 items if more: a leaf of the
-#: four-step's rows and its kernel rows, 2 MB, stay in one core's L2 cache (2 MB
-#: on the 2-core Xeon measured) through the five row steps.  From 2^13 to 2^18
-#: one `_chirp_z` at 10^6 + 3 took 72-85 ms there.
+#: Most elements in one leaf of `_leaves`, or 16 items if more; a pass of at
+#: most this many is one leaf.  A leaf of the four-step's rows and its kernel
+#: rows, 2 MB, stays in one core's L2 cache (2 MB on the 2-core Xeon measured)
+#: through the five row steps.  From 2^13 to 2^18 one `_chirp_z` at 10^6 + 3
+#: took 72-85 ms there.
 ROW_BLOCK = 2 ** 16
 
 #: largest group the exhaustive Cheeger scan accepts: it visits all 2^n subsets.
@@ -239,8 +234,8 @@ def _fft_workers() -> int:
     on; one inside a `--jobs` worker (no pool is built after a fork) or on any
     other thread, such as a replicate thread of `experiments._map_replicates`,
     whose siblings already spread over the CPUs.  So threads never nest, and
-    none submits work to the pool it runs on.  No output depends on it, as no
-    leaf of `_leaves` does."""
+    none submits work to the pool it runs on.  No output depends on it, as the
+    leaves of `_leaves` depend on sizes alone."""
     if (multiprocessing.parent_process() is not None
             or threading.current_thread() is not threading.main_thread()):
         return 1
@@ -253,12 +248,12 @@ _pool = functools.cache(ThreadPoolExecutor)
 
 def _in_leaves(fn, leaves: list, rows: int = 0, unit: int = 1, dtype=float) -> list:
     """[fn(lo, hi, s) for lo, hi in leaves], in order, on up to `_fft_workers()`
-    threads, each taking one contiguous run of the leaves; a lone run goes on the
-    caller's thread.  `s`, of shape (rows, unit * the widest leaf's hi - lo), is
-    the run's own scratch, which this (the caller's) thread allocates: `fn`
-    writes its temporaries there or into existing buffers, as a pool thread's
-    allocations stay in its malloc arena and raise peak RSS.  numpy and
-    pocketfft release the GIL.
+    threads, each taking one contiguous run of the leaves; a lone run, as of a
+    one-leaf pass, goes on the caller's thread.  `s`, of shape (rows, unit * the
+    widest leaf's hi - lo), is the run's own scratch, which this (the caller's)
+    thread allocates: `fn` writes its temporaries there or into existing
+    buffers, as a pool thread's allocations stay in its malloc arena and raise
+    peak RSS.  numpy and pocketfft release the GIL.
     """
     workers = _fft_workers()
     runs = min(len(leaves), workers)
@@ -273,15 +268,13 @@ def _in_leaves(fn, leaves: list, rows: int = 0, unit: int = 1, dtype=float) -> l
 
 
 def _leaves(m: int, unit: int = 1) -> list[tuple[int, int]]:
-    """The leaves (lo, hi) of a pass over m items of `unit` elements each: one
-    below LONG_AXIS elements, else those of `_tree_leaves`, each within
-    ROW_BLOCK elements or 16 items.  The floor of 16 makes the split end, as
-    `_tree_sum` cuts fewer than 16 items into none and all.  Every bound but the
-    last is a multiple of 8 items, so SIMD ufuncs keep each element's offset
-    modulo 8, and its bits."""
-    if m * unit < LONG_AXIS:
-        return [(0, m)]
-    return _tree_leaves(m, max(16, ROW_BLOCK // unit))
+    """The leaves (lo, hi) of a pass over m items of `unit` elements each, in
+    order: those of `_tree_sum`, each within ROW_BLOCK elements or 16 items, so
+    a pass of at most ROW_BLOCK elements is one leaf.  The floor of 16 makes the
+    split end, as `_tree_sum` cuts fewer than 16 items into none and all.  Every
+    bound but the last is a multiple of 8 items, so SIMD ufuncs keep each
+    element's offset modulo 8, and its bits."""
+    return _tree_sum(lambda lo, hi: [(lo, hi)], m, max(16, ROW_BLOCK // unit))
 
 
 def _leaf_total(values, leaves: list):
@@ -306,11 +299,6 @@ def _tree_sum(leaf_sum, m: int, leaf: int, lo: int = 0):
         return leaf_sum(lo, lo + m)
     half = m // 2 // 8 * 8
     return _tree_sum(leaf_sum, half, leaf, lo) + _tree_sum(leaf_sum, m - half, leaf, lo + half)
-
-
-def _tree_leaves(m: int, leaf: int) -> list[tuple[int, int]]:
-    """Bounds of the leaves of `_tree_sum` over m values, in its order."""
-    return _tree_sum(lambda lo, hi: [(lo, hi)], m, leaf)
 
 
 @dataclass(frozen=True)
@@ -540,8 +528,8 @@ def heat_kernel_row(spec: SpectralData, t) -> HeatKernelRow:
     if np.ndim(t) > 1 or not 1 <= np.size(t) <= 2:
         raise ValueError("t must be a time or a pair of times")
     times = [float(s) for s in np.atleast_1d(t)]
-    if min(times) < 0:
-        raise ValueError("t must be >= 0")
+    if not all(0 <= s < math.inf for s in times):
+        raise ValueError(f"t must be >= 0 and finite, got {t}")
     group = spec.group
     n = group.n
     t_max = max(times)
@@ -579,10 +567,10 @@ def heat_kernel_row(spec: SpectralData, t) -> HeatKernelRow:
         for per_leaf in zip(*_in_leaves(sums, leaves)):
             lows, masses, clamped = zip(*per_leaf)
             worst_negative = float(np.min(lows))
-            if worst_negative < -ROW_TOL:
+            if not worst_negative >= -ROW_TOL:
                 raise ValueError(f"negative probability {worst_negative:g} beyond clamp tolerance")
             total = float(_leaf_total(masses, leaves))
-            if abs(total - 1.0) > ROW_TOL:
+            if not abs(total - 1.0) <= ROW_TOL:
                 raise ValueError(f"row mass {total} deviates from 1 beyond tolerance")
             totals.append(_leaf_total(clamped, leaves))
 
@@ -604,11 +592,11 @@ def tv_exact(row: HeatKernelRow) -> float | list[float]:
     Accumulated as the positive-part sum (equal to half the L1 distance for
     probability vectors), added exactly and rounded once (equal to
     `math.fsum`), which keeps boundary identities like tv(0) = 1 - 1/n exact
-    to the last bit.  Each leaf of `_leaves` writes max(r - u, 0) into its
-    run's scratch and sorts it there, so the masked r[r > u] - u lies in
-    (0, inf], between the zeros and any NaN, with one run per exponent for
-    `_exact_int`; the values tied at 0 make the sort cheaper than that of
-    r - u.  A row of stacked times gives one float per time.
+    to the last bit.  Each leaf of `_leaves`, at most ROW_BLOCK values, writes
+    max(r - u, 0) into its run's scratch and sorts it there, so the masked
+    r[r > u] - u lies in (0, inf], between the zeros and any NaN, with one run
+    per exponent for `_exact_int`; the values tied at 0 make the sort cheaper
+    than that of r - u.  A row of stacked times gives one float per time.
     """
     p = row.probs
     n = p.shape[-1]
@@ -637,31 +625,29 @@ def _exact_int(x: np.ndarray, spare: np.ndarray) -> int:
     Each value is M 2^(e-53) with an integer |M| < 2^53 (`np.frexp`), split as
     M = 2^26 high + low with integers |high| <= 2^27 and 0 <= low < 2^26.  Each
     run of consecutive values with one exponent adds its highs and its lows in
-    float64 (`np.add.reduceat`), exact while a block holds at most
-    EXACT_SUM_BLOCK values; a sorted x has one run per exponent.  The run sums
-    are combined as Python ints.  `spare`, a float row of min(x.size,
-    EXACT_SUM_BLOCK) values, holds the exponents and run starts, then the
-    highs: nothing but the runs' values is allocated.
+    float64 (`np.add.reduceat`), exactly for x of at most 2^26 values (as
+    `tv_exact`'s leaves are): their sums stay within 2^53, where float64 holds
+    every integer.  A sorted x has one run per exponent.  The run sums are
+    combined as Python ints.  `spare`, a float row of at least x.size values,
+    holds the exponents and run starts, then the highs: nothing but the runs'
+    values is allocated.
     """
-    total = 0
-    for start in range(0, x.size, EXACT_SUM_BLOCK):
-        mant = x[start:start + EXACT_SUM_BLOCK]
-        high = spare[:mant.size]
-        exp = high.view(np.int32)[:mant.size]
-        heads = high.view(bool)[4 * mant.size:5 * mant.size]  # past exp's bytes
-        np.frexp(mant, out=(mant, exp))
-        heads[0] = True
-        np.not_equal(exp[1:], exp[:-1], out=heads[1:])
-        starts = np.flatnonzero(heads)
-        exps = (exp[starts] + _EXP_OFFSET).tolist()
-        mant *= 2.0 ** 27
-        np.floor(mant, out=high)
-        mant -= high  # low / 2^26
-        highs = np.add.reduceat(high, starts).tolist()
-        lows = (np.add.reduceat(mant, starts) * 2.0 ** 26).tolist()
-        for h, low, e in zip(highs, lows, exps):
-            total += ((int(h) << 26) + int(low)) << e
-    return total
+    if not x.size:
+        return 0
+    high = spare[:x.size]
+    exp = high.view(np.int32)[:x.size]
+    heads = high.view(bool)[4 * x.size:5 * x.size]  # past exp's bytes
+    np.frexp(x, out=(x, exp))
+    heads[0] = True
+    np.not_equal(exp[1:], exp[:-1], out=heads[1:])
+    starts = np.flatnonzero(heads)
+    exps = (exp[starts] + _EXP_OFFSET).tolist()
+    x *= 2.0 ** 27
+    np.floor(x, out=high)
+    x -= high  # low / 2^26
+    highs = np.add.reduceat(high, starts).tolist()
+    lows = (np.add.reduceat(x, starts) * 2.0 ** 26).tolist()
+    return sum(((int(h) << 26) + int(low)) << e for h, low, e in zip(highs, lows, exps))
 
 
 def l2_bound(spec: SpectralData, t: float) -> float:
@@ -671,8 +657,8 @@ def l2_bound(spec: SpectralData, t: float) -> float:
     and the leaf sums added in the tree's order: the bits of the whole array's
     `np.sum`.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be >= 0 and finite, got {t}")
     rates = spec._decay_rates
     leaves = _leaves(rates.size)
 

@@ -524,9 +524,10 @@ def test_cli_config_digests_are_pinned(argv, digest):
 
 
 #: sha256 of the whole stdout of each command, covering every subcommand, both
-#: models, a multi-axis group and the four-step transform (n = 262147).  The
-#: values hold for numpy 2.4.6 and scipy 1.17.1; a library upgrade that moves
-#: last bits gets them re-recorded, with a note in CHANGES.md.
+#: models, a multi-axis group, passes cut into several leaves below LONG_AXIS
+#: and the four-step transform (n = 262147).  The values hold for numpy 2.4.6
+#: and scipy 1.17.1; a library upgrade that moves last bits gets them
+#: re-recorded, with a note in CHANGES.md.
 PINNED_STDOUT = {
     "tv-curve --group 101 --k 4 --seed 7":
         "7408fe77cf74d7584426cb9bf0a3395016cf33d983c2b0231feba8b1810bb94f",
@@ -557,11 +558,21 @@ PINNED_STDOUT = {
         "5878ed8e2d776084b408ffe08e7a5939ecacf86b59c84c240833e1a228fdfa3a",
     "gap-scan --group 1009 --k 20 --seed 1 --replicates 300 --jobs 2":
         "ba58446ce2dbb7eda7532013af20c9a389a0519ccadc31db8ca1142342e27cc0",
-    # groups of SHORT_GROUP to LONG_AXIS elements: replicates run on threads
+    # groups of SHORT_GROUP to LONG_AXIS elements: replicates run on threads,
+    # each pass of more than ROW_BLOCK elements leaf by leaf
     "cutoff-profile --group 16411 --k 14 --seed 5 --replicates 4 --model directed":
         "14414a58cebafdfc612c104975a9b311b99eab8cb693448165c433b0ad07ef55",
     "gap-scan --group 128,160 --k 12 --seed 4 --replicates 6":
         "21cd5a10d3ebecfc168c8b1f332b7fe1a1211853d7904c267039b68bb765ee56",
+    "cutoff-profile --group 131101 --k 14 --model directed --seed 2 --replicates 2":
+        "f2ab9b2c8e64a6df517d906ff61977da2c027b959603c9e694248933c6f46b2f",
+    # one replicate from ROW_BLOCK to LONG_AXIS elements: pocketfft, with every
+    # longer pass in leaves on the main thread's pool; at 131101 the weights
+    # pass splits its 65551 slab planes, and 100003 has a real slab
+    "tv-curve --group 131101 --k 14 --model directed --seed 2 --t-grid 0.9:40:6":
+        "099da1e0fe6b1b75291ac02357364ab7696fc67177ef88c136292dcd1e9005f5",
+    "tv-curve --group 100003 --k 40 --seed 3 --t-grid 0.5:80:8":
+        "c408a9d1a7ceb30e0631aeea35f1d07bdc3565cdc88ed6ea750e382c2fd611f0",
     # n >= LONG_AXIS: the four-step Bluestein, its passes in leaves on the main
     # thread's pool, then serially in each --jobs worker
     "tv-curve --group 262147 --k 14 --model directed --seed 7 --t-grid 0.9:40:6":

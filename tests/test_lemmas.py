@@ -105,7 +105,7 @@ def test_vz_uniform_sweep_negative_control(monkeypatch):
     rep = lemmas._vz_uniform_sweep()
     oracle = vz_uniform_oracle([6], (-2,), 1)
     assert oracle.passed and oracle.details == {"support_size": 3, "gcds": [2]}
-    assert rep == lemmas._report("vz_uniform", False, "nonuniform counts", 1.0,
+    assert rep == lemmas._report("vz_uniform", "nonuniform counts", 1.0,
                                  **oracle.details)
     # the m = 9 case alone: a count off the support is a support mismatch
     assert lemmas.vz_uniform_check([9], (3,)).worst_case == "support mismatch"

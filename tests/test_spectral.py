@@ -281,13 +281,13 @@ def test_chirp_z_output_is_thread_count_free(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 7, 8, 127, 128, 129, 2 ** 18 - 1, 262147, 10 ** 6 + 3])
 def test_tree_sum_is_numpy_sum_bit_for_bit(n):
-    """Leaf sums of `_tree_leaves`, added by `_tree_sum`, give `np.add.reduce`'s
+    """Leaf sums of `_tree_sum`'s leaves, added by `_tree_sum`, give `np.add.reduce`'s
     bits: on the strided rows of a packed (n, 2) pair, as `heat_kernel_row`
     reads them, and on a contiguous row, at ROW_BLOCK leaves and smaller."""
     rng = replicate_rng(41, 0)
     pair = rng.random((n, 2)) * rng.choice([1e-8, 1.0, 1e8], size=(n, 2))
     for leaf in (128, 2 ** 12, spectral.ROW_BLOCK):
-        leaves = spectral._tree_leaves(n, leaf)
+        leaves = spectral._tree_sum(lambda lo, hi: [(lo, hi)], n, leaf)
         assert leaves[0][0] == 0 and leaves[-1][1] == n
         assert all(hi == lo2 and hi % 8 == 0 and 0 < hi - lo <= leaf
                    for (lo, hi), (lo2, _) in zip(leaves, leaves[1:]))
@@ -297,24 +297,24 @@ def test_tree_sum_is_numpy_sum_bit_for_bit(n):
 
 
 @pytest.mark.parametrize("m, unit", [
-    (1, 1), (2 ** 18 - 1, 1), (2 ** 18, 1), (262147, 1), (10 ** 6 + 3, 1), (36, 4096),
-    (64, 4160), (1400, 1458), (64, 2 ** 12), (65, 2 ** 12), (17, 2 ** 20), (10 ** 5, 2 ** 16),
+    (1, 1), (2 ** 16, 1), (65551, 1), (100003, 1), (131101, 1), (2 ** 18 - 1, 1), (2 ** 18, 1),
+    (262147, 1), (10 ** 6 + 3, 1), (36, 4096), (64, 4160), (1400, 1458), (64, 2 ** 12),
+    (65, 2 ** 12), (17, 2 ** 20), (10 ** 5, 2 ** 16),
 ])
 def test_leaves_cover_the_pass_by_size_alone(monkeypatch, m, unit):
-    """`_leaves(m, unit)` is one leaf below LONG_AXIS elements; from there a
-    contiguous cover of [0, m) whose bounds but the last are multiples of 8,
-    each leaf within ROW_BLOCK elements or 16 items.  It is the same on 1 and 2
-    threads, and it ends for units of ROW_BLOCK // 16 and more, where the floor
-    of 16 items is the leaf size."""
+    """`_leaves(m, unit)` is a contiguous cover of [0, m) whose bounds but the
+    last are multiples of 8, each leaf within ROW_BLOCK elements or 16 items,
+    so a pass of at most ROW_BLOCK elements is one leaf.  It is the same on 1
+    and 2 threads, and it ends for units of ROW_BLOCK // 16 and more, where the
+    floor of 16 items is the leaf size."""
     got = []
     for workers in (1, 2):
         monkeypatch.setattr(spectral, "_fft_workers", lambda w=workers: w)
         got.append(spectral._leaves(m, unit))
     leaves = got[0]
     assert got[1] == leaves
-    if m * unit < spectral.LONG_AXIS:
+    if m * unit <= spectral.ROW_BLOCK:
         assert leaves == [(0, m)]
-        return
     assert leaves[0][0] == 0 and leaves[-1][1] == m
     assert all(hi == lo2 and hi % 8 == 0 for (_, hi), (lo2, _) in zip(leaves, leaves[1:]))
     assert all(0 < hi - lo and ((hi - lo) * unit <= spectral.ROW_BLOCK or hi - lo <= 16)
@@ -328,9 +328,10 @@ def test_row_pair_matches_whole_array_passes(monkeypatch, moduli, model):
     """Rows of the leafwise fill and epilogue, their TV and `l2_bound` are the
     bits of whole-array passes on one thread (`heat_kernel_row_unfused`,
     `math.fsum` of the masked excess, the `l2_bound` formula), on 1, 2 and 3
-    threads.  Groups below LONG_AXIS run with it lowered and ROW_BLOCK at 128,
-    so that their passes over the row split into leaves too (their weights, at
-    most 16 slab planes, stay one leaf); (64, 65, 127), 64 slab planes of 4160
+    threads.  Groups below LONG_AXIS run with ROW_BLOCK at 128, so that their
+    passes over the row split into leaves too (their weights, at most 16 slab
+    planes, stay one leaf), and with LONG_AXIS at 64, so that (101,) takes the
+    four-step Bluestein route of `_dft`; (64, 65, 127), 64 slab planes of 4160
     elements, splits the weights at the floor of 16 planes.  Odd and even slab
     axes, d = 1..6, and times whose rows clamp.  The spectrum runs as drawn and
     with 1e-12 of imaginary noise, which makes it complex and not exactly
@@ -616,6 +617,26 @@ def test_heat_kernel_t0_is_indicator():
         l2_bound(spec, -1.0)
 
 
+@pytest.mark.parametrize("n", [101, 131101])
+def test_non_finite_times_and_rows_raise(n):
+    """A NaN or infinite time is refused, not turned into an all-zero or all-NaN
+    row whose TV reads 0; a NaN eigenvalue makes the row NaN, which the guards
+    refuse, on one leaf (101) and on several (131101)."""
+    g = make_group([n])
+    spec = eigenvalues(g, sample_generators(g, 4, replicate_rng(23, 0)), "directed")
+    for t in (math.nan, math.inf, (1.0, math.nan), (math.inf, 1.0)):
+        with pytest.raises(ValueError, match="t must be >= 0 and finite"):
+            heat_kernel_row(spec, t)
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="t must be >= 0 and finite"):
+            l2_bound(spec, t)
+    lam = spec.eigenvalues.copy()
+    lam[5] = math.nan
+    for t in (1.0, (1.0, 2.0), (0.0, 1.0)):
+        with pytest.raises(ValueError, match="negative probability nan"):
+            heat_kernel_row(SpectralData(group=g, eigenvalues=lam), t)
+
+
 def test_heat_kernel_two_state_closed_form():
     g, Z = _instance([2], [(1,)])
     spec = eigenvalues(g, Z, "undirected")
@@ -696,9 +717,7 @@ def _fsum_cases():
     }
 
 
-@pytest.mark.parametrize("block", [spectral.EXACT_SUM_BLOCK, 7])
-def test_exact_sum_is_fsum_bit_for_bit(monkeypatch, block):
-    monkeypatch.setattr(spectral, "EXACT_SUM_BLOCK", block)
+def test_exact_sum_is_fsum_bit_for_bit():
     for name, x in _fsum_cases().items():
         got, want = exact_sum(x), math.fsum(x.tolist())
         assert got.hex() == want.hex(), name
