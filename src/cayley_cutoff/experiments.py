@@ -119,8 +119,6 @@ def _fmt_value(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, float):
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
         return format(v, ".17g")
     return str(v)
 
@@ -225,9 +223,8 @@ def _tv_at(spec: spectral.SpectralData, times: list[float]) -> list[float]:
 
 def _cutoff_worker(config: ExperimentConfig, t_alpha: dict[float, float], r: int) -> dict:
     _, spec, gaps, head = _instance(config, r)
-    alphas = sorted(t_alpha)
     row = {**head, "connected": gaps.connected}
-    for alpha, tv in zip(alphas, _tv_at(spec, [t_alpha[a] for a in alphas])):
+    for alpha, tv in zip(t_alpha, _tv_at(spec, list(t_alpha.values()))):
         row[f"tv_alpha_{alpha:g}"] = tv
     return row
 
@@ -235,14 +232,14 @@ def _cutoff_worker(config: ExperimentConfig, t_alpha: dict[float, float], r: int
 def run_cutoff_profile(config: ExperimentConfig) -> tuple[str, list[dict]]:
     alphas = config.alphas or (-1.5, 0.0, 1.5)
     _budget_check(config, len(alphas))
-    sol = entropic.solve_times(config.group().n, config.k, config.model, alphas=alphas)
+    sol = entropic.solve_times(config.group().n, config.k, config.model, alphas=sorted(alphas))
     rows = _map_replicates(config, _cutoff_worker, sol.t_alpha)
     summary = []
-    for alpha in sorted(sol.t_alpha):
+    for alpha, t in sol.t_alpha.items():
         vals = [row[f"tv_alpha_{alpha:g}"] for row in rows]
         summary.append({
             "alpha": alpha,
-            "t_alpha": sol.t_alpha[alpha],
+            "t_alpha": t,
             "mean_tv": float(np.mean(vals)),
             "q25": float(np.quantile(vals, 0.25)),
             "median": float(np.median(vals)),

@@ -381,14 +381,15 @@ def gcd_expectation_probe(d: int, I_size: int, r: int, samples: int,
     return _report("gcd_expectation", worst, violation, estimate=est, stderr=se)
 
 
-def _typical_pairs(params, model: str, k: int, samples: int, rng: np.random.Generator):
+def _typical_pairs(params, k: int, samples: int, rng: np.random.Generator):
     """Two independent draws of `samples` walks at t_alpha and their typicality.
 
     Returns the (cells, values) of W_1 and of W_2 as `walk._walk_cells` gives
     them, the rows where both walks are typical, and the rows where both pass
     the local window.
     """
-    walks = [walk._walk_cells(model, params.t_alpha, k, samples, rng) for _ in range(2)]
+    walks = [walk._walk_cells(params.dist.model, params.t_alpha, k, samples, rng)
+             for _ in range(2)]
     (q1, local1), (q2, local2) = [
         walk._row_terms(cells // k, values, samples, k, params.dist, params.r_alpha)
         for cells, values in walks]
@@ -428,7 +429,7 @@ def modified_l2_probe(group: GroupSpec, k: int, model: str, alpha: float,
         for start in range(0, samples, walk.CHUNK):
             m_chunk = min(walk.CHUNK, samples - start)
             (cells1, values1), (cells2, values2), typ, _ = _typical_pairs(
-                params, model, k, m_chunk, rng)
+                params, k, m_chunk, rng)
             accepted = int(typ.sum())
             accepted_total += accepted
             if accepted == 0:
@@ -473,7 +474,7 @@ def set_probability_check(n: int, k: int, model: str, alpha: float, I,
     if len(I) > k:
         raise ValueError("|I| cannot exceed k")
     params = walk.typicality_params(n, k, model, alpha)
-    walk1, walk2, typ, local_only = _typical_pairs(params, model, k, samples, rng)
+    walk1, walk2, typ, local_only = _typical_pairs(params, k, samples, rng)
     cells, _ = _difference(*walk1, *walk2)
     rows, cols = np.divmod(cells, k)
     target = np.zeros(k, dtype=bool)
@@ -497,20 +498,21 @@ def eigenvalue_tail_probe(group: GroupSpec, k: int, s_target: int, samples: int,
                           rng: np.random.Generator) -> CheckReport:
     """P((1/k) sum_i {x_bar.Z_i}^2 <= c1 n^{-2/k}) is small for x at level s_target.
 
-    {a} is the centered fractional part; the bound is s_target^{-9k/10} when
-    s_target <= n^{1/k}, else 2^{-k}/n.  c1 frozen at 0.01.
+    One `sample_generators` call draws the Z_i, k per sample; {a} is the centered fractional
+    part; the bound is s_target^{-9k/10} if s_target <= n^{1/k}, else 2^{-k}/n.  c1 = 0.01.
     """
+    if samples < 1:
+        raise ValueError(f"need samples >= 1, got {samples}")
     c1 = 0.01
     n = group.n
     found = np.flatnonzero(element_levels(group)[1:] == s_target)
     if found.size == 0:
         raise ValueError(f"no element with level {s_target}")
     x = element_of(group, int(found[0]) + 1)
-    rates = np.array([xj / m for xj, m in zip(x, group.moduli)])
+    Z = sample_generators(group, samples * k, rng).generators.reshape(samples, k, group.d)
     frac = np.zeros((samples, k))
-    for j, m in enumerate(group.moduli):
-        zj = rng.integers(0, m, size=(samples, k))
-        frac += rates[j] * zj
+    for j, (xj, m) in enumerate(zip(x, group.moduli)):
+        frac += xj / m * Z[..., j]
     centered = frac - np.round(frac)
     statistic = (centered ** 2).mean(axis=1)
     threshold = c1 * n ** (-2.0 / k)

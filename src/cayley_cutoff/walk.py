@@ -129,42 +129,34 @@ def _row_terms(rows: np.ndarray, values: np.ndarray, samples: int, k: int, dist,
     return q, local
 
 
-def _probe_rows(model: str, t: float, k: int, samples: int, dist, r_alpha: float,
+def _probe_rows(params: TypicalityParams, k: int, samples: int, r_alpha: float,
                 rng: np.random.Generator):
-    """Yield (Q, local test) per row for `samples` draws of W(t), CHUNK rows at a time."""
+    """Yield (Q, local test) per row of `samples` walks at params.t_alpha, CHUNK at a time."""
     for start in range(0, samples, CHUNK):
         m = min(CHUNK, samples - start)
-        cells, values = _walk_cells(model, t, k, m, rng)
-        yield _row_terms(cells // k, values, m, k, dist, r_alpha)
+        cells, values = _walk_cells(params.dist.model, params.t_alpha, k, m, rng)
+        yield _row_terms(cells // k, values, m, k, params.dist, r_alpha)
+
+
+def _result(hits: int, samples: int, alpha: float, **details) -> ProbeResult:
+    """The ProbeResult of `hits` in `samples` draws: binomial estimate, target Psi(alpha)."""
+    return ProbeResult(*_binomial(hits, samples), samples, psi(alpha), details)
 
 
 def clt_probe(n: int, k: int, model: str, alpha: float, samples: int,
               rng: np.random.Generator) -> ProbeResult:
-    """Estimate P(Q(t_alpha) <= log n) and the omega-shifted variants; target Psi(alpha)."""
+    """Estimate P(Q <= log n), and at log n -/+ omega, at typicality_params' t_alpha."""
     if samples < 10 ** 3:
         raise ValueError("need at least 1000 samples")
-    sol = entropic.solve_times(n, k, model, alphas=[alpha])
-    t_a = sol.t_alpha[float(alpha)]
-    dist = entropic.step_distribution(model, t_a / k)
+    params = typicality_params(n, k, model, alpha)
     log_n = math.log(n)
     hits_mid = hits_plus = hits_minus = 0
-    for q, _ in _probe_rows(model, t_a, k, samples, dist, math.inf, rng):
+    for q, _ in _probe_rows(params, k, samples, math.inf, rng):
         hits_mid += int((q <= log_n).sum())
-        hits_plus += int((q <= log_n + sol.omega).sum())
-        hits_minus += int((q <= log_n - sol.omega).sum())
-    est, stderr = _binomial(hits_mid, samples)
-    return ProbeResult(
-        estimate=est,
-        stderr=stderr,
-        samples=samples,
-        target=psi(alpha),
-        details={
-            "plus": hits_plus / samples,
-            "minus": hits_minus / samples,
-            "t_alpha": t_a,
-            "omega": sol.omega,
-        },
-    )
+        hits_plus += int((q <= log_n + params.omega).sum())
+        hits_minus += int((q <= log_n - params.omega).sum())
+    return _result(hits_mid, samples, alpha, plus=hits_plus / samples,
+                   minus=hits_minus / samples, t_alpha=params.t_alpha, omega=params.omega)
 
 
 def typicality_params(n: int, k: int, model: str, alpha: float) -> TypicalityParams:
@@ -205,16 +197,9 @@ def typicality_probe(n: int, k: int, model: str, alpha: float, samples: int,
     if samples < 10 ** 3:
         raise ValueError("need at least 1000 samples")
     params = typicality_params(n, k, model, alpha)
-    t_a = params.t_alpha
     fails = local_fails = 0
-    for q, local in _probe_rows(model, t_a, k, samples, params.dist, params.r_alpha, rng):
+    for q, local in _probe_rows(params, k, samples, params.r_alpha, rng):
         fails += int((~params.typical(q, local)).sum())
         local_fails += int((~local).sum())
-    est, stderr = _binomial(fails, samples)
-    return ProbeResult(
-        estimate=est,
-        stderr=stderr,
-        samples=samples,
-        target=psi(alpha),
-        details={"local_failure_rate": local_fails / samples, "t_alpha": t_a},
-    )
+    return _result(fails, samples, alpha, local_failure_rate=local_fails / samples,
+                   t_alpha=params.t_alpha)

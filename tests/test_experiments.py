@@ -580,6 +580,16 @@ PINNED_STDOUT = {
     "tv-curve --group 262147 --k 14 --model directed --seed 7 --t-grid 0.9:40:6"
     " --replicates 2 --jobs 2":
         "5a306cd68b91c33fd7040050103cb557366bedf1368566cbab930a03b58ab2a4",
+    # unsorted alpha with a clamped t = 0, and the cutoff times through a process pool
+    "cutoff-profile --group 1009 --k 20 --seed 2 --alpha=1.5,-1,0,-40,0.5 --replicates 3":
+        "7a9f108d2cfe6755b72cb1abcc2fb6f03d06f5c6f8cf2891ba9b6ae5862fe24d",
+    "cutoff-profile --group 36 --k 5 --seed 2 --alpha=1,-1 --replicates 3 --jobs 2":
+        "7cda21c8a73bc8303ba732007bf4c1b7db00eb6935bcfd8fee96bd3e9ce013dc",
+    # CSV with t_rel = inf cells
+    "gap-scan --group 64 --k 3 --seed 7 --replicates 50":
+        "daa05a2ef7f666dd5f96f4beba6f418645df9b291e569f2a3320d5ad571eb4c3",
+    "verify --seed 1":
+        "f2b5646dedde2d622ede61a1543887e2182d5831fb7aa0fc226f47cf78f28587",
 }
 
 

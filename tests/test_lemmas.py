@@ -362,10 +362,22 @@ def test_eigenvalue_tail_probe():
     assert rep.passed
     with pytest.raises(ValueError):
         eigenvalue_tail_probe(make_group([101]), 12, 7, 100, rng)
+    with pytest.raises(ValueError, match="need samples >= 1, got 0"):
+        eigenvalue_tail_probe(make_group([101]), 12, 101, 0, rng)
     # s* = 6 <= n^{1/k} = 6: the bound is s*^{-9k/10}
     rep = eigenvalue_tail_probe(make_group([36]), 2, 6, 20000, rng)
     assert rep.passed
     assert rep.details["bound"] == 6.0 ** (-0.9 * 2)
+
+
+def test_eigenvalue_tail_probe_estimates_are_pinned():
+    # bit for bit over one, two and three cyclic factors; the verify suite's
+    # own eigenvalue_tail cases estimate 0, so its output cannot see the draws
+    for moduli, k, s_target, estimate in [([101], 2, 101, 0.0008), ([36], 2, 6, 0.0264),
+                                          ([4, 9, 25], 2, 25, 0.0017)]:
+        rep = eigenvalue_tail_probe(make_group(moduli), k, s_target, 20000,
+                                    replicate_rng(5, 1))
+        assert rep.details["estimate"] == estimate
 
 
 def test_run_all_default_suite_passes():

@@ -199,6 +199,31 @@ def test_clt_probe_deterministic_and_monotone():
         clt_probe(n, k, "undirected", 0.0, 10, replicate_rng(24, 0))
 
 
+# (probe, alpha, seed) -> estimate, stderr and details, pinned bit for bit at
+# n = 10007, k = 20, undirected, 4000 samples; the target is Psi(alpha).
+PINNED_PROBES = [
+    (clt_probe, 0.0, 1, 0.561, 0.007846639408052341,
+     {"plus": 0.7625, "minus": 0.30175, "t_alpha": 2.5847921280960233,
+      "omega": 2.0545870693641164}),
+    (clt_probe, 1.5, 2, 0.03, 0.0026972207918522354,
+     {"plus": 0.227, "minus": 0.00575, "t_alpha": 5.849120773738749,
+      "omega": 2.0545870693641164}),
+    (typicality_probe, 0.0, 3, 0.8295, 0.005946212029519297,
+     {"local_failure_rate": 0.07475, "t_alpha": 2.5847921280960233}),
+    (typicality_probe, 1.5, 4, 0.2265, 0.006618114346246973,
+     {"local_failure_rate": 0.013, "t_alpha": 5.849120773738749}),
+]
+
+
+@pytest.mark.parametrize("probe,alpha,seed,estimate,stderr,details", PINNED_PROBES,
+                         ids=[f"{case[0].__name__}-{case[1]:g}" for case in PINNED_PROBES])
+def test_probes_are_pinned_bit_for_bit(probe, alpha, seed, estimate, stderr, details):
+    result = probe(10007, 20, "undirected", alpha, 4000, replicate_rng(seed, 0))
+    assert (result.estimate, result.stderr, result.samples) == (estimate, stderr, 4000)
+    assert result.target == psi(alpha)
+    assert result.details == details
+
+
 def test_clt_probe_central_value_nominal_scale():
     # P(Q(t_0) <= log n) -> 1/2 as n -> oo with k ~ (log n)^{5/4}.  At the
     # n = 10^6, k = 10^4 reference scale the per-coordinate law is so sparse
