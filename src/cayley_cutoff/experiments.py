@@ -26,7 +26,8 @@ TOOL_VERSION = f"cayley-cutoff {__version__}"
 BUDGET_LIMIT = 10 ** 9
 
 #: Fewest elements of a group whose replicates, in one process, run on the
-#: `spectral._fft_workers()` threads (below LONG_AXIS).  Median of 3, 2 cores,
+#: `spectral._fft_workers()` threads (below LONG_AXIS; from CHIRP_AXIS on, each
+#: thread transforms in its own kept four-step buffer).  Median of 3, 2 cores,
 #: serial against threads: gap scans 0.84 -> 1.89 s at n = 1009 (Python that
 #: holds the GIL), 0.35 -> 0.53 s at 4099, 0.38 -> 0.34 s at 8209, 0.73 -> 0.41 s
 #: at 16411; cutoff profiles 1.6-2.0x faster from 16411 to 100003 and on 256^2.

@@ -360,6 +360,8 @@ def gcd_expectation_probe(d: int, I_size: int, r: int, samples: int,
     """
     if I_size < 1:
         raise ValueError("I_size must be >= 1")
+    if samples < 1:
+        raise ValueError(f"need samples >= 1, got {samples}")
     ys = rng.integers(1, 2 * r + 1, size=(samples, I_size))
     vs = rng.integers(1, ys + 1)
     g = np.gcd.reduce(vs, axis=1).astype(float)
@@ -422,6 +424,9 @@ def modified_l2_probe(group: GroupSpec, k: int, model: str, alpha: float,
     n = group.n
     if n > 2 * 10 ** 4:
         raise ValueError("probe capped at n <= 2e4")
+    for name, count in (("replicates", replicates), ("samples", samples)):
+        if count < 1:
+            raise ValueError(f"need {name} >= 1, got {count}")
     params = walk.typicality_params(n, k, model, alpha)
     hits = zero_hits = accepted_total = 0
     for rep in range(replicates):
@@ -473,6 +478,8 @@ def set_probability_check(n: int, k: int, model: str, alpha: float, I,
     I = frozenset(int(i) for i in I)
     if len(I) > k:
         raise ValueError("|I| cannot exceed k")
+    if samples < 1:
+        raise ValueError(f"need samples >= 1, got {samples}")
     params = walk.typicality_params(n, k, model, alpha)
     walk1, walk2, typ, local_only = _typical_pairs(params, k, samples, rng)
     cells, _ = _difference(*walk1, *walk2)

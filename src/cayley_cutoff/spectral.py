@@ -7,7 +7,7 @@ histogram (how often each element occurs among the generators), so the whole
 spectrum costs one transform.  Heat-kernel rows are real, so one more
 transform carries two of them, one in its real and one in its imaginary part.
 
-Both transforms run through `_dft`.  An axis shorter than LONG_AXIS = 2^18,
+Both transforms run through `_dft`.  An axis shorter than CHIRP_AXIS = 2^15,
 or of 11-smooth length, runs on scipy's pocketfft, one axis at a time from the
 last, the order numpy's `fftn` uses, which keeps the spectrum bit-identical to
 numpy's `fftn`; scipy's own `fftn` is not (it differs in the last bits at shape
@@ -17,10 +17,15 @@ length N = n1 n2 >= 2n - 1, and each length-N transform runs as Bailey's
 four-step FFT, batches of n1- and n2-point pocketfft transforms that stay in
 cache.  The plan, cached for one n, holds the chirp and the kernel's spectrum,
 about 48 MB at n = 10^6 + 3, and scipy builds no prime-length plan of its own.
-These long transforms are not bit-identical to numpy's: against pocketfft they
-move `tv-curve --group 1000003 --k 14 --model directed --seed 7 --t-grid
-0.9:45:24` by at most 8.9e-16 in TV (24 of 24 rows), 1.4e-14 in `l2_bound` and
-3.3e-16 in gamma.
+Each thread that transforms keeps its own (n1, n2) convolution buffer with the
+plan (`_ChirpPlan.buffer`), where pocketfft's Bluestein allocates its padded
+buffers per call: on the replicate threads those pages were faulted in afresh
+every replicate, 73,112 minor faults per warm run of `cutoff-profile --group
+100003 --k 400 --alpha=-1.5,0,1.5 --replicates 20 --seed 1` against 5.  These
+transforms are not bit-identical to numpy's: against pocketfft they move
+`tv-curve --group 1000003 --k 14 --model directed --seed 7 --t-grid 0.9:45:24`
+by at most 8.9e-16 in TV (24 of 24 rows), 1.4e-14 in `l2_bound` and 3.3e-16
+in gamma, and that `cutoff-profile` run by at most 2.2e-16 in TV (27 of 60).
 
 Every other pass runs through `_in_leaves`, cut by one rule (`_leaves`): the
 leaves of numpy's pairwise-summation tree (`_tree_sum`), each within ROW_BLOCK
@@ -28,7 +33,8 @@ elements or 16 items, so the leaves depend on the sizes alone and a pass of at
 most ROW_BLOCK elements is one leaf.  Those passes are the chirp products and
 zero fill, the four-step's row steps (leaves of rows), the weights'
 exponentials with their Hermitian fill (leaves of slab planes), a row's
-division by n, guards, clamp, sums and scaling, `tv_exact` and `l2_bound`.
+scaling by 1/n, guards, clamp, sums and renormalization, the residue terms,
+the spectrum's near-1 candidates, `tv_exact` and `l2_bound`.
 `_in_leaves` runs the leaves on `_fft_workers()` threads, as pocketfft runs a
 per-axis transform's batches: one in a `--jobs` worker and on the replicate
 threads of `experiments._map_replicates`, where a pass runs leaf by leaf in
@@ -42,8 +48,7 @@ weights: the exponentials run on half the group and the other half is filled by
 Hermitian symmetry, and a row computed in a pair takes in the other row's
 rounding.  On one transform route this moves total variation in the last
 digits: by at most 2.2e-16 (19 of 24 values) on the `tv-curve` run above and
-1.1e-16 (18 of 60) on `cutoff-profile --group 100003 --k 400
---alpha=-1.5,0,1.5 --replicates 20 --seed 1`.
+2.2e-16 (26 of 60) on the `cutoff-profile` run.
 
 Connectivity is decided exactly: a character is invariant (lambda_x = 1) iff
 x . z_i = 0 in Q/Z for every generator, which is checked in integer arithmetic
@@ -60,7 +65,7 @@ import multiprocessing
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import fft
@@ -83,12 +88,24 @@ ROW_TOL = 1e-9
 #: -np.frexp(5e-324)[1], which makes every frexp exponent a bincount index.
 _EXP_OFFSET = 1073
 
+#: The end of the band of groups whose replicates `experiments._map_replicates`
+#: runs on threads; a longer group runs each of its passes on every core.
+LONG_AXIS = 2 ** 18
+
 #: Shortest axis `_dft` runs as a four-step Bluestein (`_chirp_z`), when its
 #: length is not 11-smooth; shorter axes stay on pocketfft, bit-identical to
-#: numpy.  Near 10^4 the four-step is no faster than pocketfft; from 10^5 to
-#: 4e6 one transform took 1.1-2.4x less time on two cores.  Also the end of the
-#: band of groups whose replicates `experiments._map_replicates` runs on threads.
-LONG_AXIS = 2 ** 18
+#: numpy.  Four-step time over pocketfft's per transform (warm plan and buffer,
+#: interleaved, median of 31, 2-core Xeon): thread CPU on one replicate thread
+#: (`_fft_workers() == 1`), on each of two running at once, and wall on the
+#: main thread (two workers):
+#:
+#:     n        16411 24593 32771 49157 65537 100003 131101 200003 262139
+#:     1 thread  0.95  1.11  0.98  0.95  0.73  0.93   0.98   0.98   0.81
+#:     2 at once 1.07  1.09  1.00  0.97  0.95  0.98   0.93   0.92   0.93
+#:     main      1.59  1.42  0.79  0.73  0.95  0.72   0.73   0.70   0.65
+#:
+#: On replicate threads it also faults in no fresh pages (the module docstring).
+CHIRP_AXIS = 2 ** 15
 
 #: Most elements in one leaf of `_leaves`, or 16 items if more; a pass of at
 #: most this many is one leaf.  A leaf of the four-step's rows and its kernel
@@ -125,15 +142,27 @@ class SpectralData:
         exponents have real part 1 - Re lambda >= g.
         """
         lam, moduli = self.eigenvalues, self.group.moduli
-        mirror = np.empty(moduli, dtype=complex)
+        # On the four-step route the mirror lives in the plan's idle buffer, so
+        # it adds no row-sized array to the peak.
+        mirror = (_chirp_plan(lam.size).buffer().reshape(-1)[:lam.size] if _on_chirp(moduli)
+                  else np.empty(moduli, dtype=complex))
         _negate(mirror, lam.reshape(moduli), range(len(moduli)),
                 np.empty_like(mirror) if len(moduli) > 1 else None)
         mirror = mirror.reshape(-1)
-        np.conjugate(mirror, out=mirror)
-        np.subtract(lam, mirror, out=mirror)
-        asymmetric = mirror != 0
-        gap = float((1.0 - lam.real[asymmetric]).min()) if asymmetric.any() else 0.0
-        return float(np.abs(mirror).mean()), gap
+        leaves = _leaves(lam.size)
+
+        def terms(lo, hi, scratch):
+            """The leaf's sum of |D_x| and its least 1 - Re lambda_x with D_x != 0."""
+            d, x = mirror[lo:hi], scratch[0, :hi - lo]
+            np.subtract(lam[lo:hi], np.conjugate(d, out=d), out=d)
+            asymmetric = d != 0
+            total = np.abs(d, out=x).sum()
+            np.subtract(1.0, lam.real[lo:hi], out=x)
+            return total, x[asymmetric].min() if asymmetric.any() else None
+
+        totals, gaps = zip(*_in_leaves(terms, leaves, 1))
+        gaps = [g for g in gaps if g is not None]
+        return float(_leaf_total(totals, leaves) / lam.size), float(np.min(gaps)) if gaps else 0.0
 
     @functools.cached_property
     def _slab(self) -> tuple[int, np.ndarray, bool]:
@@ -208,24 +237,30 @@ def _dft(a: np.ndarray, inverse: bool = False) -> np.ndarray:
 
     Bit for bit, on `_fft_workers()` threads (pocketfft splits an axis's batch
     of 1-D transforms, each computed whole), except on a 1-D `a` whose length is
-    at least LONG_AXIS and not 11-smooth: that one runs as a four-step
-    Bluestein (`_chirp_z`), within 57 eps log2(N) of the exact transform in
-    relative 2-norm (N its padded length; the constant is derived in
+    at least CHIRP_AXIS and not 11-smooth (`_on_chirp`): that one runs as a
+    four-step Bluestein (`_chirp_z`) in this thread's convolution buffer, within
+    57 eps log2(N) of the exact transform in relative 2-norm (N its padded
+    length; the constant is derived in
     tests/test_spectral.py::test_chirp_z_matches_numpy).  A complex `a` is the
     transform's work buffer and may be overwritten (the four-step returns `a`
-    itself); any other `a` is first copied to complex.  Below LONG_AXIS the
+    itself); any other `a` is first copied to complex.  Below CHIRP_AXIS the
     spectrum's transform is therefore numpy's; a heat-kernel row's is not, as
     its Hermitian-filled weights differ from the full-spectrum ones in the last
     bits.
     """
     out = a.astype(complex, copy=False)
-    if out.ndim == 1 and out.size >= LONG_AXIS and fft.next_fast_len(out.size) != out.size:
+    if _on_chirp(out.shape):
         return _chirp_z(out, inverse)
     transform = fft.ifft if inverse else fft.fft
     norm = "forward" if inverse else "backward"
     for axis in range(out.ndim - 1, -1, -1):
         out = transform(out, axis=axis, norm=norm, overwrite_x=True, workers=_fft_workers())
     return out
+
+
+def _on_chirp(shape: tuple[int, ...]) -> bool:
+    """Whether `_dft` transforms an array of this shape as a four-step Bluestein."""
+    return len(shape) == 1 and shape[0] >= CHIRP_AXIS and fft.next_fast_len(shape[0]) != shape[0]
 
 
 def _fft_workers() -> int:
@@ -312,7 +347,8 @@ class _ChirpPlan:
     (phase k (j % r)).
     `kernel` is the DFT of conj chirp_j on -m < j < m, divided by N, stored in
     the four-step's (n1, n2) output order.  At m = 10^6 + 3 the plan holds
-    about 48 MB: 16 in `chirp` and 32 in `kernel`.
+    about 48 MB: 16 in `chirp` and 32 in `kernel`, and each thread that has
+    transformed with it 32 more in its buffer (`scratch`), freed with the plan.
     """
 
     n1: int
@@ -321,6 +357,15 @@ class _ChirpPlan:
     twiddle_hi: np.ndarray   # (n1, n2 // r)
     twiddle_lo: np.ndarray   # (n1, r)
     kernel: np.ndarray       # (n1, n2)
+    scratch: threading.local = field(default_factory=threading.local)
+
+    def buffer(self) -> np.ndarray:
+        """This thread's (n1, n2) convolution buffer, allocated on its first use
+        and kept until the plan leaves the cache, so no replicate faults in
+        fresh pages.  Scratch only: no result is a view of it."""
+        if not hasattr(self.scratch, "buf"):
+            self.scratch.buf = np.empty((self.n1, self.n2), dtype=complex)
+        return self.scratch.buf
 
 
 def _unit_roots(phase: np.ndarray, period: int) -> np.ndarray:
@@ -405,7 +450,7 @@ def _chirp_z(x: np.ndarray, inverse: bool) -> np.ndarray:
     """
     m = x.size
     plan = _chirp_plan(m)
-    buf = np.empty((plan.n1, plan.n2), dtype=complex)
+    buf = plan.buffer()
     flat = buf.reshape(-1)
 
     def chirp_in(lo, hi, _):
@@ -433,12 +478,18 @@ def eigenvalues(group: GroupSpec, Z: GeneratorMultiset, model: str) -> SpectralD
     character keeps Re lambda < 1, so its gap 1 - Re lambda stays positive.
     """
     entropic._check_model(model)
-    counts = np.bincount(index_of(group, Z.generators), minlength=group.n).reshape(group.moduli)
-    lam = _dft(counts, inverse=True).reshape(-1)
+    lam = _dft(np.bincount(index_of(group, Z.generators), minlength=group.n)
+               .reshape(group.moduli), inverse=True).reshape(-1)
     lam /= Z.k
     if model == "undirected":
-        lam = lam.real.astype(complex)
-    near = np.flatnonzero(np.abs(lam - 1.0) <= INVARIANT_CANDIDATE_TOL)
+        lam.imag = 0.0
+
+    def candidates(lo, hi, scratch):
+        shifted, distance = scratch[0, :hi - lo], scratch[1].view(float)[:hi - lo]
+        np.abs(np.subtract(lam[lo:hi], 1.0, out=shifted), out=distance)
+        return np.flatnonzero(distance <= INVARIANT_CANDIDATE_TOL) + lo
+
+    near = np.concatenate(_in_leaves(candidates, _leaves(lam.size), 2, dtype=complex))
     # Rounding must not close a gap below float resolution: only the exactly
     # invariant characters reach 1.
     lam[near] = np.minimum(lam[near].real, np.nextafter(1.0, 0.0)) + 1j * lam[near].imag
@@ -505,7 +556,10 @@ def _packed_weights(spec: SpectralData, times: list[float]) -> np.ndarray:
             _negate(mirrored, t, others, spare)
 
     unit = half.size // (h + 1)
-    _in_leaves(fill, _leaves(h + 1, unit), own + 2 * bool(others), unit, complex)
+    # A plane counts once per weight it holds in scratch (two on a complex
+    # slab), so a leaf's exponentials stay within ROW_BLOCK elements: at the
+    # peak of a long row they sit beside the kept chirp buffer.
+    _in_leaves(fill, _leaves(h + 1, own * unit), own + 2 * bool(others), unit, complex)
     return out
 
 
@@ -520,8 +574,8 @@ def heat_kernel_row(spec: SpectralData, t) -> HeatKernelRow:
     half the group and filled as conj w_{-x} (`_packed_weights`), so no row is
     bit-identical to numpy's `fftn` of the full-spectrum weights.  A row at
     t = 0 is the indicator of 0 and packs zero weights; a call whose times are
-    all 0 takes no transform.  One pass over the leaves of `_leaves` divides by
-    n and takes each row's min, sum, clamp and clamped sum; the guards read them
+    all 0 takes no transform.  One pass over the leaves of `_leaves` scales by
+    1/n and takes each row's min, sum, clamp and clamped sum; the guards read them
     in order (row 0's min and mass, then row 1's), and a second divides each
     row by its clamped sum: the bits of whole-row passes.
     """
@@ -547,12 +601,18 @@ def heat_kernel_row(spec: SpectralData, t) -> HeatKernelRow:
         row = _dft(_packed_weights(spec, times)).reshape(-1)
     else:
         row = np.zeros(n, dtype=complex)
-    rows = row.view(float).reshape(n, 2).T[:len(times)]
+    flat = row.view(float)
+    rows = flat.reshape(n, 2).T[:len(times)]
     live = [j for j, s in enumerate(times) if s > 0]
 
     def sums(lo, hi, _):
-        """Divide the leaf by n; per live row, its min, sum, clamp and clamped sum."""
-        np.divide(row[lo:hi], n, out=row[lo:hi])
+        """Scale the leaf by 1/n; per live row, its min, sum, clamp and clamped sum.
+
+        The scaling multiplies the floats by fl(1/n).  numpy divides a complex
+        by n as (re + im 0) fl(1/n): the same bits but for the sign of a zero
+        and beside an infinite or NaN part, where the guards still reject the
+        row (tests/test_spectral.py::test_overflowing_row_still_raises)."""
+        np.multiply(flat[2 * lo:2 * hi], 1.0 / n, out=flat[2 * lo:2 * hi])
         stats = []
         for j in live:
             probs = rows[j, lo:hi]

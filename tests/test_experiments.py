@@ -327,19 +327,20 @@ def test_replicate_threads_leave_stdout_unchanged(monkeypatch, capsys, two_cpus,
 
 
 def test_replicate_threads_under_contention_match_serial(monkeypatch, recorded_threads):
-    # four replicate threads on the host's cores, switching every 10 us
+    # four replicate threads on the host's cores, switching every 10 us, on
+    # pocketfft and on the four-step (32771), each thread in its own buffer
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
-    config = _config(command="tv-curve", moduli=(128, 160), k=6, model="directed",
-                     replicates=9, t_grid="1:40:7")
+    configs = [_config(command="tv-curve", moduli=moduli, k=6, model="directed",
+                       replicates=9, t_grid="1:40:7") for moduli in ((128, 160), (32771,))]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        threaded = run_tv_curve(config)[0]
+        threaded = [run_tv_curve(config)[0] for config in configs]
     finally:
         sys.setswitchinterval(interval)
-    assert recorded_threads == [4]
+    assert recorded_threads == [4, 4]
     monkeypatch.setattr(spectral, "_fft_workers", lambda: 1)
-    assert run_tv_curve(config)[0] == threaded
+    assert [run_tv_curve(config)[0] for config in configs] == threaded
 
 
 @pytest.mark.parametrize("moduli, replicates, jobs, threads", [
@@ -525,9 +526,9 @@ def test_cli_config_digests_are_pinned(argv, digest):
 
 #: sha256 of the whole stdout of each command, covering every subcommand, both
 #: models, a multi-axis group, passes cut into several leaves below LONG_AXIS
-#: and the four-step transform (n = 262147).  The values hold for numpy 2.4.6
-#: and scipy 1.17.1; a library upgrade that moves last bits gets them
-#: re-recorded, with a note in CHANGES.md.
+#: and the four-step transform (from CHIRP_AXIS, here at 100003 and up).  The
+#: values hold for numpy 2.4.6 and scipy 1.17.1; a library upgrade that moves
+#: last bits gets them re-recorded, with a note in CHANGES.md.
 PINNED_STDOUT = {
     "tv-curve --group 101 --k 4 --seed 7":
         "7408fe77cf74d7584426cb9bf0a3395016cf33d983c2b0231feba8b1810bb94f",
@@ -559,20 +560,25 @@ PINNED_STDOUT = {
     "gap-scan --group 1009 --k 20 --seed 1 --replicates 300 --jobs 2":
         "ba58446ce2dbb7eda7532013af20c9a389a0519ccadc31db8ca1142342e27cc0",
     # groups of SHORT_GROUP to LONG_AXIS elements: replicates run on threads,
-    # each pass of more than ROW_BLOCK elements leaf by leaf
+    # each pass of more than ROW_BLOCK elements leaf by leaf; below CHIRP_AXIS
+    # on pocketfft, from it on the four-step, each thread in its own buffer
     "cutoff-profile --group 16411 --k 14 --seed 5 --replicates 4 --model directed":
         "14414a58cebafdfc612c104975a9b311b99eab8cb693448165c433b0ad07ef55",
     "gap-scan --group 128,160 --k 12 --seed 4 --replicates 6":
         "21cd5a10d3ebecfc168c8b1f332b7fe1a1211853d7904c267039b68bb765ee56",
     "cutoff-profile --group 131101 --k 14 --model directed --seed 2 --replicates 2":
-        "f2ab9b2c8e64a6df517d906ff61977da2c027b959603c9e694248933c6f46b2f",
-    # one replicate from ROW_BLOCK to LONG_AXIS elements: pocketfft, with every
-    # longer pass in leaves on the main thread's pool; at 131101 the weights
-    # pass splits its 65551 slab planes, and 100003 has a real slab
+        "e8beb77e786e9bf3fe31dfc76bd1e48b3abaa59e8c22d582c307e3d5ab4dd7cc",
+    "cutoff-profile --group 100003 --k 40 --seed 3 --replicates 4":
+        "f570b7248a23ea604dbb97fed7608518fe86b0366d986e3e2ee6859b45931a84",
+    "cutoff-profile --group 100003 --k 40 --seed 3 --replicates 4 --jobs 2":
+        "f570b7248a23ea604dbb97fed7608518fe86b0366d986e3e2ee6859b45931a84",
+    # one replicate from ROW_BLOCK to LONG_AXIS elements: the four-step, with
+    # every longer pass in leaves on the main thread's pool; at 131101 the
+    # weights pass splits its 65551 slab planes, and 100003 has a real slab
     "tv-curve --group 131101 --k 14 --model directed --seed 2 --t-grid 0.9:40:6":
-        "099da1e0fe6b1b75291ac02357364ab7696fc67177ef88c136292dcd1e9005f5",
+        "97fcc0a88e62387578041503541f5362fe9f739153eb6234e0b728a6cd21a1a6",
     "tv-curve --group 100003 --k 40 --seed 3 --t-grid 0.5:80:8":
-        "c408a9d1a7ceb30e0631aeea35f1d07bdc3565cdc88ed6ea750e382c2fd611f0",
+        "55375d1fa2e425c93524b4370d06c19db78671950b996c8fbc6963102698b66d",
     # n >= LONG_AXIS: the four-step Bluestein, its passes in leaves on the main
     # thread's pool, then serially in each --jobs worker
     "tv-curve --group 262147 --k 14 --model directed --seed 7 --t-grid 0.9:40:6":

@@ -316,6 +316,24 @@ def test_set_probability_check():
                               replicate_rng(42, 0))
 
 
+def test_gcd_expectation_probe_rejects_no_samples():
+    with pytest.raises(ValueError, match="need samples >= 1, got 0"):
+        gcd_expectation_probe(1, 3, 10, 0, replicate_rng(40, 0))
+
+
+def test_modified_l2_probe_rejects_no_samples_or_replicates():
+    for replicates, samples, name in ((1, 0, "samples"), (0, 5000, "replicates")):
+        with pytest.raises(ValueError, match=f"need {name} >= 1, got 0"):
+            modified_l2_probe(make_group([13]), 3, "undirected", 0.0, replicates, samples,
+                              replicate_rng(41, 0))
+
+
+def test_set_probability_check_rejects_no_samples():
+    with pytest.raises(ValueError, match="need samples >= 1, got 0"):
+        set_probability_check(10 ** 4, 20, "undirected", 0.0, range(19), 0,
+                              replicate_rng(42, 0))
+
+
 @pytest.mark.parametrize("moduli,k,model,alpha,replicates,samples,seed", [
     ([101], 10, "directed", 1.5, 2, 21000, 4),
     ([8, 27, 11], 12, "directed", 1.5, 2, 21000, 10),

@@ -2,6 +2,7 @@ import functools
 import math
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -166,7 +167,7 @@ def test_eigenvalue_invariants_random(model):
             assert abs(lam[i] - np.conj(lam[j])) < 1e-12
 
 
-@pytest.mark.parametrize("shape", [(101,), (100003,), (1024,), (101, 12),
+@pytest.mark.parametrize("shape", [(101,), (32749,), (1024,), (101, 12),
                                    (8, 9), (4, 9, 25), (101, 2, 6)])
 def test_dft_is_numpy_fftn_bit_for_bit(shape):
     rng = replicate_rng(19, 0)
@@ -177,9 +178,9 @@ def test_dft_is_numpy_fftn_bit_for_bit(shape):
         assert np.array_equal(_dft(a.copy(), inverse=True), np.fft.ifftn(a, norm="forward"))
 
 
-@pytest.mark.parametrize("shape, long_axis", [((262147,), None), ((101,), 101),
-                                              ((100003,), 100003)])
-def test_chirp_z_matches_numpy(monkeypatch, shape, long_axis):
+@pytest.mark.parametrize("shape, chirp_axis", [((262147,), None), ((101,), 101),
+                                               ((100003,), 100003)])
+def test_chirp_z_matches_numpy(monkeypatch, shape, chirp_axis):
     """`_dft` on the four-step Bluestein path, forward and inverse, against
     numpy's transform of the same input in long double.
 
@@ -206,8 +207,8 @@ def test_chirp_z_matches_numpy(monkeypatch, shape, long_axis):
     114 u log2 N = 57 eps log2 N.  The long double reference adds 2^-64 scale
     terms, which the first-order slack covers.
     """
-    if long_axis:
-        monkeypatch.setattr(spectral, "LONG_AXIS", long_axis)
+    if chirp_axis:
+        monkeypatch.setattr(spectral, "CHIRP_AXIS", chirp_axis)
     rng = replicate_rng(37, 0)
     counts = rng.integers(0, 5, size=shape)
     z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -226,12 +227,12 @@ def test_chirp_z_matches_numpy(monkeypatch, shape, long_axis):
     assert _dft(z) is z
 
 
-@pytest.mark.parametrize("m, long_axis", [(262147, None), (100003, 100003)])
-def test_chirp_z_matches_unfused_passes(monkeypatch, m, long_axis):
+@pytest.mark.parametrize("m, chirp_axis", [(262147, None), (100003, 100003)])
+def test_chirp_z_matches_unfused_passes(monkeypatch, m, chirp_axis):
     """The fused row steps and the threaded leaves of `_chirp_z` and its plan
     give the bits of the whole-buffer passes they replaced, forward and inverse."""
-    if long_axis:
-        monkeypatch.setattr(spectral, "LONG_AXIS", long_axis)
+    if chirp_axis:
+        monkeypatch.setattr(spectral, "CHIRP_AXIS", chirp_axis)
     spectral._chirp_plan.cache_clear()
     plan = spectral._chirp_plan(m)
     oracle = unfused_chirp_plan(plan)
@@ -243,6 +244,39 @@ def test_chirp_z_matches_unfused_passes(monkeypatch, m, long_axis):
         assert np.array_equal(spectral._chirp_z(z.copy(), inverse),
                               chirp_z_unfused(oracle, z.copy(), inverse))
     spectral._chirp_plan.cache_clear()
+
+
+def test_chirp_buffer_is_reused_per_thread():
+    """Two `_dft` calls on one thread run in one convolution buffer, another
+    thread gets its own, and a reused buffer, even one left holding NaN, gives
+    the bits of a fresh one.  The result is the caller's array, never the
+    buffer, and the buffers go with their plan when the cache evicts it."""
+    m = 100003
+    rng = replicate_rng(44, 0)
+    z = rng.normal(size=m) + 1j * rng.normal(size=m)
+    spectral._chirp_plan.cache_clear()
+    fresh = _dft(z.copy())
+    plan = spectral._chirp_plan(m)
+    buf = plan.buffer()
+    buf[...] = np.nan
+    again = _dft(z.copy())
+    assert spectral._chirp_plan(m) is plan and plan.buffer() is buf
+    assert np.array_equal(again, fresh) and not np.shares_memory(again, buf)
+    other = {}
+
+    def run():
+        other["out"] = _dft(z.copy())
+        other["buf"] = spectral._chirp_plan(m).buffer()
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join()
+    assert other["buf"] is not buf and np.array_equal(other["out"], fresh)
+    held = [weakref.ref(buf), weakref.ref(other.pop("buf"))]
+    del plan, buf
+    spectral._chirp_plan(101)  # evicts the plan for m
+    spectral._chirp_plan.cache_clear()
+    assert [ref() for ref in held] == [None, None]
 
 
 def test_chirp_z_output_is_thread_count_free(monkeypatch):
@@ -330,7 +364,7 @@ def test_row_pair_matches_whole_array_passes(monkeypatch, moduli, model):
     `math.fsum` of the masked excess, the `l2_bound` formula), on 1, 2 and 3
     threads.  Groups below LONG_AXIS run with ROW_BLOCK at 128, so that their
     passes over the row split into leaves too (their weights, at most 16 slab
-    planes, stay one leaf), and with LONG_AXIS at 64, so that (101,) takes the
+    planes, stay one leaf), and with CHIRP_AXIS at 64, so that (101,) takes the
     four-step Bluestein route of `_dft`; (64, 65, 127), 64 slab planes of 4160
     elements, splits the weights at the floor of 16 planes.  Odd and even slab
     axes, d = 1..6, and times whose rows clamp.  The spectrum runs as drawn and
@@ -338,7 +372,7 @@ def test_row_pair_matches_whole_array_passes(monkeypatch, moduli, model):
     Hermitian, so a misplaced mirror plane shows."""
     g = make_group(moduli)
     if g.n < spectral.LONG_AXIS:
-        monkeypatch.setattr(spectral, "LONG_AXIS", 64)
+        monkeypatch.setattr(spectral, "CHIRP_AXIS", 64)
         monkeypatch.setattr(spectral, "ROW_BLOCK", 128)
     spec = eigenvalues(g, sample_generators(g, 6, replicate_rng(43, len(moduli))), model)
     noise = 1e-12j * (replicate_rng(43, 9).random(g.n) - 0.5)
@@ -380,6 +414,23 @@ def test_heat_kernel_row_guards():
     spec = _hand_spectrum([0.5, 0.5])
     with pytest.raises(ValueError, match=r"row mass 0\.6065"):
         heat_kernel_row(spec, 1.0)
+
+
+@pytest.mark.parametrize("t", [1.0, (1.0, 0.5), (0.5, 1.0), (0.0, 1.0)])
+def test_overflowing_row_still_raises(t):
+    """A Hermitian spectrum with lambda_{+-1} = 800 overflows the weights at
+    t = 1 and the raw row holds inf and NaN.  The row is scaled by 1/n as a
+    real multiply of its floats, which differs from numpy's complex division by
+    n exactly there (an infinite part beside a finite one), and a guard still
+    rejects the row."""
+    spec = _hand_spectrum([1.0, 800.0, 0.5, 800.0])
+    times = [float(s) for s in np.atleast_1d(t)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = _dft(spectral._packed_weights(spec, times))
+        scaled = (raw.view(float) * (1.0 / 4)).view(complex)
+        assert not np.array_equal(raw / 4, scaled, equal_nan=True)
+        with pytest.raises(ValueError, match="negative probability"):
+            heat_kernel_row(spec, t)
 
 
 def test_threaded_row_guards_match_serial(monkeypatch):
@@ -537,11 +588,11 @@ def _assert_matches_full_spectrum(spec, t):
                                     (2,) * 10, (3,) * 8])
 def test_half_spectrum_rows_match_full_spectrum_oracle(monkeypatch, moduli, model):
     # odd and even slab axes, d = 1..3; in (2, 2, 2) the slab is the whole group.
-    # A 1-D group runs once more with LONG_AXIS at its length, so (101,) takes
+    # A 1-D group runs once more with CHIRP_AXIS at its length, so (101,) takes
     # the four-step Bluestein path ((12,) is 11-smooth and stays on pocketfft).
     g = make_group(moduli)
-    for long_axis in (spectral.LONG_AXIS, g.n) if g.d == 1 else (spectral.LONG_AXIS,):
-        monkeypatch.setattr(spectral, "LONG_AXIS", long_axis)
+    for chirp_axis in (spectral.CHIRP_AXIS, g.n) if g.d == 1 else (spectral.CHIRP_AXIS,):
+        monkeypatch.setattr(spectral, "CHIRP_AXIS", chirp_axis)
         spec = eigenvalues(g, sample_generators(g, 4, replicate_rng(23, len(moduli))), model)
         held = spec.eigenvalues.copy()
         for t in (0.7, 3.0, 40.0, [0.4, 2.5], [2.5, 0.4], [2.5, 0.0], [0.0, 1.2]):
