@@ -25,6 +25,12 @@ TOOL_VERSION = f"cayley-cutoff {__version__}"
 #: refuse runs estimated over this many DFT butterfly-equivalents without force.
 BUDGET_LIMIT = 10 ** 9
 
+#: refuse runs that draw more than this many generator coordinates (replicates
+#: k d) without force.  A replicate's work in k is about 1 us per coordinate at
+#: d = 1, nearly all of it the instance digest (2-core Xeon: 3.0 s and 465 MB
+#: peak RSS at Z_5, k = 4 10^6), so this cap is some seconds, as BUDGET_LIMIT is.
+GENERATOR_LIMIT = 4 * 10 ** 6
+
 #: Fewest elements of a group whose replicates, in one process, run on the
 #: `spectral._fft_workers()` threads (below LONG_AXIS; from CHIRP_AXIS on, each
 #: thread transforms in its own kept four-step buffer).  Median of 3, 2 cores,
@@ -32,6 +38,10 @@ BUDGET_LIMIT = 10 ** 9
 #: holds the GIL), 0.35 -> 0.53 s at 4099, 0.38 -> 0.34 s at 8209, 0.73 -> 0.41 s
 #: at 16411; cutoff profiles 1.6-2.0x faster from 16411 to 100003 and on 256^2.
 SHORT_GROUP = 2 ** 14
+
+#: The end of the band of groups whose replicates `_map_replicates` runs on
+#: threads; a longer group runs each of its passes on every core.
+LONG_AXIS = 2 ** 18
 
 
 class BudgetExceededError(RuntimeError):
@@ -185,7 +195,7 @@ def _map_replicates(config: ExperimentConfig, fn, *args) -> list:
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(work, indices, chunksize=-(-config.replicates // workers)))
-    if not SHORT_GROUP <= config.group().n < spectral.LONG_AXIS:
+    if not SHORT_GROUP <= config.group().n < LONG_AXIS:
         return [work(r) for r in indices]
     return spectral._in_leaves(lambda r, _, __: work(r), [(r, r + 1) for r in indices])
 
@@ -194,9 +204,15 @@ def _budget_check(config: ExperimentConfig, rows: int):
     """Price each of `config.replicates` replicates as the transforms it runs:
     one for its spectrum and one per pair of its `rows` heat-kernel rows, the
     pairs `_tv_at` packs into one transform.  A transform of n points costs
-    n log2 n butterfly-equivalents."""
-    n = config.group().n
-    work = config.replicates * (1 + -(-rows // 2)) * n * max(math.log2(n), 1.0)
+    n log2 n butterfly-equivalents.  Its generators are priced apart, before
+    any is drawn: k of d coordinates each, against GENERATOR_LIMIT."""
+    group = config.group()
+    coordinates = config.replicates * config.k * group.d
+    work = config.replicates * (1 + -(-rows // 2)) * group.n * max(math.log2(group.n), 1.0)
+    if coordinates > GENERATOR_LIMIT and not config.force:
+        raise BudgetExceededError(
+            f"--k: drawing {coordinates:.3g} generator coordinates (replicates x k x d) "
+            f"exceeds {GENERATOR_LIMIT:g}; lower --k or pass --force to override")
     if work > BUDGET_LIMIT and not config.force:
         raise BudgetExceededError(
             f"estimated {work:.3g} butterfly-equivalents exceeds {BUDGET_LIMIT:g}; "

@@ -51,10 +51,10 @@ digits: by at most 2.2e-16 (19 of 24 values) on the `tv-curve` run above and
 2.2e-16 (26 of 60) on the `cutoff-profile` run.
 
 Connectivity is decided exactly: a character is invariant (lambda_x = 1) iff
-x . z_i = 0 in Q/Z for every generator, which is checked in integer arithmetic
-for the few characters whose float eigenvalue lies near 1.  Invariant
-characters carry the eigenvalue 1.0 exactly and no other character does, so
-`lambda == 1` is the connectivity test.
+x . z = 0 in Q/Z for every distinct generator z, the histogram's nonzero bins,
+which is checked in integer arithmetic for the few characters whose float
+eigenvalue lies near 1.  Invariant characters carry the eigenvalue 1.0 exactly
+and no other character does, so `lambda == 1` is the connectivity test.
 """
 
 from __future__ import annotations
@@ -87,10 +87,6 @@ ROW_TOL = 1e-9
 
 #: -np.frexp(5e-324)[1], which makes every frexp exponent a bincount index.
 _EXP_OFFSET = 1073
-
-#: The end of the band of groups whose replicates `experiments._map_replicates`
-#: runs on threads; a longer group runs each of its passes on every core.
-LONG_AXIS = 2 ** 18
 
 #: Shortest axis `_dft` runs as a four-step Bluestein (`_chirp_z`), when its
 #: length is not 11-smooth; shorter axes stay on pocketfft, bit-identical to
@@ -144,7 +140,7 @@ class SpectralData:
         lam, moduli = self.eigenvalues, self.group.moduli
         # On the four-step route the mirror lives in the plan's idle buffer, so
         # it adds no row-sized array to the peak.
-        mirror = (_chirp_plan(lam.size).buffer().reshape(-1)[:lam.size] if _on_chirp(moduli)
+        mirror = (_plan(lam.size).buffer().reshape(-1)[:lam.size] if _on_chirp(moduli)
                   else np.empty(moduli, dtype=complex))
         _negate(mirror, lam.reshape(moduli), range(len(moduli)),
                 np.empty_like(mirror) if len(moduli) > 1 else None)
@@ -197,18 +193,18 @@ class GapSummary:
     connected: bool
 
 
-def _invariant_characters(group: GroupSpec, Z: GeneratorMultiset,
+def _invariant_characters(group: GroupSpec, generators: np.ndarray,
                           candidates: np.ndarray) -> np.ndarray:
-    """The candidate indices x with x . z_i = 0 in Q/Z for every generator z_i.
+    """The candidate indices x with x . z = 0 in Q/Z for every row z of `generators`.
 
-    Scaled by L = lcm(m) to sum_j x_j z_ij (L / m_j) = 0 (mod L), on Python
+    Scaled by L = lcm(m) to sum_j x_j z_j (L / m_j) = 0 (mod L), on Python
     ints (object arrays): the products reach m_j * L and would wrap in int64.
-    All distinct generators are tested in one product per block of candidates,
-    each block holding at most INVARIANT_BLOCK products.
+    All generators are tested in one product per block of candidates, each
+    block holding at most INVARIANT_BLOCK products.
     """
     lcm = math.lcm(*group.moduli)
     coords = element_of(group, candidates).astype(object) * [lcm // m for m in group.moduli]
-    gens = np.unique(Z.generators, axis=0).T.astype(object)
+    gens = generators.T.astype(object)
     rows = max(1, INVARIANT_BLOCK // gens.shape[1])
     ok = np.ones(len(candidates), dtype=bool)
     for lo in range(0, len(candidates), rows):
@@ -408,6 +404,15 @@ def _chirp_plan(m: int) -> _ChirpPlan:
     return plan
 
 
+_plan_lock = threading.Lock()
+
+
+def _plan(m: int) -> _ChirpPlan:
+    """`_chirp_plan(m)` under one lock: a thread waits for another's build."""
+    with _plan_lock:
+        return _chirp_plan(m)
+
+
 def _four_step(plan: _ChirpPlan, v: np.ndarray, kernel: np.ndarray | None = None):
     """Bailey's four-step DFT of length N = n1 n2, in place on the (n1, n2) view
     `v` of a length-N vector: transform axis 0, twiddle, transform axis 1, which
@@ -449,7 +454,7 @@ def _chirp_z(x: np.ndarray, inverse: bool) -> np.ndarray:
     fill run as leaves of `_in_leaves`, the rest in `_four_step`.
     """
     m = x.size
-    plan = _chirp_plan(m)
+    plan = _plan(m)
     buf = plan.buffer()
     flat = buf.reshape(-1)
 
@@ -478,8 +483,10 @@ def eigenvalues(group: GroupSpec, Z: GeneratorMultiset, model: str) -> SpectralD
     character keeps Re lambda < 1, so its gap 1 - Re lambda stays positive.
     """
     entropic._check_model(model)
-    lam = _dft(np.bincount(index_of(group, Z.generators), minlength=group.n)
-               .reshape(group.moduli), inverse=True).reshape(-1)
+    hist = np.bincount(index_of(group, Z.generators), minlength=group.n)
+    distinct = element_of(group, np.flatnonzero(hist))  # np.unique's rows, in its order
+    lam = _dft(hist.reshape(group.moduli), inverse=True).reshape(-1)
+    del hist  # freed as its transform returns
     lam /= Z.k
     if model == "undirected":
         lam.imag = 0.0
@@ -493,7 +500,7 @@ def eigenvalues(group: GroupSpec, Z: GeneratorMultiset, model: str) -> SpectralD
     # Rounding must not close a gap below float resolution: only the exactly
     # invariant characters reach 1.
     lam[near] = np.minimum(lam[near].real, np.nextafter(1.0, 0.0)) + 1j * lam[near].imag
-    lam[_invariant_characters(group, Z, near)] = 1.0
+    lam[_invariant_characters(group, distinct, near)] = 1.0
     return SpectralData(group=group, eigenvalues=lam)
 
 

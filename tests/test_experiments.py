@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -328,10 +329,12 @@ def test_replicate_threads_leave_stdout_unchanged(monkeypatch, capsys, two_cpus,
 
 def test_replicate_threads_under_contention_match_serial(monkeypatch, recorded_threads):
     # four replicate threads on the host's cores, switching every 10 us, on
-    # pocketfft and on the four-step (32771), each thread in its own buffer
+    # pocketfft and on the four-step (32771), each thread in its own buffer;
+    # all four ask for the plan at once, and one builds it while three wait
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
     configs = [_config(command="tv-curve", moduli=moduli, k=6, model="directed",
                        replicates=9, t_grid="1:40:7") for moduli in ((128, 160), (32771,))]
+    spectral._chirp_plan.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -339,6 +342,7 @@ def test_replicate_threads_under_contention_match_serial(monkeypatch, recorded_t
     finally:
         sys.setswitchinterval(interval)
     assert recorded_threads == [4, 4]
+    assert spectral._chirp_plan.cache_info().misses == 1
     monkeypatch.setattr(spectral, "_fft_workers", lambda: 1)
     assert [run_tv_curve(config)[0] for config in configs] == threaded
 
@@ -356,6 +360,24 @@ def test_replicate_threads_run_only_for_short_groups_in_one_process(
     rows = experiments._map_replicates(config, lambda config, r: r)
     assert rows == list(range(replicates))
     assert recorded_threads == threads
+
+
+def test_replicate_threads_build_the_chirp_plan_once(monkeypatch, two_cpus, recorded_threads):
+    # 32771 is prime and past CHIRP_AXIS, so both replicate threads ask for the
+    # plan as their first spectra start; a build slowed by 50 ms makes the
+    # second ask while the first builds, and it waits rather than builds
+    four_step = spectral._four_step
+
+    def slow_build(plan, v, kernel=None):
+        if v is plan.kernel:  # the plan's own kernel transform
+            time.sleep(0.05)
+        return four_step(plan, v, kernel)
+
+    monkeypatch.setattr(spectral, "_four_step", slow_build)
+    spectral._chirp_plan.cache_clear()
+    run_cutoff_profile(_config(command="cutoff-profile", moduli=(32771,), k=8, replicates=4))
+    assert recorded_threads == [2]
+    assert spectral._chirp_plan.cache_info().misses == 1
 
 
 def test_replicate_thread_runs_its_passes_serially(two_cpus):
@@ -638,6 +660,31 @@ def test_cli_t_grid_is_priced_before_it_is_built(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "--force" in err
     assert err.startswith("usage: cayley-cutoff tv-curve ")
+
+
+@pytest.mark.parametrize("argv", ["spectrum --group 5 --k 1000000000000 --seed 0",
+                                  "cutoff-profile --group 5 --k 100000000 --seed 0"])
+def test_cli_generator_draw_is_priced_before_sampling(monkeypatch, capsys, argv):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("generators were drawn before their budget check")
+
+    monkeypatch.setattr(experiments, "sample_generators", no_draw)
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--k" in err and "--force" in err
+    assert err.startswith(f"usage: cayley-cutoff {argv.split()[0]} ")
+
+
+def test_generator_price_is_replicates_k_d_and_force_overrides(monkeypatch):
+    config = _config(command="gap-scan", moduli=(4, 9, 25), k=40, replicates=3)
+    monkeypatch.setattr(experiments, "GENERATOR_LIMIT", 3 * 40 * 3)
+    rows = run_gap_scan(config)[1]
+    monkeypatch.setattr(experiments, "GENERATOR_LIMIT", 3 * 40 * 3 - 1)
+    with pytest.raises(BudgetExceededError, match="--k"):
+        run_gap_scan(config)
+    assert run_gap_scan(replace(config, force=True))[1] == rows
 
 
 def test_cli_tv_curve_writes_file(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayley_cutoff import entropic, spectral
+from cayley_cutoff import entropic, experiments, spectral
 from cayley_cutoff.groups import (GeneratorMultiset, element_of, index_of,
                                   make_group, replicate_rng, sample_generators)
 from cayley_cutoff.spectral import (ROW_TOL, HeatKernelRow,
@@ -81,8 +81,7 @@ def test_invariant_characters_exact_beyond_int64():
     x = np.array([3 ** 28, 3 ** 28 + 1])
     z = 3 * (3 ** 27 + 1)
     for gen, expected in (((z,), [3 ** 28]), ((z + 1,), [])):
-        Z = GeneratorMultiset(np.array((gen,)))
-        assert _invariant_characters(g, Z, x).tolist() == expected
+        assert _invariant_characters(g, np.array((gen,)), x).tolist() == expected
 
 
 @pytest.mark.parametrize("block", [spectral.INVARIANT_BLOCK, 7])
@@ -92,6 +91,7 @@ def test_invariant_characters_exact_beyond_int64():
     ((2,) * 16, 5, False, 2 ** 11),     # disconnected
     ((6, 6), 4, True, 12),              # generators in 2G span only 3 elements
     ((12,), 30, True, 2),               # many repeated generators
+    ((6, 6), 10 ** 5, True, 4),         # each of the 9 elements of 2G ~10^4 times
 ])
 def test_invariant_characters_match_loop_oracle(monkeypatch, moduli, k, even, invariant,
                                                 block):
@@ -101,7 +101,7 @@ def test_invariant_characters_match_loop_oracle(monkeypatch, moduli, k, even, in
     Z = GeneratorMultiset(gens - gens % 2 if even else gens)
     for candidates in (np.arange(0, g.n, 1 if g.n <= 10 ** 4 else 97),
                        np.arange(0), np.array([0])):
-        got = _invariant_characters(g, Z, candidates)
+        got = _invariant_characters(g, Z.generators, candidates)
         assert got.tolist() == invariant_characters_oracle(g, Z, candidates).tolist()
     lam = eigenvalues(g, Z, "undirected").eigenvalues
     found = np.flatnonzero(lam == 1.0)
@@ -371,7 +371,7 @@ def test_row_pair_matches_whole_array_passes(monkeypatch, moduli, model):
     with 1e-12 of imaginary noise, which makes it complex and not exactly
     Hermitian, so a misplaced mirror plane shows."""
     g = make_group(moduli)
-    if g.n < spectral.LONG_AXIS:
+    if g.n < experiments.LONG_AXIS:
         monkeypatch.setattr(spectral, "CHIRP_AXIS", 64)
         monkeypatch.setattr(spectral, "ROW_BLOCK", 128)
     spec = eigenvalues(g, sample_generators(g, 6, replicate_rng(43, len(moduli))), model)
