@@ -55,7 +55,7 @@ COMMANDS = {
     "gap-scan": (*_INSTANCE, "replicates", "fmt", "jobs", "force"),
     "entropic": (*_INSTANCE, "alpha"),
     "verify": ("seed", "out", "only"),
-    "cheeger": (*_INSTANCE, "replicates", "fmt", "jobs"),
+    "cheeger": (*_INSTANCE, "replicates", "fmt", "jobs", "force"),
 }
 
 

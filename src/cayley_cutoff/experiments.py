@@ -40,7 +40,12 @@ GENERATOR_LIMIT = 4 * 10 ** 6
 SHORT_GROUP = 2 ** 14
 
 #: The end of the band of groups whose replicates `_map_replicates` runs on
-#: threads; a longer group runs each of its passes on every core.
+#: threads; a longer group runs each of its passes on every core.  It bounds
+#: memory: past it, threads save little wall and cost a third more peak RSS.
+#: Whole `cutoff-profile --k 14 --model directed --replicates 4` processes, 2
+#: cores, median of 9 alternating, threads (the band's end moved past n)
+#: against serial: 0.95 against 1.04 s and 158 against 122 MB at n = 524309,
+#: 1.61 against 1.65 s and 246 against 177 MB at n = 1000003.
 LONG_AXIS = 2 ** 18
 
 
@@ -113,7 +118,11 @@ def _digest(obj) -> str:
 def _instance(config: ExperimentConfig, r: int):
     """Replicate r: its generators Z, spectrum, gaps, and the row head naming it."""
     group = config.group()
-    Z = sample_generators(group, config.k, replicate_rng(config.base_seed, r))
+    try:
+        Z = sample_generators(group, config.k, replicate_rng(config.base_seed, r))
+    except MemoryError:  # a forced draw past the generator cap
+        raise BudgetExceededError(f"--k: {config.k} generators do not fit in memory; "
+                                  "lower --k") from None
     spec = spectral.eigenvalues(group, Z, config.model)
     head = {"replicate": r, "seed": config.base_seed,
             "instance_digest": _digest(Z.generators.tolist())}
@@ -200,15 +209,18 @@ def _map_replicates(config: ExperimentConfig, fn, *args) -> list:
     return spectral._in_leaves(lambda r, _, __: work(r), [(r, r + 1) for r in indices])
 
 
-def _budget_check(config: ExperimentConfig, rows: int):
+def _budget_check(config: ExperimentConfig, rows: int, scan: float = 0):
     """Price each of `config.replicates` replicates as the transforms it runs:
     one for its spectrum and one per pair of its `rows` heat-kernel rows, the
     pairs `_tv_at` packs into one transform.  A transform of n points costs
-    n log2 n butterfly-equivalents.  Its generators are priced apart, before
-    any is drawn: k of d coordinates each, against GENERATOR_LIMIT."""
+    n log2 n butterfly-equivalents; `scan` adds as many per replicate for
+    other work (cheeger's subset comparisons).  Its generators are priced
+    apart, before any is drawn: k of d coordinates each, against
+    GENERATOR_LIMIT."""
     group = config.group()
     coordinates = config.replicates * config.k * group.d
     work = config.replicates * (1 + -(-rows // 2)) * group.n * max(math.log2(group.n), 1.0)
+    work += config.replicates * scan
     if coordinates > GENERATOR_LIMIT and not config.force:
         raise BudgetExceededError(
             f"--k: drawing {coordinates:.3g} generator coordinates (replicates x k x d) "
@@ -366,6 +378,10 @@ def _cheeger_worker(config: ExperimentConfig, r: int) -> dict:
 
 
 def run_cheeger(config: ExperimentConfig) -> tuple[str, list[dict]]:
+    # `spectral.cheeger_exact` compares the n vertices of each of 2^n subsets
+    # across each of k generators
+    n = config.group().n
+    _budget_check(config, 0, scan=config.k * 2 ** n * n)
     rows = _map_replicates(config, _cheeger_worker)
     return _emit(config, rows), rows
 

@@ -477,7 +477,7 @@ READS = {
     "cutoff-profile": "group k model seed out alpha replicates format jobs force",
     "gap-scan": "group k model seed out replicates format jobs force",
     "entropic": "group k model seed out alpha",
-    "cheeger": "group k model seed out replicates format jobs",
+    "cheeger": "group k model seed out replicates format jobs force",
     "verify": "seed out only",
 }
 #: a valid value of each flag; None marks the one switch
@@ -494,8 +494,8 @@ def _flag_argv(flag):
 
 
 def test_each_subcommand_accepts_every_flag_it_reads():
-    assert sum(len(flags.split()) for flags in READS.values()) == 53
-    assert len(UNREAD) == 31
+    assert sum(len(flags.split()) for flags in READS.values()) == 54
+    assert len(UNREAD) == 30
     for sub, flags in READS.items():
         argv = [sub] + [arg for flag in flags.split() for arg in _flag_argv(flag)]
         assert cli.make_config(cli.build_parser().parse_args(argv)).command == sub
@@ -685,6 +685,57 @@ def test_generator_price_is_replicates_k_d_and_force_overrides(monkeypatch):
     with pytest.raises(BudgetExceededError, match="--k"):
         run_gap_scan(config)
     assert run_gap_scan(replace(config, force=True))[1] == rows
+
+
+def test_cli_forced_draw_past_memory_exits_2_naming_k(monkeypatch, capsys):
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(experiments, "sample_generators", no_memory)
+    with pytest.raises(SystemExit) as exc:
+        main("spectrum --group 5 --k 1000000000000 --seed 0 --force".split())
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--k" in err and "memory" in err
+    assert err.startswith("usage: cayley-cutoff spectrum ")
+    # a MemoryError anywhere but the draw is left alone
+    monkeypatch.undo()
+    monkeypatch.setattr(spectral, "eigenvalues", no_memory)
+    with pytest.raises(MemoryError):
+        main("spectrum --group 5 --k 3 --seed 0".split())
+
+
+@pytest.mark.parametrize("argv, flag", [
+    # past the generator cap, and 2.6e10 comparisons in the subset scan
+    ("cheeger --group 16 --k 1000000000000 --seed 0", "--k"),
+    ("cheeger --group 24 --k 64 --seed 0", "--force")])
+def test_cli_cheeger_is_priced_before_sampling(monkeypatch, capsys, argv, flag):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("generators were drawn before their budget check")
+
+    monkeypatch.setattr(experiments, "sample_generators", no_draw)
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert flag in err and err.startswith("usage: cayley-cutoff cheeger ")
+
+
+def test_cheeger_price_is_its_subset_scan_and_force_overrides(monkeypatch):
+    config = _config(command="cheeger", moduli=(12,), k=3, replicates=3)
+    rows = run_cheeger(config)[1]
+    # one transform of 12 points, and 3 generators x 2^12 subsets x 12 vertices
+    price = 3 * (12 * math.log2(12) + 3 * 2 ** 12 * 12)
+    monkeypatch.setattr(experiments, "BUDGET_LIMIT", price * (1 + 1e-9))
+    assert run_cheeger(config)[1] == rows
+    monkeypatch.setattr(experiments, "BUDGET_LIMIT", price * (1 - 1e-9))
+    with pytest.raises(BudgetExceededError, match="--force"):
+        run_cheeger(config)
+    assert run_cheeger(replace(config, force=True))[1] == rows
+    monkeypatch.undo()
+    # 8 x 3 x 2^20 x 20 = 5.0e8 is within the budget
+    monkeypatch.setattr(experiments, "_cheeger_worker", lambda config, r: {"replicate": r})
+    run_cheeger(_config(command="cheeger", moduli=(20,), k=3, replicates=8))
 
 
 def test_cli_tv_curve_writes_file(tmp_path):

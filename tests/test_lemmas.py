@@ -1,11 +1,14 @@
 import math
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
 import pytest
 
-from cayley_cutoff import lemmas
-from cayley_cutoff.groups import make_group, replicate_rng
+from cayley_cutoff import entropic, lemmas
+from cayley_cutoff.cli import main
+from cayley_cutoff.entropic import StepDistribution
+from cayley_cutoff.groups import GeneratorMultiset, make_group, replicate_rng
 from cayley_cutoff.lemmas import (cos_taylor_check, dirichlet_rate_check,
                                   divisibility_check, eigenvalue_tail_probe,
                                   exit_interval_check, gcd_expectation_probe,
@@ -411,3 +414,159 @@ def test_run_all_only_filter():
     assert len(reports) == 1 and reports[0].name == "cos_taylor"
     with pytest.raises(KeyError):
         run_all(only="nonexistent")
+
+
+# ---------------------------------------------------------------------------
+# the reported case of a failing check
+# ---------------------------------------------------------------------------
+
+def test_worst_takes_the_first_largest_failing_case():
+    cases = [(0.5, "a"), (2.0, "b"), (2.0, "c"), (-1.0, "d")]
+    assert lemmas._worst(cases, "ok") == (2.0, "b")
+    assert lemmas._worst([(0.0, "a"), (-1.0, "b")], "ok") == (0.0, "ok")
+    assert lemmas._worst([], "ok") == (0.0, "ok")
+    # a NaN violation fails by _report's rule, so it is not passed over
+    violation, case = lemmas._worst([(math.nan, "a")], "ok")
+    assert case == "a" and not lemmas._report("x", case, violation).passed
+
+
+def test_best_of_takes_the_first_largest_failing_report():
+    reports = [lemmas._report("x", "a", -1.0, v=1), lemmas._report("x", "b", 0.5, v=2),
+               lemmas._report("x", "c", 0.5, v=3)]
+    assert lemmas._best_of(reports) == lemmas._report("x", "b", 0.5, cases=3, v=2)
+    assert lemmas._best_of(reports[:1]) == lemmas._report("x", "a", 0.0, cases=1, v=1)
+
+
+def test_level_set_reports_the_first_largest_excess(monkeypatch):
+    # |A(2)| = 3 and |A(4)| = 9 both exceed their bounds 2 and 8 by 1
+    levels = np.array([1] + [2] * 3 + [4] * 9)
+    monkeypatch.setattr(lemmas, "element_levels", lambda group: levels)
+    rep = level_set_count_check(make_group([13]))
+    assert (rep.passed, rep.worst_case, rep.max_violation) == (
+        False, "s=2: |A(s)|=3 > 2.0", 1.0)
+    # |A(3)| = 7 exceeds 4.5 by more than |A(2)| = 4 exceeds 2
+    levels = np.array([1] + [2] * 4 + [3] * 7)
+    monkeypatch.setattr(lemmas, "element_levels", lambda group: levels)
+    rep = level_set_count_check(make_group([12]))
+    assert (rep.passed, rep.worst_case, rep.max_violation) == (
+        False, "s=3: |A(s)|=7 > 4.5", 2.5)
+
+
+def test_exit_interval_reports_the_worst_shortfall_or_the_residual(monkeypatch):
+    # survival e^{-2s} under the floor e^{-lam s}: the shortfall peaks at s = 0.5
+    survival = lemmas._killed_survival
+    monkeypatch.setattr(lemmas, "_killed_survival", lambda ell: (1.0, lambda s: -2.0 * s))
+    lam, lam2 = (1.0 - math.cos(math.pi / (2 * ell)) for ell in (1, 2))
+    rep = exit_interval_check(1, (0.1, 0.5, 1.0, 5.0))
+    assert not rep.passed
+    assert rep.worst_case == (f"ell=1 s=0.5: survival={math.exp(-1.0):.12g} "
+                              f"< e^(-lam s)={math.exp(-lam * 0.5):.12g}")
+    assert rep.max_violation == math.exp(-lam * 0.5) - math.exp(-1.0) - 1e-12
+    # a broken quasi-stationary identity names the report, at the larger violation
+    transition = lemmas._killed_transition
+    monkeypatch.setattr(lemmas, "_killed_transition",
+                        lambda ell: transition(ell) + 1e-6 * np.eye(2 * ell - 1))
+    rep = exit_interval_check(2, (0.5,))
+    resid = rep.details["quasi_stationary_residual"]
+    assert resid == pytest.approx(1e-6)
+    assert (rep.passed, rep.worst_case) == (False, f"quasi-stationary residual {resid:g}")
+    assert rep.max_violation == math.exp(-lam2 * 0.5) - math.exp(-1.0) - 1e-12
+    # and at its own violation when the survival holds
+    monkeypatch.setattr(lemmas, "_killed_survival", survival)
+    rep = exit_interval_check(2, (0.5,))
+    assert (rep.passed, rep.worst_case, rep.max_violation) == (
+        False, f"quasi-stationary residual {resid:g}", resid)
+
+
+def test_tail_ratio_reports_the_worst_band_miss(monkeypatch):
+    from scipy import stats
+    monkeypatch.setattr(lemmas, "RATIO_BAND", (100.0, 200.0))
+    rep = tail_ratio_check("directed", (100.0,), (25,))
+    # Po(100) about 100 +- 25, each tail over its point, scaled by s/r = 4
+    ratios = [stats.poisson.sf(124, 100) / stats.poisson.pmf(125, 100) / 4,
+              stats.poisson.cdf(75, 100) / stats.poisson.pmf(75, 100) / 4]
+    low = min(ratios)
+    assert not rep.passed and rep.details["checked"] == 2
+    assert rep.worst_case == f"directed s=100.0 r=25 ratio={low:.4g}"
+    assert rep.max_violation == pytest.approx(100.0 - low, rel=1e-9)
+
+
+def test_lclt_reports_the_worst_log_error(monkeypatch):
+    def gaussian(model, s):
+        # the exact Gaussian density, but e times too large at the origin
+        xs = np.arange(-400, 401)
+        pmf = np.exp(-xs ** 2 / (2 * s)) / math.sqrt(2 * math.pi * s)
+        pmf[400] *= math.e
+        return StepDistribution("undirected", s, -400, 400, pmf)
+
+    monkeypatch.setattr(lemmas.entropic, "step_distribution", gaussian)
+    rep = lclt_scan("undirected", (100.0, 10000.0))
+    # log-error 1 against the envelopes 2 s^{-1/4} = 0.632 and 0.2
+    assert not rep.passed and rep.worst_case == "undirected s=10000.0 max log-error 1"
+    assert rep.max_violation == pytest.approx(0.8, abs=1e-12)
+
+
+class _TopRng:
+    """A stub generator whose every integer draw is the top of its range."""
+
+    def integers(self, low, high, size=None):
+        return np.broadcast_to(np.asarray(high) - 1, size or np.shape(high)).copy()
+
+
+def _zero_generators(group, k, rng):
+    return GeneratorMultiset(np.zeros((k, group.d), dtype=np.int64))
+
+
+def _stub_step(dist):
+    return lambda model, s, reach=0: dist
+
+
+_census, _cos, _step = lemmas._vz_counts, np.cos, entropic.step_distribution
+
+
+def _e_times_step(model, s):
+    dist = _step(model, s)
+    return replace(dist, pmf=math.e * dist.pmf)
+
+#: (owner, attribute, value): a patch under which each registered check
+#: reports FAIL.  set_probability has none: its bounds exceed 1 at its
+#: registered size.
+BREAKS = {
+    # one extra V.Z = 0 in every row: the counts are no longer uniform
+    "vz_uniform": (lemmas, "_vz_counts",
+                   lambda group, V: _census(group, V) + (np.arange(group.n) == 0)),
+    # 1 - cos(2 pi theta) raised by 1e-3 tops 2 (pi theta)^2 near 0
+    "cos_taylor": (np, "cos", lambda x: _cos(x) - 1e-3),
+    "unimodality": (entropic, "step_distribution", _stub_step(StepDistribution(
+        "undirected", 1.0, 0, 300, np.linspace(0.0, 1.0, 301)))),
+    # all the mass on V_1 = 2: P(2 | V_1) = 1
+    "divisibility": (entropic, "step_distribution", _stub_step(StepDistribution(
+        "undirected", 1.0, 2, 2, np.ones(1)))),
+    # survival e^{-2s}: under the floor e^{-lam s}, and rate 2 against lam_A = 1
+    "exit_interval": (lemmas, "_killed_survival", lambda ell: (1.0, lambda s: -2.0 * s)),
+    "dirichlet_rate": (lemmas, "_killed_survival", lambda ell: (1.0, lambda s: -2.0 * s)),
+    "tail_ratio": (lemmas, "RATIO_BAND", (100.0, 200.0)),
+    # every pmf e times too large: log-error about 1
+    "lclt": (entropic, "step_distribution", _e_times_step),
+    "level_set": (lemmas, "element_levels", lambda group: np.full(group.n, 2)),
+    # every |V_i| = 2r, so g = 2r
+    "gcd_expectation": (lemmas, "replicate_rng", lambda seed, r: _TopRng()),
+    # Z = 0: every pair of walks collides, and every statistic is 0
+    "modified_l2": (lemmas, "sample_generators", _zero_generators),
+    "eigenvalue_tail": (lemmas, "sample_generators", _zero_generators),
+}
+
+
+def test_every_check_but_set_probability_has_a_break():
+    assert set(BREAKS) == set(lemmas.DEFAULT_CHECKS) - {"set_probability"}
+    # |I| = 19 of k = 20 at n = 10^4: both bounds exceed any probability
+    rep = run_all(only="set_probability")[0]
+    assert rep.details["bound"] > 1 and rep.details["local_bound"] > 1
+
+
+@pytest.mark.parametrize("name", list(BREAKS))
+def test_verify_fails_a_broken_check(monkeypatch, capsys, name):
+    monkeypatch.setattr(*BREAKS[name])
+    assert main(["verify", "--seed", "1", "--only", name]) == 1
+    line = capsys.readouterr().out.splitlines()[1]
+    assert line.split()[:2] == [name, "FAIL"]
