@@ -15,17 +15,19 @@ numpy's `fftn`; scipy's own `fftn` is not (it differs in the last bits at shape
 chirp-z (`_chirp_z`): the length-n DFT becomes a cyclic convolution of smooth
 length N = n1 n2 >= 2n - 1, and each length-N transform runs as Bailey's
 four-step FFT, batches of n1- and n2-point pocketfft transforms that stay in
-cache.  The plan, cached for one n, holds the chirp and the kernel's spectrum,
-about 48 MB at n = 10^6 + 3, and scipy builds no prime-length plan of its own.
-Each thread that transforms keeps its own (n1, n2) convolution buffer with the
-plan (`_ChirpPlan.buffer`), where pocketfft's Bluestein allocates its padded
-buffers per call: on the replicate threads those pages were faulted in afresh
-every replicate, 73,112 minor faults per warm run of `cutoff-profile --group
-100003 --k 400 --alpha=-1.5,0,1.5 --replicates 20 --seed 1` against 5.  These
-transforms are not bit-identical to numpy's: against pocketfft they move
-`tv-curve --group 1000003 --k 14 --model directed --seed 7 --t-grid 0.9:45:24`
-by at most 8.9e-16 in TV (24 of 24 rows), 1.4e-14 in `l2_bound` and 3.3e-16
-in gamma, and that `cutoff-profile` run by at most 2.2e-16 in TV (27 of 60).
+cache.  The plan, cached for one n, holds half of the chirp and half of the
+kernel's spectrum, the other halves read as reversed views (both are
+mirror-symmetric), about 24 MB at n = 10^6 + 3; scipy builds no prime-length
+plan of its own.  Each thread that transforms keeps its own (n1, n2)
+convolution buffer with the plan (`_ChirpPlan.buffer`), where pocketfft's
+Bluestein allocates its padded buffers per call: on the replicate threads those
+pages were faulted in afresh every replicate, 73,112 minor faults per warm run
+of `cutoff-profile --group 100003 --k 400 --alpha=-1.5,0,1.5 --replicates 20
+--seed 1` against 5.  These transforms are not bit-identical to numpy's:
+against pocketfft they move `tv-curve --group 1000003 --k 14 --model directed
+--seed 7 --t-grid 0.9:45:24` by at most 7.8e-16 in TV (24 of 24 rows),
+1.4e-14 in `l2_bound` and 2.2e-16 in gamma, and that `cutoff-profile` run by
+at most 3.3e-16 in TV (34 of 60).
 
 Every other pass runs through `_in_leaves`, cut by one rule (`_leaves`): the
 leaves of numpy's pairwise-summation tree (`_tree_sum`), each within ROW_BLOCK
@@ -34,7 +36,7 @@ most ROW_BLOCK elements is one leaf.  Those passes are the chirp products and
 zero fill, the four-step's row steps (leaves of rows), the weights'
 exponentials with their Hermitian fill (leaves of slab planes), a row's
 scaling by 1/n, guards, clamp, sums and renormalization, the residue terms,
-the spectrum's near-1 candidates, `tv_exact` and `l2_bound`.
+the spectrum's near-1 candidates, `gap_summary`, `tv_exact` and `l2_bound`.
 `_in_leaves` runs the leaves on `_fft_workers()` threads, as pocketfft runs a
 per-axis transform's batches: one in a `--jobs` worker and on the replicate
 threads of `experiments._map_replicates`, where a pass runs leaf by leaf in
@@ -337,22 +339,26 @@ class _ChirpPlan:
     """Bluestein's chirp-z for one length m on a smooth N = n1 n2 >= 2m - 1.
 
     Every phase is reduced exactly in integers before its one float division:
-    `chirp` is e^{-i pi (j^2 mod 2m) / m}, and the four-step's twiddle w^{k j},
-    w = e^{-2 pi i / N}, at row k < n1 and column j < n2 is the product of
+    the chirp's (`_chirp_plan`), and the four-step's twiddle w^{k j},
+    w = e^{-2 pi i / N}, at row k < n1 and column j < n2, the product of
     `twiddle_hi[k, j // r]` (phase k r (j // r)) and `twiddle_lo[k, j % r]`
     (phase k (j % r)).
-    `kernel` is the DFT of conj chirp_j on -m < j < m, divided by N, stored in
-    the four-step's (n1, n2) output order.  At m = 10^6 + 3 the plan holds
-    about 48 MB: 16 in `chirp` and 32 in `kernel`, and each thread that has
-    transformed with it 32 more in its buffer (`scratch`), freed with the plan.
+    `kernel` is the DFT of conj chirp_j on -m < j < m, divided by N, in the
+    four-step's (n1, n2) output order.  Each table holds half of itself, and
+    the rest is read as a reversed view (`_mirror`): `chirp` holds c_j for
+    j <= m // 2, as c_{m-j} = c_j, and `kernel` rows 0 .. n1 // 2, as the DFT
+    of an even sequence is even: K[k1, k2] = K[n1 - k1, n2 - 1 - k2] for
+    k1 >= 1.  At m = 10^6 + 3 the plan holds about 24 MB: 8 in `chirp` and 16
+    in `kernel`, and each thread that has transformed with it 32 more in its
+    buffer (`scratch`), freed with the plan.
     """
 
     n1: int
     n2: int
-    chirp: np.ndarray        # (m,)
+    chirp: np.ndarray        # (m // 2 + 1,)
     twiddle_hi: np.ndarray   # (n1, n2 // r)
     twiddle_lo: np.ndarray   # (n1, r)
-    kernel: np.ndarray       # (n1, n2)
+    kernel: np.ndarray       # (n1 // 2 + 1, n2)
     scratch: threading.local = field(default_factory=threading.local)
 
     def buffer(self) -> np.ndarray:
@@ -371,6 +377,14 @@ def _unit_roots(phase: np.ndarray, period: int) -> np.ndarray:
     return np.exp(-2j * np.pi * (phase / period))
 
 
+def _mirror(table: np.ndarray, lo: int, hi: int, size: int):
+    """Entries lo..hi of a length-`size` table f with f[j] = f[size - j] whose
+    head is `table`: the split s, len(table) clipped to [lo, hi], then f[lo:s]
+    as a slice of `table` and f[s:hi] as a reversed one."""
+    s = min(max(lo, len(table)), hi)
+    return s, table[lo:s], table[size - s:size - hi:-1]
+
+
 @functools.lru_cache(maxsize=1)
 def _chirp_plan(m: int) -> _ChirpPlan:
     """The plan for length m; one is kept, for the group in use.
@@ -378,6 +392,14 @@ def _chirp_plan(m: int) -> _ChirpPlan:
     N = n1 n2 is the smallest product of two 11-smooth lengths with n1 within
     a factor 2 of sqrt(2m - 1), the most nearly square on a tie; r is the
     largest divisor of n2 up to sqrt(n2), so both twiddle tables stay small.
+
+    The chirp is c_j = e^{-2 pi i p_j / 2m}, p_j = j (j + m) mod 2m, so
+    c_j c_k conj c_{k-j} = w^{jk}, w = e^{-2 pi i / m}, as p_j + p_k - p_{k-j}
+    = 2jk mod 2m.  As p_{m-j} = p_j, the reversed view of the stored half is
+    the upper half bit for bit.  The kernel's input is written
+    from that half into this thread's convolution buffer, transformed there,
+    and its rows 0 .. n1 // 2 are kept: the build allocates no full-length
+    table.
     """
     need = 2 * m - 1
     root = math.isqrt(need)
@@ -389,18 +411,23 @@ def _chirp_plan(m: int) -> _ChirpPlan:
         n1 = fft.next_fast_len(n1 + 1)
     _, _, n1, n2 = min(splits)
     r = max(d for d in range(1, math.isqrt(n2) + 1) if n2 % d == 0)
-    j = np.arange(m, dtype=np.int64)
-    chirp = _unit_roots(j * j, 2 * m)
+    j = np.arange(m // 2 + 1, dtype=np.int64)
+    chirp = _unit_roots(j * (j + m), 2 * m)
+    del j  # freed before the kernel's transform
     k1 = np.arange(n1, dtype=np.int64)[:, None]
-    kernel = np.zeros((n1, n2), dtype=complex)
     plan = _ChirpPlan(n1=n1, n2=n2, chirp=chirp,
                       twiddle_hi=_unit_roots(k1 * r * np.arange(n2 // r), n1 * n2),
-                      twiddle_lo=_unit_roots(k1 * np.arange(r), n1 * n2), kernel=kernel)
-    flat = kernel.reshape(-1)
-    np.conjugate(chirp, out=flat[:m])
+                      twiddle_lo=_unit_roots(k1 * np.arange(r), n1 * n2),
+                      kernel=np.empty((n1 // 2 + 1, n2), dtype=complex))
+    buf = plan.buffer()
+    flat = buf.reshape(-1)
+    s, low, high = _mirror(chirp, 0, m, m)
+    np.conjugate(low, out=flat[:s])
+    np.conjugate(high, out=flat[s:m])
+    flat[m:1 - m] = 0
     flat[:-m:-1] = flat[1:m]
-    _four_step(plan, kernel)
-    kernel /= n1 * n2
+    _four_step(plan, buf)
+    np.divide(buf[:len(plan.kernel)], n1 * n2, out=plan.kernel)
     return plan
 
 
@@ -429,9 +456,11 @@ def _four_step(plan: _ChirpPlan, v: np.ndarray, kernel: np.ndarray | None = None
 
 def _rows(plan: _ChirpPlan, v: np.ndarray, kernel: np.ndarray | None, lo: int, hi: int, _):
     """The row steps on the leaf of rows lo..hi of `v`: twiddle, transform axis
-    1; with a `kernel`, multiply, inverse-transform axis 1, twiddle back.  Each
-    element meets the whole-buffer passes' operations in their order, so the
-    bits do not change."""
+    1; with a `kernel` (a plan's half), multiply, inverse-transform axis 1,
+    twiddle back.  A leaf that straddles the kernel's last stored row takes two
+    products, the second by the mirrored rows' reversed view.  Each element
+    meets the whole-buffer passes' operations in their order, so the bits do
+    not change."""
     part = v[lo:hi]
     twiddled = part.reshape(-1, plan.twiddle_hi.shape[1], plan.twiddle_lo.shape[1])
     th, tl = plan.twiddle_hi[lo:hi, :, None], plan.twiddle_lo[lo:hi, None, :]
@@ -439,7 +468,9 @@ def _rows(plan: _ChirpPlan, v: np.ndarray, kernel: np.ndarray | None, lo: int, h
     twiddled *= tl
     fft.fft(part, axis=1, overwrite_x=True)
     if kernel is not None:
-        part *= kernel[lo:hi]
+        s, low, high = _mirror(kernel, lo, hi, plan.n1)
+        part[:s - lo] *= low
+        part[s - lo:] *= high[:, ::-1]
         fft.ifft(part, axis=1, norm="forward", overwrite_x=True)
         twiddled *= th.conj()
         twiddled *= tl.conj()
@@ -448,10 +479,12 @@ def _rows(plan: _ChirpPlan, v: np.ndarray, kernel: np.ndarray | None, lo: int, h
 def _chirp_z(x: np.ndarray, inverse: bool) -> np.ndarray:
     """The unscaled DFT of the complex 1-D `x` (e^{+} phases when `inverse`), in place.
 
-    X_k = c_k sum_j (x_j c_j) conj c_{k-j}, c_j = e^{-i pi j^2 / m}: a
-    convolution, run as one four-step convolution of length N with the cached
-    kernel.  The inverse is conj DFT(conj x).  The chirp products and the zero
-    fill run as leaves of `_in_leaves`, the rest in `_four_step`.
+    X_k = c_k sum_j (x_j c_j) conj c_{k-j}, c the plan's chirp
+    (`_chirp_plan`): a convolution, run as one four-step convolution of length
+    N with the cached kernel.  The inverse is conj DFT(conj x).  The chirp
+    products and the zero fill run as leaves of `_in_leaves`, the rest in
+    `_four_step`; a product takes the stored half of the chirp, then its
+    reversed view (`_mirror`).
     """
     m = x.size
     plan = _plan(m)
@@ -461,11 +494,15 @@ def _chirp_z(x: np.ndarray, inverse: bool) -> np.ndarray:
     def chirp_in(lo, hi, _):
         mid = min(max(lo, m), hi)
         head = np.conjugate(x[lo:mid], out=flat[lo:mid]) if inverse else x[lo:mid]
-        np.multiply(head, plan.chirp[lo:mid], out=flat[lo:mid])
+        s, low, high = _mirror(plan.chirp, lo, mid, m)
+        np.multiply(head[:s - lo], low, out=flat[lo:s])
+        np.multiply(head[s - lo:], high, out=flat[s:mid])
         flat[mid:hi] = 0
 
     def chirp_out(lo, hi, _):
-        np.multiply(flat[lo:hi], plan.chirp[lo:hi], out=x[lo:hi])
+        s, low, high = _mirror(plan.chirp, lo, hi, m)
+        np.multiply(flat[lo:s], low, out=x[lo:s])
+        np.multiply(flat[s:hi], high, out=x[s:hi])
         if inverse:
             np.conjugate(x[lo:hi], out=x[lo:hi])
 
@@ -741,12 +778,24 @@ def gap_summary(spec: SpectralData) -> GapSummary:
 
     The walk is connected iff no nonzero character has lambda == 1 exactly
     (see `eigenvalues`); a disconnected walk has gamma = 0 and t_rel = inf.
+    Each leaf of `_leaves` tests lambda == 1 and takes its least 1 - Re lambda
+    and 1 - |lambda| in its run's scratch, so no row-sized temporary is made;
+    a min is exact, so the leaves do not change it.
     """
     lam = spec.eigenvalues[1:]
-    connected = not bool(np.any(lam == 1.0))
-    gamma = float(np.min(1.0 - lam.real)) if connected else 0.0
+
+    def extremes(lo, hi, scratch):
+        x = scratch[0, :hi - lo]
+        invariant = np.equal(lam[lo:hi], 1.0, out=scratch[1].view(bool)[:hi - lo]).any()
+        gap = np.subtract(1.0, lam.real[lo:hi], out=x).min()
+        np.abs(lam[lo:hi], out=x)
+        return invariant, gap, np.subtract(1.0, x, out=x).min()
+
+    invariant, gaps, absolute_gaps = zip(*_in_leaves(extremes, _leaves(lam.size), 2))
+    connected = not any(invariant)
+    gamma = float(np.min(gaps)) if connected else 0.0
     t_rel = 1.0 / gamma if gamma > 0.0 else math.inf
-    gamma_star = float(np.min(1.0 - np.abs(lam)))
+    gamma_star = float(np.min(absolute_gaps))
     return GapSummary(gamma=gamma, t_rel=t_rel, gamma_star=gamma_star, connected=connected)
 
 

@@ -17,7 +17,8 @@ on one thread, where the library runs leaves over threads.
 `unfused_chirp_plan` and
 `chirp_z_unfused` run the Bluestein transform as separate passes over the whole
 buffer on one thread, where the library fuses the four-step's row steps into
-cache-sized leaves and splits every long pass over threads.  `exact_sum` is
+cache-sized leaves and splits every long pass over threads; `chirp_phases`
+gives the chirp's integer phases one j at a time.  `exact_sum` is
 `math.fsum` through the library's exact integer sum, which `tv_exact` runs per
 leaf.
 """
@@ -370,36 +371,56 @@ def _four_step_unfused(plan, v: np.ndarray, inverse: bool):
     transform(v, axis=axes[1], norm=norm, overwrite_x=True)
 
 
-def unfused_chirp_plan(plan):
-    """`plan` (a `spectral._chirp_plan`) with its chirp from the integer phases
-    j^2 mod 2m and its kernel transformed by `_four_step_unfused`."""
-    m = plan.chirp.size
-    phase = np.arange(m, dtype=np.int64) ** 2 % (2 * m)
+def chirp_phases(m: int) -> np.ndarray:
+    """The integer phases p_j = j (j + m) mod 2m, 0 <= j < m, of the chirp
+    e^{-2 pi i p_j / 2m}, each from its own j in Python ints."""
+    return np.array([j * (j + m) % (2 * m) for j in range(m)])
+
+
+def _expand(half: np.ndarray, size: int) -> list[tuple[slice, np.ndarray]]:
+    """The length-`size` table with f[j] = f[size - j] whose head is `half`, as
+    (slice, view) pairs: the head, then the rest as its reversed view, each
+    pair a whole-table pass."""
+    h = len(half)
+    return [(slice(0, h), half), (slice(h, size), half[size - h:0:-1])]
+
+
+def unfused_chirp_plan(plan, m: int):
+    """`plan` (a `spectral._chirp_plan(m)`) with its half chirp from the integer
+    phases of `chirp_phases` and its half kernel transformed by
+    `_four_step_unfused` from the whole-length input."""
+    phase = chirp_phases(m)[:m // 2 + 1]
     phase[phase > m] -= 2 * m
     chirp = np.exp(-2j * np.pi * (phase / (2 * m)))
     kernel = np.zeros((plan.n1, plan.n2), dtype=complex)
     flat = kernel.reshape(-1)
-    np.conjugate(chirp, out=flat[:m])
+    for part, c in _expand(chirp, m):
+        np.conjugate(c, out=flat[part])
     flat[:-m:-1] = flat[1:m]
     _four_step_unfused(plan, kernel, inverse=False)
     kernel /= plan.n1 * plan.n2
-    return dataclasses.replace(plan, chirp=chirp, kernel=kernel)
+    return dataclasses.replace(plan, chirp=chirp, kernel=kernel[:plan.n1 // 2 + 1].copy())
 
 
 def chirp_z_unfused(plan, x: np.ndarray, inverse: bool) -> np.ndarray:
-    """`spectral._chirp_z(x, inverse)` on `plan` as whole-buffer passes, in place."""
+    """`spectral._chirp_z(x, inverse)` on `plan` as whole-buffer passes, in
+    place: each product by a half table is two passes, one by the stored half
+    and one by its reversed view, the kernel's reversed along both axes
+    (K[k1, k2] = K[n1 - k1, n2 - 1 - k2])."""
     m = x.size
     buf = np.zeros((plan.n1, plan.n2), dtype=complex)
     head = buf.reshape(-1)[:m]
     if inverse:
         np.conjugate(x, out=head)
-        head *= plan.chirp
-    else:
-        np.multiply(x, plan.chirp, out=head)
+    for part, c in _expand(plan.chirp, m):
+        np.multiply(head[part] if inverse else x[part], c, out=head[part])
     _four_step_unfused(plan, buf, inverse=False)
-    buf *= plan.kernel
+    h1 = len(plan.kernel)
+    buf[:h1] *= plan.kernel
+    buf[h1:] *= plan.kernel[plan.n1 - h1:0:-1, ::-1]
     _four_step_unfused(plan, buf, inverse=True)
-    np.multiply(head, plan.chirp, out=x)
+    for part, c in _expand(plan.chirp, m):
+        np.multiply(head[part], c, out=x[part])
     if inverse:
         np.conjugate(x, out=x)
     return x

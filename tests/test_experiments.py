@@ -367,9 +367,11 @@ def test_replicate_threads_build_the_chirp_plan_once(monkeypatch, two_cpus, reco
     # plan as their first spectra start; a build slowed by 50 ms makes the
     # second ask while the first builds, and it waits rather than builds
     four_step = spectral._four_step
+    builds = []
 
     def slow_build(plan, v, kernel=None):
-        if v is plan.kernel:  # the plan's own kernel transform
+        if kernel is None:  # the plan's own kernel transform
+            builds.append(threading.current_thread())
             time.sleep(0.05)
         return four_step(plan, v, kernel)
 
@@ -377,6 +379,7 @@ def test_replicate_threads_build_the_chirp_plan_once(monkeypatch, two_cpus, reco
     spectral._chirp_plan.cache_clear()
     run_cutoff_profile(_config(command="cutoff-profile", moduli=(32771,), k=8, replicates=4))
     assert recorded_threads == [2]
+    assert len(builds) == 1
     assert spectral._chirp_plan.cache_info().misses == 1
 
 
@@ -571,7 +574,7 @@ PINNED_STDOUT = {
     "cutoff-profile --group 2,2,2,2,2,2,2,2,2,2,2,2 --k 30 --seed 3 --replicates 2":
         "a694c55c444b32f8b10602a2053c23b8edfb63ca20db79332d71fa8f86cc5b74",
     "cutoff-profile --group 262147 --k 14 --seed 5 --replicates 2 --model directed":
-        "91f697545446bc24c1bb148afe447b882d1911b0eeed80ed5e478910e2e0e52d",
+        "6c5797d47297aa35de6baa42583d97e658f77818d44784b7d46953075fedc09e",
     "verify --seed 1 --only cos_taylor":
         "cd167925de65f03bbd84204cdba5314df73b186c7c0a0bcbe70f4608fdfcea8b",
     # t_{-40} and t_{-30} clamp to 0, so two zero times share one row pair
@@ -589,25 +592,25 @@ PINNED_STDOUT = {
     "gap-scan --group 128,160 --k 12 --seed 4 --replicates 6":
         "21cd5a10d3ebecfc168c8b1f332b7fe1a1211853d7904c267039b68bb765ee56",
     "cutoff-profile --group 131101 --k 14 --model directed --seed 2 --replicates 2":
-        "e8beb77e786e9bf3fe31dfc76bd1e48b3abaa59e8c22d582c307e3d5ab4dd7cc",
+        "81525300fee3b1c7eb57991f446def9de2e3347c0251b319945950befbd9b056",
     "cutoff-profile --group 100003 --k 40 --seed 3 --replicates 4":
-        "f570b7248a23ea604dbb97fed7608518fe86b0366d986e3e2ee6859b45931a84",
+        "ce454790e06defe53a01bb5ab4cbbf2a29c37b83303a362da79896515d03b7c4",
     "cutoff-profile --group 100003 --k 40 --seed 3 --replicates 4 --jobs 2":
-        "f570b7248a23ea604dbb97fed7608518fe86b0366d986e3e2ee6859b45931a84",
+        "ce454790e06defe53a01bb5ab4cbbf2a29c37b83303a362da79896515d03b7c4",
     # one replicate from ROW_BLOCK to LONG_AXIS elements: the four-step, with
     # every longer pass in leaves on the main thread's pool; at 131101 the
     # weights pass splits its 65551 slab planes, and 100003 has a real slab
     "tv-curve --group 131101 --k 14 --model directed --seed 2 --t-grid 0.9:40:6":
-        "97fcc0a88e62387578041503541f5362fe9f739153eb6234e0b728a6cd21a1a6",
+        "93cf2bf20ece39dc47efd8d4776a823bc06dbbcb883ae1f76a338ea8f4480619",
     "tv-curve --group 100003 --k 40 --seed 3 --t-grid 0.5:80:8":
-        "55375d1fa2e425c93524b4370d06c19db78671950b996c8fbc6963102698b66d",
+        "3f01085ec20ab5b9dd482b05a55689a769558835fbffca45ebb7f049056351c6",
     # n >= LONG_AXIS: the four-step Bluestein, its passes in leaves on the main
     # thread's pool, then serially in each --jobs worker
     "tv-curve --group 262147 --k 14 --model directed --seed 7 --t-grid 0.9:40:6":
-        "73325d62361af53bef115ddaaa9158c690f06d10b2fe32fa7ff30f3c559649b0",
+        "b141750d9e8bf790d4e309be7cb8a35e72a20f0f25723f3b9cb4ea21dbc19954",
     "tv-curve --group 262147 --k 14 --model directed --seed 7 --t-grid 0.9:40:6"
     " --replicates 2 --jobs 2":
-        "5a306cd68b91c33fd7040050103cb557366bedf1368566cbab930a03b58ab2a4",
+        "2ce2f2a0de092c4ee7e31e65ffd964fb147d08949eac8e69b39cf483f522cd43",
     # unsorted alpha with a clamped t = 0, and the cutoff times through a process pool
     "cutoff-profile --group 1009 --k 20 --seed 2 --alpha=1.5,-1,0,-40,0.5 --replicates 3":
         "7a9f108d2cfe6755b72cb1abcc2fb6f03d06f5c6f8cf2891ba9b6ae5862fe24d",

@@ -2,6 +2,7 @@ import functools
 import math
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -19,7 +20,7 @@ from cayley_cutoff.spectral import (ROW_TOL, HeatKernelRow,
                                     gap_summary, heat_kernel_row, l2_bound,
                                     tv_exact)
 
-from conftest import (add, chirp_z_unfused, dense_transition, exact_sum,
+from conftest import (add, chirp_phases, chirp_z_unfused, dense_transition, exact_sum,
                       full_spectrum_row, heat_kernel_row_unfused, invariant_characters_oracle, neg,
                       tv_from_uniform, unfused_chirp_plan, uniformized_row, zero)
 
@@ -179,7 +180,7 @@ def test_dft_is_numpy_fftn_bit_for_bit(shape):
 
 
 @pytest.mark.parametrize("shape, chirp_axis", [((262147,), None), ((101,), 101),
-                                               ((100003,), 100003)])
+                                               ((100003,), 100003), ((32822,), None)])
 def test_chirp_z_matches_numpy(monkeypatch, shape, chirp_axis):
     """`_dft` on the four-step Bluestein path, forward and inverse, against
     numpy's transform of the same input in long double.
@@ -227,7 +228,7 @@ def test_chirp_z_matches_numpy(monkeypatch, shape, chirp_axis):
     assert _dft(z) is z
 
 
-@pytest.mark.parametrize("m, chirp_axis", [(262147, None), (100003, 100003)])
+@pytest.mark.parametrize("m, chirp_axis", [(262147, None), (100003, 100003), (32822, None)])
 def test_chirp_z_matches_unfused_passes(monkeypatch, m, chirp_axis):
     """The fused row steps and the threaded leaves of `_chirp_z` and its plan
     give the bits of the whole-buffer passes they replaced, forward and inverse."""
@@ -235,7 +236,7 @@ def test_chirp_z_matches_unfused_passes(monkeypatch, m, chirp_axis):
         monkeypatch.setattr(spectral, "CHIRP_AXIS", chirp_axis)
     spectral._chirp_plan.cache_clear()
     plan = spectral._chirp_plan(m)
-    oracle = unfused_chirp_plan(plan)
+    oracle = unfused_chirp_plan(plan, m)
     assert np.array_equal(plan.chirp, oracle.chirp)
     assert np.array_equal(plan.kernel, oracle.kernel)
     rng = replicate_rng(39, 0)
@@ -243,6 +244,47 @@ def test_chirp_z_matches_unfused_passes(monkeypatch, m, chirp_axis):
     for inverse in (False, True):
         assert np.array_equal(spectral._chirp_z(z.copy(), inverse),
                               chirp_z_unfused(oracle, z.copy(), inverse))
+    spectral._chirp_plan.cache_clear()
+
+
+@pytest.mark.parametrize("m", [100003, 32822])
+def test_chirp_plan_holds_half_of_each_table(monkeypatch, m):
+    """At an odd prime and at an even m = 2 * 16411 that is not 11-smooth, the
+    plan keeps c_j for j <= m // 2 and kernel rows 0 .. n1 // 2; the full
+    chirp read through the mirror c_{m-j} = c_j is the integer-phase chirp bit
+    for bit, and a Bluestein chirp.  The build allocates nothing past the
+    plan's tables and the buffer it is transformed in but its leaves'
+    scratch: no full-length chirp (16 m bytes) or kernel.  The build runs on
+    one thread: each thread's broadcast twiddle product takes a numpy buffer
+    of up to 8192 complex values (128 KiB), and two of them at once would
+    fill the 8 m bytes at m = 32822 whenever the threads overlap."""
+    monkeypatch.setattr(spectral, "_fft_workers", lambda: 1)
+    spectral._chirp_plan.cache_clear()
+    tracing = tracemalloc.is_tracing()  # a caller's tracing is left on
+    if tracing:
+        tracemalloc.reset_peak()
+    else:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        plan = spectral._chirp_plan(m)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert plan.chirp.shape == (m // 2 + 1,)
+    assert plan.kernel.shape == (plan.n1 // 2 + 1, plan.n2)
+    held = sum(a.nbytes for a in (plan.chirp, plan.kernel, plan.twiddle_hi,
+                                  plan.twiddle_lo, plan.buffer()))
+    assert peak - held < 8 * m
+    phase = chirp_phases(m)
+    phase[phase > m] -= 2 * m
+    h = plan.chirp.size
+    full = np.concatenate([plan.chirp, plan.chirp[m - h:0:-1]])
+    assert np.array_equal(full, np.exp(-2j * np.pi * (phase / (2 * m))))
+    j = np.arange(8)  # Bluestein's identity c_j c_k conj c_{k-j} = w^{jk}, c_{-i} = c_{m-i}
+    bluestein = full[j, None] * full[j] * np.conjugate(full[j - j[:, None]])
+    assert np.allclose(bluestein, np.exp(-2j * np.pi * np.outer(j, j) / m), rtol=0, atol=1e-12)
     spectral._chirp_plan.cache_clear()
 
 
@@ -828,6 +870,27 @@ def test_gap_summary_examples():
     g, Z = _instance([2], [(1,)])
     gaps = gap_summary(eigenvalues(g, Z, "undirected"))
     assert abs(gaps.gamma - 2.0) < 1e-15 and abs(gaps.gamma_star) < 1e-15
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_gap_summary_leaves_match_whole_array(monkeypatch, workers):
+    """`gap_summary`, taken leaf by leaf, gives the whole-array formulas' bits
+    on spectra of several leaves: a connected directed walk at 262147, and a
+    walk on Z_{2 * 65537} whose generators are all even, so that the invariant
+    character n / 2 lies past the first leaf."""
+    monkeypatch.setattr(spectral, "_fft_workers", lambda: workers)
+    g = make_group([262147])
+    specs = [eigenvalues(g, sample_generators(g, 14, replicate_rng(45, 0)), "directed")]
+    g = make_group([2 * 65537])
+    Z = sample_generators(g, 14, replicate_rng(45, 1))
+    specs.append(eigenvalues(g, GeneratorMultiset(Z.generators // 2 * 2), "undirected"))
+    for spec, connected in zip(specs, (True, False)):
+        lam = spec.eigenvalues[1:]
+        assert lam.size > spectral.ROW_BLOCK
+        gaps = gap_summary(spec)
+        assert gaps.connected == connected == (not np.any(lam == 1.0))
+        assert gaps.gamma == (float(np.min(1.0 - lam.real)) if connected else 0.0)
+        assert gaps.gamma_star == float(np.min(1.0 - np.abs(lam)))
 
 
 def test_cheeger_bounds_formulas():
