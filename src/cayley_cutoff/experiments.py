@@ -339,9 +339,8 @@ def default_t_grid(n: int, k: int, model: str) -> np.ndarray:
 def _curve_worker(config: ExperimentConfig, grid: np.ndarray, r: int) -> list[dict]:
     _, spec, gaps, head = _instance(config, r)
     grid = [float(t) for t in grid]
-    return [{**head, "t": t, "tv": tv, "l2_bound": spectral.l2_bound(spec, t),
-             "gamma": gaps.gamma}
-            for t, tv in zip(grid, _tv_at(spec, grid))]
+    return [{**head, "t": t, "tv": tv, "l2_bound": l2, "gamma": gaps.gamma}
+            for t, tv, l2 in zip(grid, _tv_at(spec, grid), spectral.l2_bound(spec, grid))]
 
 
 def run_tv_curve(config: ExperimentConfig) -> tuple[str, list[dict]]:

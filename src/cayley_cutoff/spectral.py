@@ -23,7 +23,10 @@ convolution buffer with the plan (`_ChirpPlan.buffer`), where pocketfft's
 Bluestein allocates its padded buffers per call: on the replicate threads those
 pages were faulted in afresh every replicate, 73,112 minor faults per warm run
 of `cutoff-profile --group 100003 --k 400 --alpha=-1.5,0,1.5 --replicates 20
---seed 1` against 5.  These transforms are not bit-identical to numpy's:
+--seed 1` against 5.  The histogram and a row's weights go into the buffer's
+head and a row is returned as a view of the buffer, so no row-sized array sits
+beside it; a buffer is handed out only when nothing else references it, so a
+kept row is never overwritten.  These transforms are not bit-identical to numpy's:
 against pocketfft they move `tv-curve --group 1000003 --k 14 --model directed
 --seed 7 --t-grid 0.9:45:24` by at most 7.8e-16 in TV (24 of 24 rows),
 1.4e-14 in `l2_bound` and 2.2e-16 in gamma, and that `cutoff-profile` run by
@@ -65,6 +68,7 @@ import functools
 import math
 import multiprocessing
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -173,11 +177,6 @@ class SpectralData:
         half = self.eigenvalues.reshape(moduli)[(slice(None),) * a + (slice(moduli[a] // 2 + 1),)]
         return a, half, not half.imag.any()
 
-    @functools.cached_property
-    def _decay_rates(self) -> np.ndarray:
-        """1 - Re lambda_x for x != 0, once per spectrum: every `l2_bound` reads them."""
-        return 1.0 - self.eigenvalues.real[1:]
-
 
 @dataclass(frozen=True)
 class HeatKernelRow:
@@ -240,15 +239,17 @@ def _dft(a: np.ndarray, inverse: bool = False) -> np.ndarray:
     57 eps log2(N) of the exact transform in relative 2-norm (N its padded
     length; the constant is derived in
     tests/test_spectral.py::test_chirp_z_matches_numpy).  A complex `a` is the
-    transform's work buffer and may be overwritten (the four-step returns `a`
-    itself); any other `a` is first copied to complex.  Below CHIRP_AXIS the
-    spectrum's transform is therefore numpy's; a heat-kernel row's is not, as
-    its Hermitian-filled weights differ from the full-spectrum ones in the last
-    bits.
+    transform's work buffer and may be overwritten (the four-step copies it
+    into the convolution buffer and returns `a` itself); any other `a` is first
+    copied to complex.  Below CHIRP_AXIS the spectrum's transform is therefore
+    numpy's; a heat-kernel row's is not, as its Hermitian-filled weights differ
+    from the full-spectrum ones in the last bits.
     """
     out = a.astype(complex, copy=False)
     if _on_chirp(out.shape):
-        return _chirp_z(out, inverse)
+        buf = _plan(out.size).buffer()
+        buf.reshape(-1)[:out.size] = out
+        return _chirp_z(buf, out, inverse)
     transform = fft.ifft if inverse else fft.fft
     norm = "forward" if inverse else "backward"
     for axis in range(out.ndim - 1, -1, -1):
@@ -362,12 +363,15 @@ class _ChirpPlan:
     scratch: threading.local = field(default_factory=threading.local)
 
     def buffer(self) -> np.ndarray:
-        """This thread's (n1, n2) convolution buffer, allocated on its first use
-        and kept until the plan leaves the cache, so no replicate faults in
-        fresh pages.  Scratch only: no result is a view of it."""
-        if not hasattr(self.scratch, "buf"):
-            self.scratch.buf = np.empty((self.n1, self.n2), dtype=complex)
-        return self.scratch.buf
+        """This thread's (n1, n2) convolution buffer, kept until the plan leaves
+        the cache, so no replicate faults in fresh pages.  A row is a view of
+        it (a view's `base` is the buffer), so it is handed out only when
+        nothing else references it; otherwise a fresh one is kept in its place.
+        A transform passes its buffer along, as a second call allocates."""
+        buf = getattr(self.scratch, "buf", None)
+        if buf is None or sys.getrefcount(buf) > 3:  # the kept one, `buf` and the argument
+            buf = self.scratch.buf = np.empty((self.n1, self.n2), dtype=complex)
+        return buf
 
 
 def _unit_roots(phase: np.ndarray, period: int) -> np.ndarray:
@@ -476,64 +480,77 @@ def _rows(plan: _ChirpPlan, v: np.ndarray, kernel: np.ndarray | None, lo: int, h
         twiddled *= tl.conj()
 
 
-def _chirp_z(x: np.ndarray, inverse: bool) -> np.ndarray:
-    """The unscaled DFT of the complex 1-D `x` (e^{+} phases when `inverse`), in place.
+def _chirp_z(buf: np.ndarray, out: np.ndarray, inverse: bool) -> np.ndarray:
+    """The unscaled DFT (e^{+} phases when `inverse`) of the head of `buf`, this
+    thread's `_plan(m).buffer()`, into the 1-D `out` of m values, which may be that head.
 
     X_k = c_k sum_j (x_j c_j) conj c_{k-j}, c the plan's chirp
     (`_chirp_plan`): a convolution, run as one four-step convolution of length
     N with the cached kernel.  The inverse is conj DFT(conj x).  The chirp
-    products and the zero fill run as leaves of `_in_leaves`, the rest in
-    `_four_step`; a product takes the stored half of the chirp, then its
-    reversed view (`_mirror`).
+    products and the zero fill run in place in `buf`, as leaves of
+    `_in_leaves`, the rest in `_four_step`; a product takes the stored half of
+    the chirp, then its reversed view (`_mirror`).
     """
-    m = x.size
+    m = out.size
     plan = _plan(m)
-    buf = plan.buffer()
     flat = buf.reshape(-1)
 
     def chirp_in(lo, hi, _):
         mid = min(max(lo, m), hi)
-        head = np.conjugate(x[lo:mid], out=flat[lo:mid]) if inverse else x[lo:mid]
+        head = flat[lo:mid]
+        if inverse:
+            np.conjugate(head, out=head)
         s, low, high = _mirror(plan.chirp, lo, mid, m)
-        np.multiply(head[:s - lo], low, out=flat[lo:s])
-        np.multiply(head[s - lo:], high, out=flat[s:mid])
+        np.multiply(head[:s - lo], low, out=head[:s - lo])
+        np.multiply(head[s - lo:], high, out=head[s - lo:])
         flat[mid:hi] = 0
 
     def chirp_out(lo, hi, _):
         s, low, high = _mirror(plan.chirp, lo, hi, m)
-        np.multiply(flat[lo:s], low, out=x[lo:s])
-        np.multiply(flat[s:hi], high, out=x[s:hi])
+        np.multiply(flat[lo:s], low, out=out[lo:s])
+        np.multiply(flat[s:hi], high, out=out[s:hi])
         if inverse:
-            np.conjugate(x[lo:hi], out=x[lo:hi])
+            np.conjugate(out[lo:hi], out=out[lo:hi])
 
     _in_leaves(chirp_in, _leaves(flat.size))
     _four_step(plan, buf, plan.kernel)
     _in_leaves(chirp_out, _leaves(m))
-    return x
+    return out
 
 
 def eigenvalues(group: GroupSpec, Z: GeneratorMultiset, model: str) -> SpectralData:
     """lambda_x = (1/k) sum_i cos(2 pi x_bar.Z_i), or the character value when directed.
 
-    Computed as the inverse DFT of the generator histogram.  Invariant
-    characters (x = 0 among them) are set to exactly 1.0; every other
-    character keeps Re lambda < 1, so its gap 1 - Re lambda stays positive.
+    Computed as the inverse DFT of the generator histogram; the four-step
+    route writes it into the convolution buffer, freed before the spectrum is
+    made.  Invariant characters (x = 0 among them) are set to exactly 1.0;
+    every other character keeps Re lambda < 1, so its gap 1 - Re lambda stays
+    positive.  A candidate lies within INVARIANT_CANDIDATE_TOL of 1, screened
+    on |Re lambda - 1| in a float row per leaf before numpy's slow hypot.
     """
     entropic._check_model(model)
-    hist = np.bincount(index_of(group, Z.generators), minlength=group.n)
+    n = group.n
+    hist = np.bincount(index_of(group, Z.generators), minlength=n)
     distinct = element_of(group, np.flatnonzero(hist))  # np.unique's rows, in its order
-    lam = _dft(hist.reshape(group.moduli), inverse=True).reshape(-1)
-    del hist  # freed as its transform returns
+    if _on_chirp(group.moduli):
+        buf = _plan(n).buffer()
+        buf.reshape(-1)[:n] = hist
+        del hist
+        lam = _chirp_z(buf, np.empty(n, dtype=complex), True)
+    else:
+        lam = _dft(hist.reshape(group.moduli), inverse=True).reshape(-1)
+        del hist  # freed as its transform returns
     lam /= Z.k
     if model == "undirected":
         lam.imag = 0.0
 
     def candidates(lo, hi, scratch):
-        shifted, distance = scratch[0, :hi - lo], scratch[1].view(float)[:hi - lo]
-        np.abs(np.subtract(lam[lo:hi], 1.0, out=shifted), out=distance)
-        return np.flatnonzero(distance <= INVARIANT_CANDIDATE_TOL) + lo
+        shifted = np.subtract(lam.real[lo:hi], 1.0, out=scratch[0, :hi - lo])
+        near = np.flatnonzero(np.abs(shifted, out=shifted) <= INVARIANT_CANDIDATE_TOL)
+        distance = np.hypot(shifted[near], lam.imag[lo:hi][near])
+        return near[distance <= INVARIANT_CANDIDATE_TOL] + lo
 
-    near = np.concatenate(_in_leaves(candidates, _leaves(lam.size), 2, dtype=complex))
+    near = np.concatenate(_in_leaves(candidates, _leaves(n), 1))
     # Rounding must not close a gap below float resolution: only the exactly
     # invariant characters reach 1.
     lam[near] = np.minimum(lam[near].real, np.nextafter(1.0, 0.0)) + 1j * lam[near].imag
@@ -541,8 +558,8 @@ def eigenvalues(group: GroupSpec, Z: GeneratorMultiset, model: str) -> SpectralD
     return SpectralData(group=group, eigenvalues=lam)
 
 
-def _packed_weights(spec: SpectralData, times: list[float]) -> np.ndarray:
-    """w(t_1) + i w(t_2), w_x = e^{-t(1-lambda_x)}, computed on half the group.
+def _packed_weights(spec: SpectralData, times: list[float], out: np.ndarray) -> np.ndarray:
+    """w(t_1) + i w(t_2), w_x = e^{-t(1-lambda_x)}, on half the group, into `out` (shape moduli).
 
     The exponentials run on the slab x_a in [0, m_a // 2] of the axis a with the
     largest modulus (`SpectralData._slab`), with a real exp when the slab's
@@ -553,7 +570,7 @@ def _packed_weights(spec: SpectralData, times: list[float]) -> np.ndarray:
     and negated along the other axes (`_negate`) when there are any.  numpy's
     exp gives each element the same bits at any offset or stride, so the leaves
     do not change them.
-    A zero time, or a missing second time, has zero weights.  Shape `moduli`.
+    A zero time, or a missing second time, has zero weights.
     """
     moduli = spec.group.moduli
     a, half, real = spec._slab
@@ -561,7 +578,6 @@ def _packed_weights(spec: SpectralData, times: list[float]) -> np.ndarray:
     lead = (slice(None),) * a
     others = tuple(b for b in range(len(moduli)) if b != a)
     pair = len(times) == 2 and times[1] > 0
-    out = np.empty(moduli, dtype=complex)
     own = 1 if real else 2  # scratch rows of a leaf's two weights; then `_negate`'s
 
     def fill(lo, hi, scratch):
@@ -614,20 +630,20 @@ def heat_kernel_row(spec: SpectralData, t) -> HeatKernelRow:
     in `probs` (shape (len(t), n)).  A row is real because its weights are
     Hermitian (w_{-x} = conj w_x), so one complex transform of w(t_1) + i w(t_2)
     carries row t_1 in its real part and row t_2 in its imaginary part, and
-    `probs` is a view of that transform's output.  The weights are computed on
+    `probs` is a view of that transform's output: on the four-step route, this
+    thread's convolution buffer, which every pass from the weights on runs in,
+    so a kept row holds about 2n complex values.  The weights are computed on
     half the group and filled as conj w_{-x} (`_packed_weights`), so no row is
     bit-identical to numpy's `fftn` of the full-spectrum weights.  A row at
     t = 0 is the indicator of 0 and packs zero weights; a call whose times are
     all 0 takes no transform.  One pass over the leaves of `_leaves` scales by
-    1/n and takes each row's min, sum, clamp and clamped sum; the guards read them
-    in order (row 0's min and mass, then row 1's), and a second divides each
-    row by its clamped sum: the bits of whole-row passes.
+    1/n and takes each row's min, sum, clamp and clamped sum; the guards read
+    them in order (row 0's min and mass, then row 1's), and a second divides
+    each row by its clamped sum: the bits of whole-row passes.
     """
     if np.ndim(t) > 1 or not 1 <= np.size(t) <= 2:
         raise ValueError("t must be a time or a pair of times")
-    times = [float(s) for s in np.atleast_1d(t)]
-    if not all(0 <= s < math.inf for s in times):
-        raise ValueError(f"t must be >= 0 and finite, got {t}")
+    times = _times(t)
     group = spec.group
     n = group.n
     t_max = max(times)
@@ -642,7 +658,11 @@ def heat_kernel_row(spec: SpectralData, t) -> HeatKernelRow:
             if drift > 0 and math.log(drift) - s * gap > math.log(ROW_TOL):
                 raise ImaginaryResidueError(
                     f"imaginary residue bound {drift:g} * e^{-s * gap:g} > {ROW_TOL:g}")
-        row = _dft(_packed_weights(spec, times)).reshape(-1)
+        if _on_chirp(group.moduli):
+            buf = _plan(n).buffer()
+            row = _chirp_z(buf, _packed_weights(spec, times, buf.reshape(-1)[:n]), False)
+        else:
+            row = _dft(_packed_weights(spec, times, np.empty(group.moduli, complex))).reshape(-1)
     else:
         row = np.zeros(n, dtype=complex)
     flat = row.view(float)
@@ -754,23 +774,34 @@ def _exact_int(x: np.ndarray, spare: np.ndarray) -> int:
     return sum(((int(h) << 26) + int(low)) << e for h, low, e in zip(highs, lows, exps))
 
 
-def l2_bound(spec: SpectralData, t: float) -> float:
+def _times(t) -> list[float]:
+    """A time, or a 1-D sequence of times, as floats, each >= 0 and finite."""
+    times = [float(s) for s in np.ravel(t)]
+    if np.ndim(t) > 1 or not all(0 <= s < math.inf for s in times):
+        raise ValueError(f"t must be >= 0 and finite, got {t}")
+    return times
+
+
+def l2_bound(spec: SpectralData, t) -> float | list[float]:
     """L2 upper bound on TV: half the root of sum_{x!=0} e^{-2t(1-Re lambda_x)}.
 
-    The exponentials are summed per leaf of `_leaves`, in its run's scratch,
-    and the leaf sums added in the tree's order: the bits of the whole array's
-    `np.sum`.
+    `t` is a time, or a sequence of times with one bound each.  Each leaf of
+    `_leaves` forms 1 - Re lambda once in its run's scratch and, per time, sums
+    the exponentials in a second row there; the leaf sums are added in the
+    tree's order: the bits of the whole array's `np.sum`, at each time.
     """
-    if not 0 <= t < math.inf:
-        raise ValueError(f"t must be >= 0 and finite, got {t}")
-    rates = spec._decay_rates
-    leaves = _leaves(rates.size)
+    times = _times(t)
+    lam = spec.eigenvalues
+    leaves = _leaves(lam.size - 1)
 
     def terms(lo, hi, scratch):
-        decay = np.multiply(-2.0 * t, rates[lo:hi], out=scratch[0, :hi - lo])
-        return np.exp(decay, out=decay).sum()
+        rate, decay = scratch[0, :hi - lo], scratch[1, :hi - lo]
+        np.subtract(1.0, lam.real[lo + 1:hi + 1], out=rate)
+        return [np.exp(np.multiply(-2.0 * s, rate, out=decay), out=decay).sum() for s in times]
 
-    return 0.5 * math.sqrt(float(_leaf_total(_in_leaves(terms, leaves, 1), leaves)))
+    bounds = [0.5 * math.sqrt(float(_leaf_total(sums, leaves)))
+              for sums in zip(*_in_leaves(terms, leaves, 2))]
+    return bounds if np.ndim(t) else bounds[0]
 
 
 def gap_summary(spec: SpectralData) -> GapSummary:

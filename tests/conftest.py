@@ -403,10 +403,10 @@ def unfused_chirp_plan(plan, m: int):
 
 
 def chirp_z_unfused(plan, x: np.ndarray, inverse: bool) -> np.ndarray:
-    """`spectral._chirp_z(x, inverse)` on `plan` as whole-buffer passes, in
-    place: each product by a half table is two passes, one by the stored half
-    and one by its reversed view, the kernel's reversed along both axes
-    (K[k1, k2] = K[n1 - k1, n2 - 1 - k2])."""
+    """`spectral._dft(x, inverse)` on the four-step route (`_chirp_z`) on `plan`
+    as whole-buffer passes, in place: each product by a half table is two
+    passes, one by the stored half and one by its reversed view, the kernel's
+    reversed along both axes (K[k1, k2] = K[n1 - k1, n2 - 1 - k2])."""
     m = x.size
     buf = np.zeros((plan.n1, plan.n2), dtype=complex)
     head = buf.reshape(-1)[:m]

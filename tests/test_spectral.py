@@ -242,7 +242,7 @@ def test_chirp_z_matches_unfused_passes(monkeypatch, m, chirp_axis):
     rng = replicate_rng(39, 0)
     z = rng.normal(size=m) + 1j * rng.normal(size=m)
     for inverse in (False, True):
-        assert np.array_equal(spectral._chirp_z(z.copy(), inverse),
+        assert np.array_equal(_dft(z.copy(), inverse),
                               chirp_z_unfused(oracle, z.copy(), inverse))
     spectral._chirp_plan.cache_clear()
 
@@ -292,33 +292,108 @@ def test_chirp_buffer_is_reused_per_thread():
     """Two `_dft` calls on one thread run in one convolution buffer, another
     thread gets its own, and a reused buffer, even one left holding NaN, gives
     the bits of a fresh one.  The result is the caller's array, never the
-    buffer, and the buffers go with their plan when the cache evicts it."""
+    buffer, and the buffers go with their plan when the cache evicts it.  The
+    buffers are watched through weak references: a strong one would make the
+    next transform take a fresh buffer."""
     m = 100003
     rng = replicate_rng(44, 0)
     z = rng.normal(size=m) + 1j * rng.normal(size=m)
     spectral._chirp_plan.cache_clear()
     fresh = _dft(z.copy())
     plan = spectral._chirp_plan(m)
-    buf = plan.buffer()
-    buf[...] = np.nan
+    buf = weakref.ref(plan.buffer())
+    buf()[...] = np.nan
     again = _dft(z.copy())
-    assert spectral._chirp_plan(m) is plan and plan.buffer() is buf
-    assert np.array_equal(again, fresh) and not np.shares_memory(again, buf)
+    assert spectral._chirp_plan(m) is plan and plan.buffer() is buf()
+    assert np.array_equal(again, fresh) and not np.shares_memory(again, buf())
     other = {}
 
     def run():
         other["out"] = _dft(z.copy())
-        other["buf"] = spectral._chirp_plan(m).buffer()
+        other["buf"] = weakref.ref(spectral._chirp_plan(m).buffer())
 
     thread = threading.Thread(target=run)
     thread.start()
-    thread.join()
-    assert other["buf"] is not buf and np.array_equal(other["out"], fresh)
-    held = [weakref.ref(buf), weakref.ref(other.pop("buf"))]
-    del plan, buf
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert other["buf"]() is not buf() and np.array_equal(other["out"], fresh)
+    held = [buf, other.pop("buf")]
+    del plan
     spectral._chirp_plan(101)  # evicts the plan for m
     spectral._chirp_plan.cache_clear()
     assert [ref() for ref in held] == [None, None]
+
+
+def test_kept_rows_are_never_overwritten():
+    """At Z_100003, on the four-step route, the rows of two successive
+    `heat_kernel_row` calls, kept through a third transform, each equal a
+    fresh recomputation (copied beforehand) bit for bit and share no memory:
+    a row is a view of a convolution buffer, and a buffer something still
+    references is not handed out again.  Once both rows are dropped, the next
+    transform runs in the buffer kept with the plan.  On the main thread and
+    on a replicate thread (`_fft_workers() == 1`), each with its own buffer."""
+    g = make_group([100003])
+    spec = eigenvalues(g, sample_generators(g, 14, replicate_rng(45, 0)), "directed")
+    plan = spectral._plan(g.n)
+    pairs = [(0.5, 2.0), (1.0, 4.0)]
+
+    def check():
+        want = [heat_kernel_row(spec, t).probs.copy() for t in pairs]
+        first, second = (heat_kernel_row(spec, t) for t in pairs)
+        heat_kernel_row(spec, 3.0)
+        kept = [np.array_equal(row.probs, w) for row, w in zip((first, second), want)]
+        apart = not np.shares_memory(first.probs, second.probs)
+        del first, second
+        buf = weakref.ref(plan.buffer())
+        again = heat_kernel_row(spec, pairs[0])
+        reused = buf() is not None and np.shares_memory(again.probs, buf())
+        return [*kept, apart, reused, np.array_equal(again.probs, want[0])]
+
+    assert check() == [True] * 5
+    other = {}
+    thread = threading.Thread(target=lambda: other.update(result=check()))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and other["result"] == [True] * 5
+    spectral._chirp_plan.cache_clear()
+
+
+@pytest.mark.parametrize("model", ["undirected", "directed"])
+def test_stage_peaks_stay_beside_the_kept_buffer(monkeypatch, model):
+    """At n = 100003, with the plan and this thread's buffer warm, a row pair
+    peaks less than 16 n bytes (one complex row) above the traced size at
+    entry: its weights are written into the kept buffer and the row is a view
+    of it.  `eigenvalues` peaks less than 8 n bytes above that and the
+    spectrum it returns: the int64 histogram is written into the buffer and
+    freed before the spectrum is allocated, and its near-1 scan takes one
+    float row of scratch.  On one thread, as on a replicate thread, so that
+    no two leaf runs hold scratch at once."""
+    n = 100003
+    monkeypatch.setattr(spectral, "_fft_workers", lambda: 1)
+    g = make_group([n])
+    Z = sample_generators(g, 14, replicate_rng(46, 0))
+    spectral._chirp_plan.cache_clear()
+    heat_kernel_row(eigenvalues(g, Z, model), (0.5, 2.0))  # warms the plan and buffer
+    tracing = tracemalloc.is_tracing()  # a caller's tracing is left on
+    if not tracing:
+        tracemalloc.start()
+
+    def peak_above_entry(stage):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = stage()
+        return result, tracemalloc.get_traced_memory()[1] - before
+
+    try:
+        spec, peak = peak_above_entry(lambda: eigenvalues(g, Z, model))
+        assert peak - spec.eigenvalues.nbytes < 8 * n
+        row, peak = peak_above_entry(lambda: heat_kernel_row(spec, (0.5, 2.0)))
+        assert peak < 16 * n
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+        spectral._chirp_plan.cache_clear()
+    assert np.array_equal(row.probs, heat_kernel_row_unfused(spec, (0.5, 2.0)))
 
 
 def test_chirp_z_output_is_thread_count_free(monkeypatch):
@@ -432,6 +507,7 @@ def test_row_pair_matches_whole_array_passes(monkeypatch, moduli, model):
                 assert np.array_equal(np.atleast_2d(row.probs), want), (workers, t)
                 assert np.atleast_1d(tv_exact(row)).tolist() == tvs
                 assert [l2_bound(spec, s) for s in l2] == list(l2.values())
+                assert l2_bound(spec, list(l2)) == list(l2.values())
 
 
 def _hand_spectrum(lam):
@@ -468,7 +544,7 @@ def test_overflowing_row_still_raises(t):
     spec = _hand_spectrum([1.0, 800.0, 0.5, 800.0])
     times = [float(s) for s in np.atleast_1d(t)]
     with np.errstate(over="ignore", invalid="ignore"):
-        raw = _dft(spectral._packed_weights(spec, times))
+        raw = _dft(spectral._packed_weights(spec, times, np.empty(4, dtype=complex)))
         scaled = (raw.view(float) * (1.0 / 4)).view(complex)
         assert not np.array_equal(raw / 4, scaled, equal_nan=True)
         with pytest.raises(ValueError, match="negative probability"):
@@ -720,8 +796,8 @@ def test_non_finite_times_and_rows_raise(n):
     for t in (math.nan, math.inf, (1.0, math.nan), (math.inf, 1.0)):
         with pytest.raises(ValueError, match="t must be >= 0 and finite"):
             heat_kernel_row(spec, t)
-    for t in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="t must be >= 0 and finite"):
+    for t in (math.nan, math.inf, -1.0, [1.0, math.nan], [2.0, 1.0, -1.0]):
+        with pytest.raises(ValueError, match=r"t must be >= 0 and finite, got .*(nan|inf|-1\.0)"):
             l2_bound(spec, t)
     lam = spec.eigenvalues.copy()
     lam[5] = math.nan
