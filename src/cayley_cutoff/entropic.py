@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 MODELS = ("undirected", "directed")
 
@@ -103,6 +102,7 @@ _POISSON_CENTERED_MIN = 10 ** 4
 
 def poisson_logpmf(x, s: float):
     """log Po(s)(x) for integers x >= 0, the form scipy.stats.poisson evaluates."""
+    from scipy import special  # here, so the spectral-only commands never load scipy
     return special.xlogy(x, s) - special.gammaln(x + 1) - s
 
 
@@ -148,6 +148,7 @@ def step_distribution(model: str, s: float, reach: int = 0) -> StepDistribution:
         else:
             pmf = np.exp(poisson_logpmf(np.arange(lo, hi + 1), s))
     else:
+        from scipy import special
         lo, hi = -half, half
         # e^{-s} I_{|x|}(s): scaled Bessel, stable for any s.
         pmf = special.ive(np.abs(np.arange(lo, hi + 1)), s)

@@ -7,46 +7,47 @@ histogram (how often each element occurs among the generators), so the whole
 spectrum costs one transform.  Heat-kernel rows are real, so one more
 transform carries two of them, one in its real and one in its imaginary part.
 
-Both transforms run through `_dft`.  An axis shorter than CHIRP_AXIS = 2^15,
-or of 11-smooth length, runs on scipy's pocketfft, one axis at a time from the
+Both transforms run through `_dft`, on numpy's pocketfft (`numpy.fft`: scipy's
+bits on every shape tested, and no scipy import).  An axis shorter than
+CHIRP_AXIS = 2^15, or of 11-smooth length, runs one axis at a time from the
 last, the order numpy's `fftn` uses, which keeps the spectrum bit-identical to
-numpy's `fftn`; scipy's own `fftn` is not (it differs in the last bits at shape
-(4, 9, 25)).  A 1-D group of longer, non-smooth order n runs as Bluestein's
+numpy's `fftn`.  A 1-D group of longer, non-smooth order n runs as Bluestein's
 chirp-z (`_chirp_z`): the length-n DFT becomes a cyclic convolution of smooth
 length N = n1 n2 >= 2n - 1, and each length-N transform runs as Bailey's
-four-step FFT, batches of n1- and n2-point pocketfft transforms that stay in
-cache.  The plan, cached for one n, holds half of the chirp and half of the
-kernel's spectrum, the other halves read as reversed views (both are
-mirror-symmetric), about 24 MB at n = 10^6 + 3; scipy builds no prime-length
-plan of its own.  Each thread that transforms keeps its own (n1, n2)
-convolution buffer with the plan (`_ChirpPlan.buffer`), where pocketfft's
-Bluestein allocates its padded buffers per call: on the replicate threads those
-pages were faulted in afresh every replicate, 73,112 minor faults per warm run
-of `cutoff-profile --group 100003 --k 400 --alpha=-1.5,0,1.5 --replicates 20
---seed 1` against 5.  The histogram and a row's weights go into the buffer's
-head and a row is returned as a view of the buffer, so no row-sized array sits
-beside it; a buffer is handed out only when nothing else references it, so a
-kept row is never overwritten.  These transforms are not bit-identical to numpy's:
-against pocketfft they move `tv-curve --group 1000003 --k 14 --model directed
---seed 7 --t-grid 0.9:45:24` by at most 7.8e-16 in TV (24 of 24 rows),
-1.4e-14 in `l2_bound` and 2.2e-16 in gamma, and that `cutoff-profile` run by
-at most 3.3e-16 in TV (34 of 60).
+four-step FFT, batches of n1- and n2-point transforms that stay in cache.  The
+plan, cached for one n, holds half of the chirp and half of the kernel's
+spectrum, the other halves read as reversed views (both are mirror-symmetric),
+about 24 MB at n = 10^6 + 3; pocketfft keeps no prime-length plan of its own.
+Each thread that transforms keeps its own (n1, n2) convolution buffer with the
+plan (`_ChirpPlan.buffer`), where pocketfft's Bluestein allocates its padded
+buffers per call: on the replicate threads those pages were faulted in afresh
+every replicate, 73,112 minor faults per warm run of `cutoff-profile --group
+100003 --k 400 --alpha=-1.5,0,1.5 --replicates 20 --seed 1` against 5.  The
+histogram and a row's weights go into the buffer's head and a row is returned
+as a view of the buffer, so no row-sized array sits beside it; a buffer is
+handed out only when nothing else references it, so a kept row is never
+overwritten.  These transforms are not bit-identical to numpy's: against
+pocketfft they move `tv-curve --group 1000003 --k 14 --model directed --seed 7
+--t-grid 0.9:45:24` by at most 7.8e-16 in TV (24 of 24 rows), 1.4e-14 in
+`l2_bound` and 2.2e-16 in gamma, and that `cutoff-profile` run by at most
+3.3e-16 in TV (34 of 60).
 
-Every other pass runs through `_in_leaves`, cut by one rule (`_leaves`): the
+The long passes run through `_in_leaves`, cut by one rule (`_leaves`): the
 leaves of numpy's pairwise-summation tree (`_tree_sum`), each within ROW_BLOCK
 elements or 16 items, so the leaves depend on the sizes alone and a pass of at
-most ROW_BLOCK elements is one leaf.  Those passes are the chirp products and
-zero fill, the four-step's row steps (leaves of rows), the weights'
-exponentials with their Hermitian fill (leaves of slab planes), a row's
-scaling by 1/n, guards, clamp, sums and renormalization, the residue terms,
-the spectrum's near-1 candidates, `gap_summary`, `tv_exact` and `l2_bound`.
-`_in_leaves` runs the leaves on `_fft_workers()` threads, as pocketfft runs a
-per-axis transform's batches: one in a `--jobs` worker and on the replicate
-threads of `experiments._map_replicates`, where a pass runs leaf by leaf in
-cache.  A sum over leaves is numpy's pairwise summation cut at its own tree's
-nodes, so it keeps `np.sum`'s bits; `tv_exact` adds exactly, in any order.
-Each element takes the same operations in the same order on any thread count,
-so no output depends on it.
+most ROW_BLOCK elements is one leaf.  Those passes are the transforms along
+each axis of `_dft` and the four-step's axis 0 (`_along`, leaves of whole 1-D
+transforms), the chirp products and zero fill, the four-step's row steps
+(leaves of rows), the weights' exponentials with their Hermitian fill (leaves
+of slab planes), a row's scaling by 1/n, guards, clamp, sums and
+renormalization, the residue terms, the spectrum's near-1 candidates,
+`gap_summary`, `tv_exact` and `l2_bound`.  `_in_leaves` runs the leaves on
+`_fft_workers()` threads: one in a `--jobs` worker and on the replicate threads
+of `experiments._map_replicates`, where a pass runs leaf by leaf in cache.  A
+sum over leaves is numpy's pairwise summation cut at its own tree's nodes, so
+it keeps `np.sum`'s bits; `tv_exact` adds exactly, in any order.  Each element
+takes the same operations in the same order on any thread count, so no output
+depends on it.
 
 No heat-kernel row is bit-identical to numpy's transform of the full-spectrum
 weights: the exponentials run on half the group and the other half is filled by
@@ -74,7 +75,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft
 
 from . import entropic
 from .groups import GeneratorMultiset, GroupSpec, element_of, index_of
@@ -232,7 +232,7 @@ def _negate(dst: np.ndarray, src: np.ndarray, axes, spare: np.ndarray | None):
 def _dft(a: np.ndarray, inverse: bool = False) -> np.ndarray:
     """numpy's `fftn(a)`, or `ifftn(a, norm="forward")`.
 
-    Bit for bit, on `_fft_workers()` threads (pocketfft splits an axis's batch
+    Bit for bit, on `_fft_workers()` threads (`_along` splits an axis's batch
     of 1-D transforms, each computed whole), except on a 1-D `a` whose length is
     at least CHIRP_AXIS and not 11-smooth (`_on_chirp`): that one runs as a
     four-step Bluestein (`_chirp_z`) in this thread's convolution buffer, within
@@ -250,20 +250,44 @@ def _dft(a: np.ndarray, inverse: bool = False) -> np.ndarray:
         buf = _plan(out.size).buffer()
         buf.reshape(-1)[:out.size] = out
         return _chirp_z(buf, out, inverse)
-    transform = fft.ifft if inverse else fft.fft
-    norm = "forward" if inverse else "backward"
     for axis in range(out.ndim - 1, -1, -1):
-        out = transform(out, axis=axis, norm=norm, overwrite_x=True, workers=_fft_workers())
+        _along(out, axis, inverse)
     return out
+
+
+def _along(v: np.ndarray, axis: int, inverse: bool):
+    """numpy's `fft(v, axis)`, or `ifft(v, axis, norm="forward")`, in place, as
+    leaves (`_in_leaves`) of whole 1-D transforms: no bit depends on the threads."""
+    transform, norm = (np.fft.ifft, "forward") if inverse else (np.fft.fft, "backward")
+    v, axis = (v[None], 1) if v.ndim == 1 else (v, axis)
+    b = v.ndim - 1 if axis == 0 else 0
+
+    def part(lo, hi, _):
+        w = v[(slice(None),) * b + (slice(lo, hi),)]
+        transform(w, axis=axis, norm=norm, out=w)
+
+    _in_leaves(part, _leaves(v.shape[b], v.size // v.shape[b]))
 
 
 def _on_chirp(shape: tuple[int, ...]) -> bool:
     """Whether `_dft` transforms an array of this shape as a four-step Bluestein."""
-    return len(shape) == 1 and shape[0] >= CHIRP_AXIS and fft.next_fast_len(shape[0]) != shape[0]
+    return len(shape) == 1 and shape[0] >= CHIRP_AXIS and _next_fast_len(shape[0]) != shape[0]
+
+
+@functools.cache  # `_on_chirp` asks it for the group order at every transform
+def _next_fast_len(t: int) -> int:
+    """The least 11-smooth integer >= t, scipy's `fft.next_fast_len` of complex
+    input: the least f 2^s >= t over the odd 11-smooth f below 2t."""
+    odd = [1]
+    for p in (3, 5, 7, 11):
+        for f in odd[:]:
+            while (f := f * p) < 2 * t:
+                odd.append(f)
+    return min(f << max(0, (-(-t // f) - 1).bit_length()) for f in odd)
 
 
 def _fft_workers() -> int:
-    """Threads for one pass (a `_dft` axis, a four-step's axis-0 batches, the
+    """Threads for one pass (a `_dft` axis, a four-step's axis-0 transforms, the
     runs of `_in_leaves`): on the main thread, every CPU this process may run
     on; one inside a `--jobs` worker (no pool is built after a fork) or on any
     other thread, such as a replicate thread of `experiments._map_replicates`,
@@ -287,7 +311,7 @@ def _in_leaves(fn, leaves: list, rows: int = 0, unit: int = 1, dtype=float) -> l
     widest leaf's hi - lo), is the run's own scratch, which this (the caller's)
     thread allocates: `fn` writes its temporaries there or into existing
     buffers, as a pool thread's allocations stay in its malloc arena and raise
-    peak RSS.  numpy and pocketfft release the GIL.
+    peak RSS.  numpy's ufuncs and pocketfft release the GIL.
     """
     workers = _fft_workers()
     runs = min(len(leaves), workers)
@@ -408,11 +432,11 @@ def _chirp_plan(m: int) -> _ChirpPlan:
     need = 2 * m - 1
     root = math.isqrt(need)
     splits = []
-    n1 = fft.next_fast_len(root // 2)
+    n1 = _next_fast_len(root // 2)
     while n1 <= 2 * root:
-        n2 = fft.next_fast_len(-(-need // n1))
+        n2 = _next_fast_len(-(-need // n1))
         splits.append((n1 * n2, abs(n1 - n2), n1, n2))
-        n1 = fft.next_fast_len(n1 + 1)
+        n1 = _next_fast_len(n1 + 1)
     _, _, n1, n2 = min(splits)
     r = max(d for d in range(1, math.isqrt(n2) + 1) if n2 % d == 0)
     j = np.arange(m // 2 + 1, dtype=np.int64)
@@ -449,13 +473,12 @@ def _four_step(plan: _ChirpPlan, v: np.ndarray, kernel: np.ndarray | None = None
     `v` of a length-N vector: transform axis 0, twiddle, transform axis 1, which
     leaves X[k1 + n1 k2] at v[k1, k2]; no transpose is made.  With a `kernel` in
     that order, v is then multiplied by it and the three steps are undone
-    (inverse, unscaled): a cyclic convolution, times N.  The axis-0 batches run
-    on `_fft_workers()` threads, the row steps in between as leaves of rows."""
-    workers = _fft_workers()
-    fft.fft(v, axis=0, overwrite_x=True, workers=workers)
+    (inverse, unscaled): a cyclic convolution, times N.  The axis-0 transforms
+    run as leaves of columns (`_along`), the row steps as leaves of rows."""
+    _along(v, 0, False)
     _in_leaves(functools.partial(_rows, plan, v, kernel), _leaves(plan.n1, plan.n2))
     if kernel is not None:
-        fft.ifft(v, axis=0, norm="forward", overwrite_x=True, workers=workers)
+        _along(v, 0, True)
 
 
 def _rows(plan: _ChirpPlan, v: np.ndarray, kernel: np.ndarray | None, lo: int, hi: int, _):
@@ -470,12 +493,12 @@ def _rows(plan: _ChirpPlan, v: np.ndarray, kernel: np.ndarray | None, lo: int, h
     th, tl = plan.twiddle_hi[lo:hi, :, None], plan.twiddle_lo[lo:hi, None, :]
     twiddled *= th
     twiddled *= tl
-    fft.fft(part, axis=1, overwrite_x=True)
+    np.fft.fft(part, axis=1, out=part)
     if kernel is not None:
         s, low, high = _mirror(kernel, lo, hi, plan.n1)
         part[:s - lo] *= low
         part[s - lo:] *= high[:, ::-1]
-        fft.ifft(part, axis=1, norm="forward", overwrite_x=True)
+        np.fft.ifft(part, axis=1, norm="forward", out=part)
         twiddled *= th.conj()
         twiddled *= tl.conj()
 

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from . import entropic
 
@@ -56,6 +55,7 @@ class ProbeResult:
 
 def psi(alpha: float) -> float:
     """Standard normal upper-tail probability."""
+    from scipy import special
     return float(special.ndtr(-alpha))
 
 

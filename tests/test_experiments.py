@@ -865,6 +865,15 @@ def test_cli_verify_single_check(capsys):
     assert "cos_taylor" in out and "0 failures" in out
 
 
+#: Commands that never solve for a time, so they load no scipy module; the last
+#: one runs on the four-step route.
+SPECTRAL_ONLY = ("spectrum --group 101 --k 4 --seed 1",
+                 "gap-scan --group 101 --k 4 --seed 1",
+                 "cheeger --group 20 --k 3 --seed 1",
+                 "tv-curve --group 101 --k 4 --seed 1 --t-grid 0.5:20:5",
+                 "tv-curve --group 32771 --k 4 --seed 1 --t-grid 1:2:2")
+
+
 def test_cli_import_leaves_out_scipy_stats():
     env = dict(os.environ, PYTHONPATH=str(Path(cayley_cutoff.__file__).parents[1]))
     # the package root alone loads no submodule and no scipy module
@@ -873,9 +882,17 @@ def test_cli_import_leaves_out_scipy_stats():
             "import cayley_cutoff.cli; "
             "loaded = lambda: ('scipy.stats' in sys.modules, 'scipy.optimize' in sys.modules); "
             "cli = loaded(); "
+            "scipy = lambda: [m for m in sys.modules if m.startswith('scipy')]; "
+            "print('#scipy cli', scipy()); "
+            f"status = [cayley_cutoff.cli.main(c.split()) for c in {SPECTRAL_ONLY!r}]; "
+            "print('#scipy spectral', status, scipy()); "
             # a solving command: brentq is entropic's own port
             "cayley_cutoff.cli.main('cutoff-profile --group 101 --k 4 --seed 1'.split()); "
+            "print('#scipy solving', 'scipy.special' in sys.modules, 'scipy.fft' in sys.modules); "
             "print(root, cli, loaded())")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.splitlines()[-1] == "[] (False, False) (False, False)"
+    checks = [line for line in out.splitlines() if line.startswith("#scipy")]
+    assert checks == ["#scipy cli []", f"#scipy spectral {[0] * len(SPECTRAL_ONLY)} []",
+                      "#scipy solving True False"]

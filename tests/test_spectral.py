@@ -179,6 +179,68 @@ def test_dft_is_numpy_fftn_bit_for_bit(shape):
         assert np.array_equal(_dft(a.copy(), inverse=True), np.fft.ifftn(a, norm="forward"))
 
 
+def _bits(a: np.ndarray) -> np.ndarray:
+    """The float64 words of a complex array, so that a sign of zero counts."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("shape, axes", [
+    *(((p,), (0,)) for p in (2, 3, 101, 1009, 16411, 32749)),  # primes below CHIRP_AXIS
+    *(((m,), (0,)) for m in (12, 1024, 27720, 10 ** 6)),        # 11-smooth lengths
+    ((4, 9, 25), (0, 1, 2)), ((1024, 1024), (0, 1)),
+    (100003, (0, 1)), (10 ** 6 + 3, (0, 1)),                    # the four-step's batches
+])
+def test_numpy_fft_is_scipy_fft_bit_for_bit(shape, axes):
+    """numpy's pocketfft gives scipy's bits, forward and `norm="forward"`
+    inverse, along each axis: the transforms `_dft` and the four-step run.  An
+    int shape is the four-step's (n1, n2) buffer at that length: its columns
+    (axis 0) and rows (axis 1)."""
+    from scipy import fft
+
+    if isinstance(shape, int):
+        plan = spectral._chirp_plan(shape)
+        shape = (plan.n1, plan.n2)
+        spectral._chirp_plan.cache_clear()
+    rng = replicate_rng(45, 0)
+    z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for axis in axes:
+        for ours, theirs, norm in ((np.fft.fft, fft.fft, "backward"),
+                                   (np.fft.ifft, fft.ifft, "forward")):
+            got = ours(z, axis=axis, norm=norm)
+            assert np.array_equal(_bits(got), _bits(theirs(z, axis=axis, norm=norm, workers=2)))
+
+
+def test_four_step_column_leaves_are_thread_count_free(monkeypatch):
+    """`_four_step`'s column leaves give the same bits on 1 and on 2 threads,
+    alone and as the convolution with the plan's kernel: each column is
+    transformed whole, whichever thread takes its leaf."""
+    spectral._chirp_plan.cache_clear()
+    plan = spectral._chirp_plan(100003)
+    assert len(spectral._leaves(plan.n2, plan.n1)) > 1
+    rng = replicate_rng(46, 0)
+    z = rng.normal(size=(plan.n1, plan.n2)) + 1j * rng.normal(size=(plan.n1, plan.n2))
+    outputs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(spectral, "_fft_workers", lambda w=workers: w)
+        out = []
+        for kernel in (None, plan.kernel):
+            v = z.copy()
+            spectral._four_step(plan, v, kernel)
+            out.append(_bits(v))
+        outputs.append(out)
+    spectral._chirp_plan.cache_clear()
+    assert all(np.array_equal(x, y) for x, y in zip(*outputs))
+
+
+def test_next_fast_len_is_scipys():
+    """`_next_fast_len` is scipy's `next_fast_len` up to 2 10^4, past every
+    target the plan's split search passes it up to n = 10^7 + 19 (all below
+    9000), so no split moves."""
+    from scipy import fft
+
+    assert all(spectral._next_fast_len(t) == fft.next_fast_len(t) for t in range(1, 20001))
+
+
 @pytest.mark.parametrize("shape, chirp_axis", [((262147,), None), ((101,), 101),
                                                ((100003,), 100003), ((32822,), None)])
 def test_chirp_z_matches_numpy(monkeypatch, shape, chirp_axis):
