@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
+import traceback
 
 from .entropic import MODELS, BracketError
 from .experiments import RUNNERS, BudgetExceededError, ExperimentConfig, run_verify
@@ -116,8 +117,16 @@ def make_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(command=args.command, **fields)
 
 
+def _stage(exc: BaseException) -> str:
+    """The innermost function of this package in exc's traceback, as module.function."""
+    return [f"{frame.f_globals['__name__'].removeprefix(__package__ + '.')}.{frame.f_code.co_name}"
+            for frame, _ in traceback.walk_tb(exc.__traceback__)
+            if frame.f_globals.get("__name__", "").startswith(__package__ + ".")][-1]
+
+
 def main(argv=None) -> int:
-    """Run one subcommand; bad input or a refused budget exits 2 naming the flag to change."""
+    """Run one subcommand; bad input, a refused budget or a run out of memory
+    exits 2 naming the flag to change."""
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     # The root reads no flag but --help.  argparse would report a missing
@@ -144,6 +153,10 @@ def main(argv=None) -> int:
             args.error(str(exc))
         except BracketError as exc:
             args.error(f"--alpha/--k: {exc}; lower --alpha or raise --k")
+        except MemoryError as exc:  # a forced run past memory, at any stage
+            flags = [_flag(key) for key in ("k", "group", "replicates", "jobs")
+                     if key in COMMANDS[args.command]]
+            args.error(f"out of memory in {_stage(exc)}; lower {', '.join(flags)}")
     if not config.out:  # --out holds the whole output
         sys.stdout.write(text)
     return status

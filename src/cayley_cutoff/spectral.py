@@ -7,30 +7,29 @@ histogram (how often each element occurs among the generators), so the whole
 spectrum costs one transform.  Heat-kernel rows are real, so one more
 transform carries two of them, one in its real and one in its imaginary part.
 
-Both transforms run through `_dft`, on numpy's pocketfft (`numpy.fft`: scipy's
-bits on every shape tested, and no scipy import).  An axis shorter than
-CHIRP_AXIS = 2^15, or of 11-smooth length, runs one axis at a time from the
-last, the order numpy's `fftn` uses, which keeps the spectrum bit-identical to
-numpy's `fftn`.  A 1-D group of longer, non-smooth order n runs as Bluestein's
-chirp-z (`_chirp_z`): the length-n DFT becomes a cyclic convolution of smooth
-length N = n1 n2 >= 2n - 1, and each length-N transform runs as Bailey's
-four-step FFT, batches of n1- and n2-point transforms that stay in cache.  The
-plan, cached for one n, holds half of the chirp and half of the kernel's
-spectrum, the other halves read as reversed views (both are mirror-symmetric),
-about 24 MB at n = 10^6 + 3; pocketfft keeps no prime-length plan of its own.
-Each thread that transforms keeps its own (n1, n2) convolution buffer with the
-plan (`_ChirpPlan.buffer`), where pocketfft's Bluestein allocates its padded
-buffers per call: on the replicate threads those pages were faulted in afresh
-every replicate, 73,112 minor faults per warm run of `cutoff-profile --group
-100003 --k 400 --alpha=-1.5,0,1.5 --replicates 20 --seed 1` against 5.  The
-histogram and a row's weights go into the buffer's head and a row is returned
-as a view of the buffer, so no row-sized array sits beside it; a buffer is
-handed out only when nothing else references it, so a kept row is never
-overwritten.  These transforms are not bit-identical to numpy's: against
-pocketfft they move `tv-curve --group 1000003 --k 14 --model directed --seed 7
---t-grid 0.9:45:24` by at most 7.8e-16 in TV (24 of 24 rows), 1.4e-14 in
-`l2_bound` and 2.2e-16 in gamma, and that `cutoff-profile` run by at most
-3.3e-16 in TV (34 of 60).
+Both transforms start from the array `_work(shape)` hands out, which `_dft`
+transforms in place, on numpy's pocketfft (`numpy.fft`: scipy's bits on every
+shape tested, and no scipy import).  An axis shorter than CHIRP_AXIS = 2^15, or
+of 11-smooth length, runs one axis at a time from the last, as numpy's `fftn`
+does, so the spectrum is bit-identical to it.  A 1-D group of longer,
+non-smooth order n runs as Bluestein's chirp-z (`_chirp_z`): a cyclic
+convolution of smooth length N = n1 n2 >= 2n - 1, each length-N transform
+Bailey's four-step FFT, batches of n1- and n2-point transforms that stay in
+cache.  The plan, cached for one n, holds half of the chirp and half of the
+kernel's spectrum, the other halves read as reversed views (both are
+mirror-symmetric), about 24 MB at n = 10^6 + 3.  There `_work` hands out the
+head of this thread's (n1, n2) convolution buffer, kept with the plan
+(`_ChirpPlan.buffer`), where pocketfft keeps no prime-length plan and its
+Bluestein allocates its padded buffers per call: on the replicate threads
+those pages were faulted in afresh every replicate, 73,112 minor faults per
+warm run of `cutoff-profile --group 100003 --k 400 --alpha=-1.5,0,1.5
+--replicates 20 --seed 1` against 5.  So a row is a view of the buffer, with
+no row-sized array beside it, and a buffer is handed out only when nothing
+else references it: a kept row is never overwritten.  These transforms are
+not bit-identical to numpy's: against pocketfft they move `tv-curve --group
+1000003 --k 14 --model directed --seed 7 --t-grid 0.9:45:24` by at most
+7.8e-16 in TV (24 of 24 rows), 1.4e-14 in `l2_bound` and 2.2e-16 in gamma, and
+that `cutoff-profile` run by at most 3.3e-16 in TV (34 of 60).
 
 The long passes run through `_in_leaves`, cut by one rule (`_leaves`): the
 leaves of numpy's pairwise-summation tree (`_tree_sum`), each within ROW_BLOCK
@@ -144,10 +143,7 @@ class SpectralData:
         exponents have real part 1 - Re lambda >= g.
         """
         lam, moduli = self.eigenvalues, self.group.moduli
-        # On the four-step route the mirror lives in the plan's idle buffer, so
-        # it adds no row-sized array to the peak.
-        mirror = (_plan(lam.size).buffer().reshape(-1)[:lam.size] if _on_chirp(moduli)
-                  else np.empty(moduli, dtype=complex))
+        mirror = _work(moduli)  # in the idle kept buffer on the four-step route
         _negate(mirror, lam.reshape(moduli), range(len(moduli)),
                 np.empty_like(mirror) if len(moduli) > 1 else None)
         mirror = mirror.reshape(-1)
@@ -229,30 +225,32 @@ def _negate(dst: np.ndarray, src: np.ndarray, axes, spare: np.ndarray | None):
         src = to
 
 
-def _dft(a: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """numpy's `fftn(a)`, or `ifftn(a, norm="forward")`.
+def _work(shape: tuple[int, ...]) -> np.ndarray:
+    """The complex array that `_dft` transforms for this shape: on the four-step
+    route (`_on_chirp`) the head of this thread's kept convolution buffer,
+    otherwise a fresh array."""
+    if _on_chirp(shape):
+        return _plan(shape[0]).buffer().reshape(-1)[:shape[0]]
+    return np.empty(shape, dtype=complex)
 
-    Bit for bit, on `_fft_workers()` threads (`_along` splits an axis's batch
-    of 1-D transforms, each computed whole), except on a 1-D `a` whose length is
-    at least CHIRP_AXIS and not 11-smooth (`_on_chirp`): that one runs as a
-    four-step Bluestein (`_chirp_z`) in this thread's convolution buffer, within
+
+def _dft(a: np.ndarray, inverse: bool = False, keep: bool = False) -> np.ndarray:
+    """numpy's `fftn(a)`, or `ifftn(a, norm="forward")`, in place on `a` from `_work`.
+
+    Bit for bit, on `_fft_workers()` threads (`_along`), but on the four-step
+    route: there `_chirp_z` runs in the buffer `a` heads (its `base`), within
     57 eps log2(N) of the exact transform in relative 2-norm (N its padded
-    length; the constant is derived in
-    tests/test_spectral.py::test_chirp_z_matches_numpy).  A complex `a` is the
-    transform's work buffer and may be overwritten (the four-step copies it
-    into the convolution buffer and returns `a` itself); any other `a` is first
-    copied to complex.  Below CHIRP_AXIS the spectrum's transform is therefore
-    numpy's; a heat-kernel row's is not, as its Hermitian-filled weights differ
-    from the full-spectrum ones in the last bits.
+    length; tests/test_spectral.py::test_chirp_z_matches_numpy derives it), and
+    a result that must outlive the next transform, as the spectrum does, takes
+    `keep`: a fresh array, not the buffer's view.  A heat-kernel row's
+    transform is not numpy's on either route, as its Hermitian-filled weights
+    differ from the full-spectrum ones in the last bits.
     """
-    out = a.astype(complex, copy=False)
-    if _on_chirp(out.shape):
-        buf = _plan(out.size).buffer()
-        buf.reshape(-1)[:out.size] = out
-        return _chirp_z(buf, out, inverse)
-    for axis in range(out.ndim - 1, -1, -1):
-        _along(out, axis, inverse)
-    return out
+    if _on_chirp(a.shape):
+        return _chirp_z(a.base, np.empty_like(a) if keep else a, inverse)
+    for axis in range(a.ndim - 1, -1, -1):
+        _along(a, axis, inverse)
+    return a
 
 
 def _along(v: np.ndarray, axis: int, inverse: bool):
@@ -270,7 +268,7 @@ def _along(v: np.ndarray, axis: int, inverse: bool):
 
 
 def _on_chirp(shape: tuple[int, ...]) -> bool:
-    """Whether `_dft` transforms an array of this shape as a four-step Bluestein."""
+    """Whether an array of this shape takes the four-step route (`_work`, `_dft`)."""
     return len(shape) == 1 and shape[0] >= CHIRP_AXIS and _next_fast_len(shape[0]) != shape[0]
 
 
@@ -388,10 +386,10 @@ class _ChirpPlan:
 
     def buffer(self) -> np.ndarray:
         """This thread's (n1, n2) convolution buffer, kept until the plan leaves
-        the cache, so no replicate faults in fresh pages.  A row is a view of
-        it (a view's `base` is the buffer), so it is handed out only when
-        nothing else references it; otherwise a fresh one is kept in its place.
-        A transform passes its buffer along, as a second call allocates."""
+        the cache, so no replicate faults in fresh pages.  As a row is a view
+        of it, it is handed out only when nothing else references it; otherwise
+        a fresh one is kept in its place.  Only `_work` asks for it, once per
+        transform; `_dft` finds it as the `base` of what `_work` handed out."""
         buf = getattr(self.scratch, "buf", None)
         if buf is None or sys.getrefcount(buf) > 3:  # the kept one, `buf` and the argument
             buf = self.scratch.buf = np.empty((self.n1, self.n2), dtype=complex)
@@ -424,10 +422,9 @@ def _chirp_plan(m: int) -> _ChirpPlan:
     The chirp is c_j = e^{-2 pi i p_j / 2m}, p_j = j (j + m) mod 2m, so
     c_j c_k conj c_{k-j} = w^{jk}, w = e^{-2 pi i / m}, as p_j + p_k - p_{k-j}
     = 2jk mod 2m.  As p_{m-j} = p_j, the reversed view of the stored half is
-    the upper half bit for bit.  The kernel's input is written
-    from that half into this thread's convolution buffer, transformed there,
-    and its rows 0 .. n1 // 2 are kept: the build allocates no full-length
-    table.
+    the upper half bit for bit.  The kernel's input is written from that half
+    into this thread's convolution buffer, transformed there, and its rows
+    0 .. n1 // 2 are kept: the build allocates no full-length table.
     """
     need = 2 * m - 1
     root = math.isqrt(need)
@@ -504,8 +501,8 @@ def _rows(plan: _ChirpPlan, v: np.ndarray, kernel: np.ndarray | None, lo: int, h
 
 
 def _chirp_z(buf: np.ndarray, out: np.ndarray, inverse: bool) -> np.ndarray:
-    """The unscaled DFT (e^{+} phases when `inverse`) of the head of `buf`, this
-    thread's `_plan(m).buffer()`, into the 1-D `out` of m values, which may be that head.
+    """The unscaled DFT (e^{+} phases when `inverse`) of the head of `buf`, a
+    kept convolution buffer, into the 1-D `out` of m values, which may be that head.
 
     X_k = c_k sum_j (x_j c_j) conj c_{k-j}, c the plan's chirp
     (`_chirp_plan`): a convolution, run as one four-step convolution of length
@@ -544,25 +541,21 @@ def _chirp_z(buf: np.ndarray, out: np.ndarray, inverse: bool) -> np.ndarray:
 def eigenvalues(group: GroupSpec, Z: GeneratorMultiset, model: str) -> SpectralData:
     """lambda_x = (1/k) sum_i cos(2 pi x_bar.Z_i), or the character value when directed.
 
-    Computed as the inverse DFT of the generator histogram; the four-step
-    route writes it into the convolution buffer, freed before the spectrum is
-    made.  Invariant characters (x = 0 among them) are set to exactly 1.0;
-    every other character keeps Re lambda < 1, so its gap 1 - Re lambda stays
-    positive.  A candidate lies within INVARIANT_CANDIDATE_TOL of 1, screened
-    on |Re lambda - 1| in a float row per leaf before numpy's slow hypot.
+    Computed as the inverse DFT of the generator histogram, written into
+    `_work` and freed before the spectrum is made.  Invariant characters (x = 0
+    among them) are set to exactly 1.0; every other character keeps
+    Re lambda < 1, so its gap 1 - Re lambda stays positive.  A candidate lies
+    within INVARIANT_CANDIDATE_TOL of 1, screened on |Re lambda - 1| in a float
+    row per leaf before numpy's slow hypot.
     """
     entropic._check_model(model)
     n = group.n
     hist = np.bincount(index_of(group, Z.generators), minlength=n)
     distinct = element_of(group, np.flatnonzero(hist))  # np.unique's rows, in its order
-    if _on_chirp(group.moduli):
-        buf = _plan(n).buffer()
-        buf.reshape(-1)[:n] = hist
-        del hist
-        lam = _chirp_z(buf, np.empty(n, dtype=complex), True)
-    else:
-        lam = _dft(hist.reshape(group.moduli), inverse=True).reshape(-1)
-        del hist  # freed as its transform returns
+    work = _work(group.moduli)
+    work[...] = hist.reshape(group.moduli)
+    del hist
+    lam = _dft(work, inverse=True, keep=True).reshape(-1)
     lam /= Z.k
     if model == "undirected":
         lam.imag = 0.0
@@ -581,8 +574,8 @@ def eigenvalues(group: GroupSpec, Z: GeneratorMultiset, model: str) -> SpectralD
     return SpectralData(group=group, eigenvalues=lam)
 
 
-def _packed_weights(spec: SpectralData, times: list[float], out: np.ndarray) -> np.ndarray:
-    """w(t_1) + i w(t_2), w_x = e^{-t(1-lambda_x)}, on half the group, into `out` (shape moduli).
+def _packed_weights(spec: SpectralData, times: list[float]) -> np.ndarray:
+    """w(t_1) + i w(t_2), w_x = e^{-t(1-lambda_x)}, on half the group, in `_work`.
 
     The exponentials run on the slab x_a in [0, m_a // 2] of the axis a with the
     largest modulus (`SpectralData._slab`), with a real exp when the slab's
@@ -601,6 +594,7 @@ def _packed_weights(spec: SpectralData, times: list[float], out: np.ndarray) -> 
     lead = (slice(None),) * a
     others = tuple(b for b in range(len(moduli)) if b != a)
     pair = len(times) == 2 and times[1] > 0
+    out = _work(moduli)
     own = 1 if real else 2  # scratch rows of a leaf's two weights; then `_negate`'s
 
     def fill(lo, hi, scratch):
@@ -653,24 +647,21 @@ def heat_kernel_row(spec: SpectralData, t) -> HeatKernelRow:
     in `probs` (shape (len(t), n)).  A row is real because its weights are
     Hermitian (w_{-x} = conj w_x), so one complex transform of w(t_1) + i w(t_2)
     carries row t_1 in its real part and row t_2 in its imaginary part, and
-    `probs` is a view of that transform's output: on the four-step route, this
-    thread's convolution buffer, which every pass from the weights on runs in,
-    so a kept row holds about 2n complex values.  The weights are computed on
-    half the group and filled as conj w_{-x} (`_packed_weights`), so no row is
-    bit-identical to numpy's `fftn` of the full-spectrum weights.  A row at
-    t = 0 is the indicator of 0 and packs zero weights; a call whose times are
-    all 0 takes no transform.  One pass over the leaves of `_leaves` scales by
-    1/n and takes each row's min, sum, clamp and clamped sum; the guards read
-    them in order (row 0's min and mass, then row 1's), and a second divides
-    each row by its clamped sum: the bits of whole-row passes.
+    `probs` is a view of that transform's output, on the four-step route of the
+    kept buffer, so a kept row holds about 2n complex values.  The weights are
+    computed on half the group and filled as conj w_{-x} (`_packed_weights`),
+    so no row is bit-identical to numpy's `fftn` of the full-spectrum weights.
+    A row at t = 0 is the indicator of 0 and packs zero weights; a call whose
+    times are all 0 takes no transform.  One pass over the leaves of `_leaves`
+    scales by 1/n and takes each row's min, sum, clamp and clamped sum; the
+    guards read them in order (row 0's min and mass, then row 1's), and a
+    second divides each row by its clamped sum: the bits of whole-row passes.
     """
     if np.ndim(t) > 1 or not 1 <= np.size(t) <= 2:
         raise ValueError("t must be a time or a pair of times")
     times = _times(t)
-    group = spec.group
-    n = group.n
-    t_max = max(times)
-    if t_max > 0:
+    n = spec.group.n
+    if max(times) > 0:
         # Packing mixes each row's imaginary residue into the other row, so the
         # residue is bounded from the spectrum instead, at each time, by a bound
         # that decays with the gap (`_residue_terms`).  The sum it bounds also
@@ -681,11 +672,7 @@ def heat_kernel_row(spec: SpectralData, t) -> HeatKernelRow:
             if drift > 0 and math.log(drift) - s * gap > math.log(ROW_TOL):
                 raise ImaginaryResidueError(
                     f"imaginary residue bound {drift:g} * e^{-s * gap:g} > {ROW_TOL:g}")
-        if _on_chirp(group.moduli):
-            buf = _plan(n).buffer()
-            row = _chirp_z(buf, _packed_weights(spec, times, buf.reshape(-1)[:n]), False)
-        else:
-            row = _dft(_packed_weights(spec, times, np.empty(group.moduli, complex))).reshape(-1)
+        row = _dft(_packed_weights(spec, times)).reshape(-1)
     else:
         row = np.zeros(n, dtype=complex)
     flat = row.view(float)

@@ -20,7 +20,7 @@ buffer on one thread, where the library fuses the four-step's row steps into
 cache-sized leaves and splits every long pass over threads; `chirp_phases`
 gives the chirp's integer phases one j at a time.  `exact_sum` is
 `math.fsum` through the library's exact integer sum, which `tv_exact` runs per
-leaf.
+leaf.  `staged` copies an array into the one `spectral._dft` transforms.
 """
 
 import dataclasses
@@ -34,7 +34,7 @@ from cayley_cutoff import entropic, spectral, walk
 from cayley_cutoff.groups import (GeneratorMultiset, GroupSpec, element_of, index_of,
                                   make_group, sample_generators)
 from cayley_cutoff.lemmas import _report
-from cayley_cutoff.spectral import ROW_TOL, _dft
+from cayley_cutoff.spectral import ROW_TOL, _dft, _work
 
 Element = tuple[int, ...]
 
@@ -293,7 +293,7 @@ def full_spectrum_row(spec, t) -> np.ndarray:
             weights += imag
     else:
         weights = imag if imag is not None else np.zeros(n, dtype=complex)
-    row = _dft(weights.reshape(spec.group.moduli)).reshape(-1) / n
+    row = _dft(staged(weights.reshape(spec.group.moduli))).reshape(-1) / n
     rows = row.view(float).reshape(n, 2).T[:len(times)].copy()
     for probs, s in zip(rows, times):
         if s == 0:
@@ -341,7 +341,7 @@ def heat_kernel_row_unfused(spec, t) -> np.ndarray:
         low.real, low.imag = np.real(w1) - np.imag(w2), np.imag(w1) + np.real(w2)
         m1, m2 = mirror(w1), mirror(w2)
         up.real, up.imag = np.real(m1) + np.imag(m2), np.real(m2) - np.imag(m1)
-    row = _dft(out).reshape(-1) / n
+    row = _dft(staged(out)).reshape(-1) / n
     rows = row.view(float).reshape(n, 2).T[:len(times)].copy()
     for probs, s in zip(rows, times):
         if s == 0:
@@ -352,6 +352,15 @@ def heat_kernel_row_unfused(spec, t) -> np.ndarray:
         np.clip(probs, 0.0, None, out=probs)
         probs /= probs.sum()
     return rows
+
+
+def staged(a: np.ndarray) -> np.ndarray:
+    """`a` as complex in the array `spectral._work` hands out for its shape,
+    the one `_dft` transforms: on the four-step route the head of this
+    thread's kept convolution buffer."""
+    work = _work(a.shape)
+    work[...] = a
+    return work
 
 
 def _four_step_unfused(plan, v: np.ndarray, inverse: bool):

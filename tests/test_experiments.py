@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -165,8 +166,10 @@ def test_budget_prices_the_transforms_that_run(monkeypatch):
                                          alphas=(-1.5, 0.0, 1.5)), 3),
             (run_tv_curve, _config(replicates=2, t_grid="1:100:5"), 5))
     limit = experiments.BUDGET_LIMIT
-    for run, cfg, rows in runs:
+    # on pocketfft, then with CHIRP_AXIS at 64 on the four-step route
+    for chirp_axis, (run, cfg, rows) in itertools.product((spectral.CHIRP_AXIS, 64), runs):
         calls.clear()
+        monkeypatch.setattr(spectral, "CHIRP_AXIS", chirp_axis)
         monkeypatch.setattr(experiments, "BUDGET_LIMIT", limit)
         run(cfg)
         # the spectrum, plus one transform per pair of heat-kernel rows
@@ -179,6 +182,7 @@ def test_budget_prices_the_transforms_that_run(monkeypatch):
         with pytest.raises(BudgetExceededError):
             _budget_check(cfg, rows)
     monkeypatch.undo()
+    spectral._chirp_plan.cache_clear()
     # 30 row pairs and the spectrum at n = 10^6 + 3: about 6.2e8, within the budget
     _budget_check(_config(moduli=(10 ** 6 + 3,), k=14, model="directed",
                           t_grid="1:10:60"), 60)
@@ -552,8 +556,13 @@ def test_cli_config_digests_are_pinned(argv, digest):
 #: sha256 of the whole stdout of each command, covering every subcommand, both
 #: models, a multi-axis group, passes cut into several leaves below LONG_AXIS
 #: and the four-step transform (from CHIRP_AXIS, here at 100003 and up).  The
-#: values hold for numpy 2.4.6 and scipy 1.17.1; a library upgrade that moves
-#: last bits gets them re-recorded, with a note in CHANGES.md.
+#: values hold for numpy 2.4.6 and scipy 1.17.1 on an x86-64 host where numpy
+#: dispatches its AVX-512 (X86_V4) kernels.  numpy picks its float64 `exp` and
+#: `log` family's SIMD kernels at run time, and they differ in the last bits:
+#: with NPY_DISABLE_CPU_FEATURES playing an AVX2 host (X86_V3), 11 of these 27
+#: commands print other bytes, and at x86-64-v2 13 do, TV moving by at most
+#: 7.8e-16.  A library upgrade that moves last bits gets them re-recorded,
+#: with a note in CHANGES.md.
 PINNED_STDOUT = {
     "tv-curve --group 101 --k 4 --seed 7":
         "7408fe77cf74d7584426cb9bf0a3395016cf33d983c2b0231feba8b1810bb94f",
@@ -701,11 +710,26 @@ def test_cli_forced_draw_past_memory_exits_2_naming_k(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "--k" in err and "memory" in err
     assert err.startswith("usage: cayley-cutoff spectrum ")
-    # a MemoryError anywhere but the draw is left alone
+    # a MemoryError past the draw exits 2 too
     monkeypatch.undo()
     monkeypatch.setattr(spectral, "eigenvalues", no_memory)
-    with pytest.raises(MemoryError):
+    with pytest.raises(SystemExit) as exc:
         main("spectrum --group 5 --k 3 --seed 0".split())
+    assert exc.value.code == 2
+
+
+def test_cli_forced_run_past_memory_at_the_kept_buffer_exits_2(monkeypatch, capsys):
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(spectral._ChirpPlan, "buffer", no_memory)
+    with pytest.raises(SystemExit) as exc:
+        main("cutoff-profile --group 100003 --k 40 --seed 0 --alpha=0".split())
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: cayley-cutoff cutoff-profile ")
+    assert "memory in spectral." in err
+    assert all(flag in err for flag in ("--k", "--group", "--replicates", "--jobs"))
 
 
 @pytest.mark.parametrize("argv, flag", [

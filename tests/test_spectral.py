@@ -22,7 +22,7 @@ from cayley_cutoff.spectral import (ROW_TOL, HeatKernelRow,
 
 from conftest import (add, chirp_phases, chirp_z_unfused, dense_transition, exact_sum,
                       full_spectrum_row, heat_kernel_row_unfused, invariant_characters_oracle, neg,
-                      tv_from_uniform, unfused_chirp_plan, uniformized_row, zero)
+                      staged, tv_from_uniform, unfused_chirp_plan, uniformized_row, zero)
 
 EPS = np.finfo(float).eps
 
@@ -175,8 +175,8 @@ def test_dft_is_numpy_fftn_bit_for_bit(shape):
     counts = rng.integers(0, 5, size=shape)
     z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     for a in (counts, z):
-        assert np.array_equal(_dft(a.copy()), np.fft.fftn(a))
-        assert np.array_equal(_dft(a.copy(), inverse=True), np.fft.ifftn(a, norm="forward"))
+        assert np.array_equal(_dft(staged(a)), np.fft.fftn(a))
+        assert np.array_equal(_dft(staged(a), inverse=True), np.fft.ifftn(a, norm="forward"))
 
 
 def _bits(a: np.ndarray) -> np.ndarray:
@@ -277,7 +277,7 @@ def test_chirp_z_matches_numpy(monkeypatch, shape, chirp_axis):
     z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     for a in (counts, z):
         for inverse in (False, True):
-            got = _dft(a.copy(), inverse=inverse)
+            got = _dft(staged(a), inverse=inverse)
             ref = (np.fft.ifft(a.astype(np.clongdouble), norm="forward") if inverse
                    else np.fft.fft(a.astype(np.clongdouble)))
             plan = spectral._chirp_plan(a.size)
@@ -286,8 +286,9 @@ def test_chirp_z_matches_numpy(monkeypatch, shape, chirp_axis):
             assert big_n >= 2 * a.size - 1 and math.log2(big_n) >= 7 and kappa <= 3
             err = float(np.linalg.norm(got - ref) / np.linalg.norm(ref))
             assert err <= 57 * EPS * math.log2(big_n)
-    # the result lands in the caller's buffer
-    assert _dft(z) is z
+    # the result is the array transformed, in the kept buffer
+    work = staged(z)
+    assert _dft(work) is work and work.base is spectral._chirp_plan(z.size).scratch.buf
 
 
 @pytest.mark.parametrize("m, chirp_axis", [(262147, None), (100003, 100003), (32822, None)])
@@ -304,7 +305,7 @@ def test_chirp_z_matches_unfused_passes(monkeypatch, m, chirp_axis):
     rng = replicate_rng(39, 0)
     z = rng.normal(size=m) + 1j * rng.normal(size=m)
     for inverse in (False, True):
-        assert np.array_equal(_dft(z.copy(), inverse),
+        assert np.array_equal(_dft(staged(z), inverse),
                               chirp_z_unfused(oracle, z.copy(), inverse))
     spectral._chirp_plan.cache_clear()
 
@@ -353,25 +354,25 @@ def test_chirp_plan_holds_half_of_each_table(monkeypatch, m):
 def test_chirp_buffer_is_reused_per_thread():
     """Two `_dft` calls on one thread run in one convolution buffer, another
     thread gets its own, and a reused buffer, even one left holding NaN, gives
-    the bits of a fresh one.  The result is the caller's array, never the
-    buffer, and the buffers go with their plan when the cache evicts it.  The
-    buffers are watched through weak references: a strong one would make the
-    next transform take a fresh buffer."""
+    the bits of a fresh one.  A result kept (`keep`) is a fresh array, never
+    the buffer, and the buffers go with their plan when the cache evicts it.
+    The buffers are watched through weak references: a strong one would make
+    the next transform take a fresh buffer."""
     m = 100003
     rng = replicate_rng(44, 0)
     z = rng.normal(size=m) + 1j * rng.normal(size=m)
     spectral._chirp_plan.cache_clear()
-    fresh = _dft(z.copy())
+    fresh = _dft(staged(z), keep=True)
     plan = spectral._chirp_plan(m)
     buf = weakref.ref(plan.buffer())
     buf()[...] = np.nan
-    again = _dft(z.copy())
+    again = _dft(staged(z), keep=True)
     assert spectral._chirp_plan(m) is plan and plan.buffer() is buf()
     assert np.array_equal(again, fresh) and not np.shares_memory(again, buf())
     other = {}
 
     def run():
-        other["out"] = _dft(z.copy())
+        other["out"] = _dft(staged(z), keep=True)
         other["buf"] = weakref.ref(spectral._chirp_plan(m).buffer())
 
     thread = threading.Thread(target=run)
@@ -477,7 +478,7 @@ def test_chirp_z_output_is_thread_count_free(monkeypatch):
         for workers in (1, 2, 3):
             monkeypatch.setattr(spectral, "_fft_workers", lambda w=workers: w)
             spectral._chirp_plan.cache_clear()  # the kernel is transformed with them too
-            out = [_dft(a.copy())]
+            out = [_dft(staged(a))]
             for g, Z in instances:
                 spec = eigenvalues(g, Z, "directed")
                 row = heat_kernel_row(spec, (1.0, 6.0))
@@ -606,7 +607,7 @@ def test_overflowing_row_still_raises(t):
     spec = _hand_spectrum([1.0, 800.0, 0.5, 800.0])
     times = [float(s) for s in np.atleast_1d(t)]
     with np.errstate(over="ignore", invalid="ignore"):
-        raw = _dft(spectral._packed_weights(spec, times, np.empty(4, dtype=complex)))
+        raw = _dft(spectral._packed_weights(spec, times))
         scaled = (raw.view(float) * (1.0 / 4)).view(complex)
         assert not np.array_equal(raw / 4, scaled, equal_nan=True)
         with pytest.raises(ValueError, match="negative probability"):
