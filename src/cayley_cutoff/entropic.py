@@ -305,7 +305,11 @@ def f_lambda(lam: float, model: str) -> float:
 
 def g_lambda(lam: float, model: str) -> float:
     """Window coefficient sqrt(v(lam)) / (f(lam) * H'(f(lam)))."""
-    s = f_lambda(lam, model)
+    return _window_coeff(model, f_lambda(lam, model))
+
+
+def _window_coeff(model: str, s: float) -> float:
+    """`g_lambda` from s = f(lam): sqrt(v(s)) / (s H'(s)), with no second solve of f."""
     _, var = q1_moments(model, s)
     return math.sqrt(var) / (s * entropy_derivative(model, s))
 
@@ -339,8 +343,9 @@ def asymptotic_times(sol: EntropicSolution) -> AsymptoticReport:
         window_coeff = math.sqrt(kappa * math.log(kappa))
     else:
         regime = REGIME_INTERMEDIATE
-        predicted_t0 = k * f_lambda(kappa, model)
-        window_coeff = g_lambda(kappa, model)
+        s = f_lambda(kappa, model)
+        predicted_t0 = k * s
+        window_coeff = _window_coeff(model, s)
     predicted_window = window_coeff * predicted_t0 / math.sqrt(k)
     return AsymptoticReport(
         regime=regime, kappa=kappa, predicted_t0=predicted_t0,

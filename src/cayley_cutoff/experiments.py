@@ -207,15 +207,15 @@ def _map_replicates(config: ExperimentConfig, fn, *args) -> list:
 
 def _budget_check(config: ExperimentConfig, rows: int, scan: float = 0):
     """Price each of `config.replicates` replicates as the transforms it runs:
-    one for its spectrum and one per pair of its `rows` heat-kernel rows, the
-    pairs `_tv_at` packs into one transform.  A transform of n points costs
-    n log2 n butterfly-equivalents; `scan` adds as many per replicate for
-    other work (cheeger's subset comparisons).  Its generators are priced
-    apart, before any is drawn: k of d coordinates each, against
-    GENERATOR_LIMIT."""
+    one for its spectrum and `spectral.row_pairs(rows)` for its `rows`
+    heat-kernel rows.  A transform of n points costs n log2 n
+    butterfly-equivalents; `scan` adds as many per replicate for other work
+    (cheeger's subset comparisons).  Its generators are priced apart, before
+    any is drawn: k of d coordinates each, against GENERATOR_LIMIT."""
     group = config.group()
     coordinates = config.replicates * config.k * group.d
-    work = config.replicates * (1 + -(-rows // 2)) * group.n * max(math.log2(group.n), 1.0)
+    work = (config.replicates * (1 + spectral.row_pairs(rows)) * group.n
+            * max(math.log2(group.n), 1.0))
     work += config.replicates * scan
     if coordinates > GENERATOR_LIMIT and not config.force:
         raise BudgetExceededError(
@@ -231,25 +231,10 @@ def _budget_check(config: ExperimentConfig, rows: int, scan: float = 0):
 # cutoff profile
 # ---------------------------------------------------------------------------
 
-def _tv_at(spec: spectral.SpectralData, times: list[float]) -> list[float]:
-    """tv_exact of the heat-kernel row at each time, two times per transform.
-
-    Zeros go last (a stable sort), so every nonzero time keeps its partner, an
-    odd one out pairs with a zero (the zero weights of a single row), and a pair
-    of zeros takes no transform: `heat_kernel_row` owns the t = 0 rule.
-    """
-    ordered = sorted(times, key=lambda t: t == 0)
-    tv = {}
-    for i in range(0, len(ordered), 2):
-        pair = ordered[i:i + 2]
-        tv.update(zip(pair, spectral.tv_exact(spectral.heat_kernel_row(spec, pair))))
-    return [tv[t] for t in times]
-
-
 def _cutoff_worker(config: ExperimentConfig, t_alpha: dict[float, float], r: int) -> dict:
     _, spec, gaps, head = _instance(config, r)
     row = {**head, "connected": gaps.connected}
-    for alpha, tv in zip(t_alpha, _tv_at(spec, list(t_alpha.values()))):
+    for alpha, tv in zip(t_alpha, spectral.tv_at(spec, list(t_alpha.values()))):
         row[f"tv_alpha_{alpha:g}"] = tv
     return row
 
@@ -336,7 +321,7 @@ def _curve_worker(config: ExperimentConfig, grid: np.ndarray, r: int) -> list[di
     _, spec, gaps, head = _instance(config, r)
     grid = [float(t) for t in grid]
     return [{**head, "t": t, "tv": tv, "l2_bound": l2, "gamma": gaps.gamma}
-            for t, tv, l2 in zip(grid, _tv_at(spec, grid), spectral.l2_bound(spec, grid))]
+            for t, tv, l2 in zip(grid, spectral.tv_at(spec, grid), spectral.l2_bound(spec, grid))]
 
 
 def run_tv_curve(config: ExperimentConfig) -> tuple[str, list[dict]]:

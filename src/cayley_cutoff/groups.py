@@ -59,13 +59,8 @@ def make_group(moduli) -> GroupSpec:
     if n > MAX_GROUP_SIZE:
         raise OverflowError(f"group size {n} exceeds cap {MAX_GROUP_SIZE}")
     # Place value of coordinate j: product of the moduli after it.
-    weights = []
-    w = 1
-    for m in reversed(mods):
-        weights.append(w)
-        w *= m
-    weights.reverse()
-    return GroupSpec(moduli=mods, n=n, radix_weights=tuple(weights))
+    weights = tuple(math.prod(mods[j + 1:]) for j in range(len(mods)))
+    return GroupSpec(moduli=mods, n=n, radix_weights=weights)
 
 
 def parse_group(literal: str) -> GroupSpec:

@@ -372,22 +372,6 @@ def gcd_expectation_probe(d: int, I_size: int, r: int, samples: int,
     return _report("gcd_expectation", worst, violation, estimate=est, stderr=se)
 
 
-def _typical_pairs(params, k: int, samples: int, rng: np.random.Generator):
-    """Two independent draws of `samples` walks at t_alpha and their typicality.
-
-    Returns the (cells, values) of W_1 and of W_2 as `walk._walk_cells` gives
-    them, the rows where both walks are typical, and the rows where both pass
-    the local window.
-    """
-    walks = [walk._walk_cells(params.dist.model, params.t_alpha, k, samples, rng)
-             for _ in range(2)]
-    (q1, local1), (q2, local2) = [
-        walk._row_terms(cells // k, values, samples, k, params.dist, params.r_alpha)
-        for cells, values in walks]
-    typ = params.typical(q1, local1) & params.typical(q2, local2)
-    return walks[0], walks[1], typ, local1 & local2
-
-
 def _difference(cells1, values1, cells2, values2) -> tuple[np.ndarray, np.ndarray]:
     """The nonzero cells of W_1 - W_2 and their int64 values, in increasing order.
 
@@ -420,10 +404,9 @@ def modified_l2_probe(group: GroupSpec, k: int, model: str, alpha: float,
     hits = zero_hits = accepted_total = 0
     for rep in range(replicates):
         Z = sample_generators(group, k, rng)
-        for start in range(0, samples, walk.CHUNK):
-            m_chunk = min(walk.CHUNK, samples - start)
-            (cells1, values1), (cells2, values2), typ, _ = _typical_pairs(
-                params, k, m_chunk, rng)
+        for (cells1, values1, q1, local1), (cells2, values2, q2, local2) in walk._draws(
+                params.dist, params.t_alpha, k, samples, rng, params.r_alpha, walks=2):
+            typ = params.typical(q1, local1) & params.typical(q2, local2)
             accepted = int(typ.sum())
             accepted_total += accepted
             if accepted == 0:
@@ -472,11 +455,14 @@ def set_probability_check(n: int, k: int, model: str, alpha: float, I,
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
     params = walk.typicality_params(n, k, model, alpha)
-    walk1, walk2, typ, local_only = _typical_pairs(params, k, samples, rng)
-    cells, _ = _difference(*walk1, *walk2)
+    # One chunk of all the samples: the stream `verify` pins draws W_1 whole, then W_2.
+    [((cells1, values1, q1, local1), (cells2, values2, q2, local2))] = walk._draws(
+        params.dist, params.t_alpha, k, samples, rng, params.r_alpha, walks=2, chunk=samples)
+    typ, local_only = params.typical(q1, local1) & params.typical(q2, local2), local1 & local2
+    del q1, q2, local1, local2  # freed before `_difference`, where the check peaks
+    cells, _ = _difference(cells1, values1, cells2, values2)
     rows, cols = np.divmod(cells, k)
-    target = np.zeros(k, dtype=bool)
-    target[list(I)] = True
+    target = np.isin(np.arange(k), list(I))
     inside = np.bincount(rows[target[cols]], minlength=samples)
     outside = np.bincount(rows[~target[cols]], minlength=samples)
     support_match = (inside == len(I)) & (outside == 0)
@@ -554,9 +540,7 @@ def _vz_uniform_sweep() -> CheckReport:
 
 
 def _seeded(fn, seed):
-    def run():
-        return fn(replicate_rng(seed, 0))
-    return run
+    return lambda: fn(replicate_rng(seed, 0))
 
 
 DEFAULT_CHECKS: dict[str, object] = {

@@ -24,8 +24,8 @@ Bluestein allocates its padded buffers per call: on the replicate threads
 those pages were faulted in afresh every replicate, 73,112 minor faults per
 warm run of `cutoff-profile --group 100003 --k 400 --alpha=-1.5,0,1.5
 --replicates 20 --seed 1` against 5.  So a row is a view of the buffer, with
-no row-sized array beside it, and a buffer is handed out only when nothing
-else references it: a kept row is never overwritten.  These transforms are
+no row-sized array beside it, and a buffer is handed out only at the reference
+count it had when kept: a kept row is never overwritten.  These transforms are
 not bit-identical to numpy's: against pocketfft they move `tv-curve --group
 1000003 --k 14 --model directed --seed 7 --t-grid 0.9:45:24` by at most
 7.8e-16 in TV (24 of 24 rows), 1.4e-14 in `l2_bound` and 2.2e-16 in gamma, and
@@ -387,12 +387,15 @@ class _ChirpPlan:
     def buffer(self) -> np.ndarray:
         """This thread's (n1, n2) convolution buffer, kept until the plan leaves
         the cache, so no replicate faults in fresh pages.  As a row is a view
-        of it, it is handed out only when nothing else references it; otherwise
-        a fresh one is kept in its place.  Only `_work` asks for it, once per
-        transform; `_dft` finds it as the `base` of what `_work` handed out."""
+        of it, it is handed out only when nothing else references it: when its
+        reference count reads the idle count, measured by the same call as it
+        was kept, whatever the interpreter counts; otherwise a fresh one is kept
+        in its place.  Only `_work` asks for it, once per transform; `_dft`
+        finds it as the `base` of what `_work` handed out."""
         buf = getattr(self.scratch, "buf", None)
-        if buf is None or sys.getrefcount(buf) > 3:  # the kept one, `buf` and the argument
+        if buf is None or sys.getrefcount(buf) != self.scratch.idle:
             buf = self.scratch.buf = np.empty((self.n1, self.n2), dtype=complex)
+            self.scratch.idle = sys.getrefcount(buf)
         return buf
 
 
@@ -718,6 +721,26 @@ def heat_kernel_row(spec: SpectralData, t) -> HeatKernelRow:
             probs[:] = 0.0
             probs[0] = 1.0
     return HeatKernelRow(probs=rows[0] if np.ndim(t) == 0 else rows)
+
+
+def row_pairs(rows: int) -> int:
+    """The most transforms `tv_at` runs for `rows` times: one per pair."""
+    return -(-rows // 2)
+
+
+def tv_at(spec: SpectralData, times: list[float]) -> list[float]:
+    """tv_exact of the heat-kernel row at each time, two times per transform.
+
+    Zeros go last (a stable sort), so every nonzero time keeps its partner, an
+    odd one out pairs with a zero (the zero weights of a single row), and a pair
+    of zeros takes no transform: `heat_kernel_row` owns the t = 0 rule.
+    """
+    ordered = sorted(times, key=lambda t: t == 0)
+    tv = {}
+    for i in range(0, len(ordered), 2):
+        pair = ordered[i:i + 2]
+        tv.update(zip(pair, tv_exact(heat_kernel_row(spec, pair))))
+    return [tv[t] for t in times]
 
 
 def tv_exact(row: HeatKernelRow) -> float | list[float]:

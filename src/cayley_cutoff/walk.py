@@ -16,7 +16,7 @@ import numpy as np
 
 from . import entropic
 
-#: walks drawn per batch by the probes and the lemma checks that sample W.
+#: walks drawn per chunk by `_draws` for the probes and the `modified_l2` check.
 CHUNK = 20000
 
 
@@ -129,13 +129,15 @@ def _row_terms(rows: np.ndarray, values: np.ndarray, samples: int, k: int, dist,
     return q, local
 
 
-def _probe_rows(params: TypicalityParams, k: int, samples: int, r_alpha: float,
-                rng: np.random.Generator):
-    """Yield (Q, local test) per row of `samples` walks at params.t_alpha, CHUNK at a time."""
-    for start in range(0, samples, CHUNK):
-        m = min(CHUNK, samples - start)
-        cells, values = _walk_cells(params.dist.model, params.t_alpha, k, m, rng)
-        yield _row_terms(cells // k, values, m, k, params.dist, r_alpha)
+def _draws(dist, t: float, k: int, samples: int, rng: np.random.Generator,
+           r_alpha: float = math.inf, walks: int = 1, chunk: int = CHUNK):
+    """Per chunk of at most `chunk` of the `samples` rows, `walks` draws of W(t), drawn in
+    turn, then each scored: [(cells, values, Q, local test)] (`_walk_cells`, `_row_terms`)."""
+    for start in range(0, samples, chunk):
+        m = min(chunk, samples - start)
+        draws = [_walk_cells(dist.model, t, k, m, rng) for _ in range(walks)]
+        yield [(cells, values, *_row_terms(cells // k, values, m, k, dist, r_alpha))
+               for cells, values in draws]
 
 
 def _result(hits: int, samples: int, alpha: float, **details) -> ProbeResult:
@@ -145,27 +147,31 @@ def _result(hits: int, samples: int, alpha: float, **details) -> ProbeResult:
 
 def clt_probe(n: int, k: int, model: str, alpha: float, samples: int,
               rng: np.random.Generator) -> ProbeResult:
-    """Estimate P(Q <= log n), and at log n -/+ omega, at typicality_params' t_alpha."""
+    """Estimate P(Q <= log n), and at log n -/+ omega, at t_alpha, with no window radius."""
     if samples < 10 ** 3:
         raise ValueError("need at least 1000 samples")
-    params = typicality_params(n, k, model, alpha)
+    sol, t_a, dist = _step_law(n, k, model, alpha)
     log_n = math.log(n)
     hits_mid = hits_plus = hits_minus = 0
-    for q, _ in _probe_rows(params, k, samples, math.inf, rng):
+    for [(_, _, q, _)] in _draws(dist, t_a, k, samples, rng):
         hits_mid += int((q <= log_n).sum())
-        hits_plus += int((q <= log_n + params.omega).sum())
-        hits_minus += int((q <= log_n - params.omega).sum())
+        hits_plus += int((q <= log_n + sol.omega).sum())
+        hits_minus += int((q <= log_n - sol.omega).sum())
     return _result(hits_mid, samples, alpha, plus=hits_plus / samples,
-                   minus=hits_minus / samples, t_alpha=params.t_alpha, omega=params.omega)
+                   minus=hits_minus / samples, t_alpha=t_a, omega=sol.omega)
+
+
+def _step_law(n: int, k: int, model: str, alpha: float):
+    """solve_times' solution at alpha, its t_alpha, and the step law at t_alpha / k."""
+    sol = entropic.solve_times(n, k, model, alphas=[alpha])
+    t_a = sol.t_alpha[float(alpha)]
+    return sol, t_a, entropic.step_distribution(model, t_a / k)
 
 
 def typicality_params(n: int, k: int, model: str, alpha: float) -> TypicalityParams:
     """Minimal window radius r_alpha with tail <= k^{-3/2}, and the pmf floor p_alpha."""
-    sol = entropic.solve_times(n, k, model, alphas=[alpha])
-    t_a = sol.t_alpha[float(alpha)]
-    s = t_a / k
+    sol, t_a, dist = _step_law(n, k, model, alpha)
     level = k ** -1.5
-    dist = entropic.step_distribution(model, s)
     distance = np.abs(dist.support - dist.mean)
     for r_alpha in range(0, dist.hi - dist.lo + 1):
         inside = distance <= r_alpha
@@ -198,7 +204,7 @@ def typicality_probe(n: int, k: int, model: str, alpha: float, samples: int,
         raise ValueError("need at least 1000 samples")
     params = typicality_params(n, k, model, alpha)
     fails = local_fails = 0
-    for q, local in _probe_rows(params, k, samples, params.r_alpha, rng):
+    for [(_, _, q, local)] in _draws(params.dist, params.t_alpha, k, samples, rng, params.r_alpha):
         fails += int((~params.typical(q, local)).sum())
         local_fails += int((~local).sum())
     return _result(fails, samples, alpha, local_failure_rate=local_fails / samples,

@@ -291,6 +291,21 @@ def test_asymptotic_report_regimes():
     assert abs(rep.predicted_t0 - math.log(10 ** 3) / math.log(kappa)) < 1e-12
 
 
+def test_asymptotic_times_solves_f_once(monkeypatch):
+    # k ~ lambda log n: t0 and the window both read f(kappa), solved once
+    sol = solve_times(1000003, 14, "undirected")
+    want = asymptotic_times(sol)
+    calls = []
+    solve = entropic.entropy_inverse
+    monkeypatch.setattr(entropic, "entropy_inverse",
+                        lambda *a, **kw: calls.append(a) or solve(*a, **kw))
+    rep = asymptotic_times(sol)
+    assert rep.regime == "k ~ lambda log n" and len(calls) == 1
+    assert rep == want
+    kappa = 14 / math.log(1000003)
+    assert rep.predicted_window == g_lambda(kappa, "undirected") * rep.predicted_t0 / math.sqrt(14)
+
+
 def test_asymptotic_window_small_k():
     # t_alpha - t0 ~ alpha * sqrt(2/k) * t0 in the sparse regime.  At k = 4
     # the first-order window is only accurate on the log scale (the relative

@@ -20,7 +20,6 @@ from cayley_cutoff import cli, entropic, experiments, spectral
 from cayley_cutoff.cli import load_config_file, main
 from cayley_cutoff.experiments import (BudgetExceededError, ExperimentConfig,
                                        _budget_check, _instance, _t_grid_triple,
-                                       _tv_at,
                                        default_t_grid,
                                        run_cheeger, run_cutoff_profile,
                                        run_entropic_report, run_gap_scan,
@@ -85,7 +84,7 @@ def test_tv_at_pairs_nonzero_times(monkeypatch, times):
     calls = []
     real_dft = spectral._dft
     monkeypatch.setattr(spectral, "_dft", lambda *a, **kw: calls.append(1) or real_dft(*a, **kw))
-    tvs = _tv_at(spec, times)
+    tvs = spectral.tv_at(spec, times)
     # one transform per pair of nonzero times, none at t = 0
     assert len(calls) == math.ceil(sum(t != 0 for t in times) / 2)
     assert np.abs(np.array(tvs) - singles).max() < 1e-13
@@ -633,12 +632,20 @@ PINNED_STDOUT = {
 }
 
 
+def _exp_dispatch() -> str:
+    """The SIMD target numpy's float64 `exp` dispatches to on this host."""
+    from numpy.lib.introspect import opt_func_info
+    kernels = opt_func_info(func_name="^exp$", signature="float64")["exp"]
+    return next(iter(kernels.values()))["current"]
+
+
 def test_cli_stdout_is_pinned(capsys):
     got = {}
     for argv in PINNED_STDOUT:
         assert main(argv.split()) == 0
         got[argv] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert got == PINNED_STDOUT
+    assert got == PINNED_STDOUT, (
+        f"numpy's float64 exp ran at {_exp_dispatch()}; the pins hold at X86_V4 (AVX-512)")
 
 
 def test_readme_cli_examples_parse():

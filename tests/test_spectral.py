@@ -421,6 +421,31 @@ def test_kept_rows_are_never_overwritten():
     spectral._chirp_plan.cache_clear()
 
 
+class _LowCount:
+    """`sys` as `spectral` sees it, with `getrefcount` reading `by` below the truth."""
+
+    def __init__(self, by: int):
+        self.by = by
+
+    def getrefcount(self, x) -> int:
+        return sys.getrefcount(x) - self.by
+
+
+def test_kept_rows_survive_a_reference_count_that_reads_lower(monkeypatch):
+    """`_ChirpPlan.buffer` assumes no interpreter's reference count.  With
+    `sys.getrefcount` reading one lower, as where loads borrow references
+    (CPython 3.14), `test_kept_rows_are_never_overwritten` still holds on the
+    main thread and on a replicate thread: no kept row at Z_100003 is
+    overwritten, and an idle buffer is still reused."""
+    probe = object()
+    extra = _LowCount(0).getrefcount(probe) - sys.getrefcount(probe)  # the method's own
+    low = _LowCount(extra + 1)
+    assert low.getrefcount(probe) == sys.getrefcount(probe) - 1
+    spectral._chirp_plan.cache_clear()
+    monkeypatch.setattr(spectral, "sys", low)
+    test_kept_rows_are_never_overwritten()
+
+
 @pytest.mark.parametrize("model", ["undirected", "directed"])
 def test_stage_peaks_stay_beside_the_kept_buffer(monkeypatch, model):
     """At n = 100003, with the plan and this thread's buffer warm, a row pair

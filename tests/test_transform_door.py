@@ -1,8 +1,12 @@
 """Every transform enters `spectral` by one door: `_work` hands out the array,
-`_dft` transforms it, and no other function asks the route or the kept buffer."""
+`_dft` transforms it, and no other function asks the route or the kept buffer.
+Each batching rule has one owning module: `walk` draws and scores every typical
+walk, `spectral` packs every pair of heat-kernel rows."""
 
 import ast
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cayley_cutoff"
 
@@ -32,3 +36,10 @@ def test_only_work_and_dft_ask_the_route_or_the_buffer():
     for path in sorted(PACKAGE.glob("*.py")):
         if path != spectral:
             assert _callers(path, "_on_chirp") == _callers(path, "buffer") == set(), path.name
+
+
+@pytest.mark.parametrize("owner,names", [("walk.py", ("_walk_cells", "_row_terms")),
+                                         ("spectral.py", ("heat_kernel_row", "tv_exact"))])
+def test_one_module_owns_each_batching_rule(owner, names):
+    for name in names:
+        assert {path.name for path in PACKAGE.glob("*.py") if _callers(path, name)} == {owner}, name

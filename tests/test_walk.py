@@ -324,6 +324,19 @@ def test_typicality_params_raises_when_the_window_falls_short(monkeypatch):
         typicality_params(10 ** 6, 100, "undirected", 0.0)
 
 
+def test_clt_probe_needs_no_window_radius():
+    # At k = 10^11 the level k^{-3/2} lies below the step law's 1e-15
+    # truncation, so `typicality_params` certifies no radius; the CLT probe
+    # scores no window and runs at solve_times' t_alpha.
+    n, k = 10 ** 6, 10 ** 11
+    with pytest.raises(RuntimeError, match="unreachable"):
+        typicality_params(n, k, "undirected", 0.0)
+    probe = clt_probe(n, k, "undirected", 0.0, 1000, replicate_rng(39, 0))
+    assert 0.0 <= probe.estimate <= 1.0
+    sol = entropic.solve_times(n, k, "undirected", alphas=[0.0])
+    assert probe.details["t_alpha"] == sol.t_alpha[0.0]
+
+
 def test_typicality_probe_local_failures_small():
     probe = typicality_probe(10 ** 6, 400, "undirected", 0.0, 5000,
                              replicate_rng(28, 0))
