@@ -6,6 +6,13 @@ directed model and the continuous-time simple random walk on Z run for time s
 entropy H(s), the moments of Q_1 = -log nu_s(W_1), and the times t_alpha
 solving k * E[Q_1(t_alpha)] = log n + alpha*sqrt(v k) — is computed from pmfs
 truncated to a window whose tail mass is below 1e-15.
+
+Both laws, with their logs, come from numpy arithmetic and the C library's
+log and exp (`math`): the Poisson law from cumulative sums of log(s/j) around
+its mode, the Bessel law by Miller's backward recurrence, each normalised to
+unit mass.  Neither follows numpy's run-time SIMD dispatch, so H, t_0 and
+t_alpha have the same bits at every dispatch level.  The root finder is a
+port of scipy's brentq, and no scipy module is imported.
 """
 
 from __future__ import annotations
@@ -23,8 +30,9 @@ PMF_FLOOR = 1e-300
 #: absolute log of the window-truncation target 1e-15.
 _LOG_TRUNC = abs(math.log(1e-15))
 
-#: hard cap for the root-finding bracket (in units of t).  scipy's scaled Bessel
-#: function is NaN from s = 2^30 on, and the window at the cap has ~556k entries.
+#: hard cap for the root-finding bracket (in units of t).  It bounds every step
+#: law's window: at the cap the window has ~556k entries, and the undirected
+#: law refuses any s above it rather than build a larger one.
 BRACKET_CAP = 2.0 ** 29
 
 
@@ -94,39 +102,88 @@ def window_half_width(s: float) -> int:
     return int(math.ceil(max(60.0, 12.0 * math.sqrt(s) + _LOG_TRUNC)))
 
 
-#: switch to the centered Poisson pmf evaluation above this s.  scipy's pmf
-#: forms the log as a difference of terms of size ~ s log s, so its absolute
-#: log error grows like ulp(s log s); the centered route keeps it near 1e-15.
-_POISSON_CENTERED_MIN = 10 ** 4
+def _log(values: list[float]) -> np.ndarray:
+    """log of each value by the C library, -inf where it is 0 (below the float
+    range): numpy's float64 log and exp pick SIMD kernels at run time, whose
+    last bits differ between CPUs, and libm's do not."""
+    return np.array([math.log(x) if x > 0 else -math.inf for x in values], dtype=float)
 
 
-def poisson_logpmf(x, s: float):
-    """log Po(s)(x) for integers x >= 0, the form scipy.stats.poisson evaluates."""
-    from scipy import special  # here, so the spectral-only commands never load scipy
-    return special.xlogy(x, s) - special.gammaln(x + 1) - s
+def _exp(values: list[float]) -> np.ndarray:
+    """exp of each value by the C library (see `_log`)."""
+    return np.array(list(map(math.exp, values)), dtype=float)
 
 
-def _poisson_pmf_centered(lo: int, hi: int, s: float) -> np.ndarray:
-    """Poisson pmf on [lo, hi] for large s, free of large-term cancellation.
+def _log_ratios(s: float, j: np.ndarray) -> np.ndarray:
+    """log(s / j) for counts j >= 1, by log1p where j <= 2 s: there s - j is exact,
+    so a term near the mode carries an error of u |s - j| / j, not u."""
+    near = j <= 2.0 * s
+    out = np.empty(j.size)
+    out[near] = list(map(math.log1p, ((s - j[near]) / j[near]).tolist()))
+    out[~near] = _log((s / j[~near]).tolist())
+    return out
 
-    log p at the mode m = round(s) comes from Stirling with the O(s)-sized
-    terms combined analytically (m log(s/m) + (m - s) = -delta^2/(2m) + ...),
-    and log p elsewhere from cumulative sums of the small ratios log(s/j).
-    """
+
+def _poisson_law(lo: int, hi: int, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """(pmf, log pmf) of Po(s) on [lo, hi], s > 0: cumulative sums of log(s / j)
+    from m = round(s), normalised by the window's own mass (the mass outside it
+    is below 1e-15), so no term of size s log s is formed and cancelled."""
     m = int(round(s))
-    delta = s - m
-    log_pm = (m * math.log1p(delta / m) + (m - s)
-              - 0.5 * math.log(2.0 * math.pi * m)
-              - 1.0 / (12.0 * m) + 1.0 / (360.0 * m ** 3))
-    logp = np.empty(hi - lo + 1)
-    logp[m - lo] = log_pm
-    if hi > m:
-        j = np.arange(m + 1, hi + 1, dtype=float)
-        logp[m - lo + 1:] = log_pm + np.cumsum(np.log1p((s - j) / j))
-    if lo < m:
-        j = np.arange(m, lo, -1, dtype=float)
-        logp[:m - lo] = log_pm - np.cumsum(np.log1p((s - j) / j))[::-1]
-    return np.exp(logp)
+    logw = np.concatenate([-np.cumsum(_log_ratios(s, np.arange(m, lo, -1.0)))[::-1], [0.0],
+                           np.cumsum(_log_ratios(s, np.arange(m + 1.0, hi + 1)))])
+    w = _exp(logw.tolist())
+    w[m - lo] = 0.0
+    log_pm = -math.log1p(math.fsum(w))
+    w[m - lo] = 1.0
+    return w * math.exp(log_pm), logw + log_pm
+
+
+def _bessel_law(half: int, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """(pmf, log pmf) of e^{-s} I_{|x|}(s) on [-half, half], s > 0, by Miller's
+    backward recurrence.
+
+    r_{j-1} = (2j/s) r_j + r_{j+1} runs down from r_{top+1} = 0 above the
+    window, carried as the ratios rho_j = r_j / r_{j-1} = s / (2j + s rho_{j+1}):
+    each lies in (0, 1), so the recurrence is rescaled at every step and no s
+    overflows it.  The start's error at the window's top order is about
+    (I_top / I_half)^2 < e^-50.  The identity sum_j e^{-s} I_{|j|}(s) = 1 gives
+    the law at 0, and the negative half mirrors the positive one bit for bit.
+    (Gautschi, Computational aspects of three-term recurrence relations, SIAM
+    Review 9 (1967) 24-82.)
+    """
+    top = half + 20 + int(2.0 * math.sqrt(s))
+    ratios = [0.0] * top
+    rho = 0.0
+    for j in range(top, 0, -1):
+        rho = s / (2 * j + s * rho)
+        ratios[j - 1] = rho
+    w = np.cumprod(ratios)  # I_j / I_0 for j = 1, ..., top
+    log_p0 = -math.log1p(2.0 * math.fsum(w.tolist()))
+    p, logp = w[:half] * math.exp(log_p0), _log(w[:half].tolist()) + log_p0
+    return (np.concatenate([p[::-1], [math.exp(log_p0)], p]),
+            np.concatenate([logp[::-1], [log_p0], logp]))
+
+
+def _step_law(model: str, s: float, reach: int = 0) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """(lo, hi, pmf, log pmf) on `step_distribution`'s window [lo, hi]."""
+    _check_model(model)
+    if not s >= 0:
+        raise ValueError("s must be >= 0")
+    if model == "undirected" and s > BRACKET_CAP:
+        raise ValueError(f"undirected step law at s = {s} is past BRACKET_CAP = 2^29")
+    half = max(window_half_width(s), reach)
+    if model == "directed":
+        center = int(round(s))
+        lo = max(0, center - half)
+    else:
+        center, lo = 0, -half
+    hi = center + half
+    if s == 0:  # a point mass
+        logp = np.full(hi - lo + 1, -np.inf)
+        logp[center - lo] = 0.0
+        return lo, hi, _exp(logp.tolist()), logp
+    law = _poisson_law(lo, hi, s) if model == "directed" else _bessel_law(half, s)
+    return lo, hi, *law
 
 
 def step_distribution(model: str, s: float, reach: int = 0) -> StepDistribution:
@@ -135,26 +192,8 @@ def step_distribution(model: str, s: float, reach: int = 0) -> StepDistribution:
     The window reaches max(window_half_width(s), reach) from its center: a
     caller can widen it past the 1e-15 tail bound, never narrow it.
     """
-    _check_model(model)
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    half = max(window_half_width(s), reach)
-    if model == "directed":
-        center = int(round(s))
-        lo = max(0, center - half)
-        hi = center + half
-        if s >= _POISSON_CENTERED_MIN:
-            pmf = _poisson_pmf_centered(lo, hi, s)
-        else:
-            pmf = np.exp(poisson_logpmf(np.arange(lo, hi + 1), s))
-    else:
-        from scipy import special
-        lo, hi = -half, half
-        # e^{-s} I_{|x|}(s): scaled Bessel, stable for any s.
-        pmf = special.ive(np.abs(np.arange(lo, hi + 1)), s)
-    if not np.isfinite(pmf).all():
-        raise ValueError(f"{model} step pmf at s = {s} is not finite")
-    return StepDistribution(model=model, s=float(s), lo=lo, hi=hi, pmf=np.asarray(pmf, float))
+    lo, hi, pmf, _ = _step_law(model, s, reach)
+    return StepDistribution(model=model, s=float(s), lo=lo, hi=hi, pmf=pmf)
 
 
 def entropy(model: str, s: float) -> float:
@@ -169,9 +208,9 @@ def _q1_mean(model: str, s: float):
     """
     if s == 0:
         return 0.0, np.zeros(0), np.zeros(0)
-    dist = step_distribution(model, s)
-    p = dist.pmf[dist.pmf > PMF_FLOOR]
-    logp = np.log(p)
+    _, _, p, logp = _step_law(model, s)
+    keep = p > PMF_FLOOR
+    p, logp = p[keep], logp[keep]
     return -math.fsum(p * logp), p, logp
 
 
@@ -183,12 +222,12 @@ def entropy_derivative(model: str, s: float) -> float:
     """
     if s <= 0:
         raise ValueError("s must be > 0")
-    p = step_distribution(model, s).pmf
+    _, _, p, logp = _step_law(model, s)
     padded = np.pad(p, 1)  # no flow across either end of the window
     down, up = padded[:-2], padded[2:]
     dp = 0.5 * (up + down) - p if model == "undirected" else down - p
     mask = p > PMF_FLOOR
-    terms = -dp[mask] * (np.log(p[mask]) + 1.0)
+    terms = -dp[mask] * (logp[mask] + 1.0)
     return math.fsum(terms)
 
 

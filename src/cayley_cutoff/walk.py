@@ -54,9 +54,8 @@ class ProbeResult:
 
 
 def psi(alpha: float) -> float:
-    """Standard normal upper-tail probability."""
-    from scipy import special
-    return float(special.ndtr(-alpha))
+    """Standard normal upper-tail probability, 0.5 erfc(alpha / sqrt 2)."""
+    return 0.5 * math.erfc(alpha / math.sqrt(2.0))
 
 
 def _binomial(hits: int, samples: int) -> tuple[float, float]:

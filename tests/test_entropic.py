@@ -2,15 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special, stats
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from cayley_cutoff import entropic
 from cayley_cutoff.entropic import (BracketError, asymptotic_times, entropy,
                                     entropy_derivative, entropy_inverse,
-                                    f_lambda, g_lambda, poisson_logpmf,
-                                    q1_moments, solve_times, step_distribution,
-                                    window_half_width)
-from cayley_cutoff.walk import psi
+                                    f_lambda, g_lambda, q1_moments, solve_times,
+                                    step_distribution, window_half_width)
 
 
 def poissonization_pmf(s: float, x: int, top: int = 400) -> float:
@@ -31,22 +31,6 @@ def test_step_pmf_directed_values():
         step_distribution("directed", -1.0).prob(0)
     with pytest.raises(ValueError):
         step_distribution("bogus", 1.0).prob(0)
-
-
-def test_special_function_forms_equal_scipy_stats():
-    xs = np.arange(0, 400)
-    for s in (0.0, 1e-9, 0.0069, 0.13, 1.0, 7.3, 100.0, 999.5, 9999.0):
-        assert np.array_equal(np.exp(poisson_logpmf(xs, s)), stats.poisson.pmf(xs, s))
-        assert np.array_equal(special.pdtrc(xs, s), stats.poisson.sf(xs, s))
-        assert np.array_equal(special.pdtr(xs, s), stats.poisson.cdf(xs, s))
-        if s > 0:
-            assert np.array_equal(poisson_logpmf(xs, s), stats.poisson.logpmf(xs, s))
-        for x in (0, 1, 3, 50):
-            assert step_distribution("directed", s).prob(x) == float(stats.poisson.pmf(x, s))
-    for alpha in np.linspace(-8.0, 8.0, 1601):
-        assert psi(alpha) == float(stats.norm.sf(alpha))
-    # the special forms are only fed counts >= 0: below 0 they differ
-    assert stats.poisson.sf(-1, 2.0) == 1.0 and math.isnan(special.pdtrc(-1, 2.0))
 
 
 def test_step_pmf_undirected_symmetry():
@@ -76,6 +60,32 @@ def test_step_distribution_window_mass():
             assert type(dist.prob(int(xs[0]))) is float
             assert not probs[:3].any() and not probs[-3:].any()
             assert np.array_equal(probs[3:-3], dist.pmf)
+
+
+#: s log-uniform from 1e-300 to the cap, as powers of ten
+_LOG_UNIFORM_S = st.floats(-300.0, math.log10(entropic.BRACKET_CAP)).map(
+    lambda e: min(10.0 ** e, entropic.BRACKET_CAP))
+
+
+@seed(38)
+@settings(max_examples=150, deadline=None, database=None)
+@given(model=st.sampled_from(entropic.MODELS), s=st.just(0.0) | _LOG_UNIFORM_S,
+       reach=st.integers(0, 500))
+@example(model="undirected", s=5e-324, reach=0)  # the least float above 0
+@example(model="directed", s=5e-324, reach=0)
+@example(model="undirected", s=entropic.BRACKET_CAP, reach=0)
+def test_step_laws_are_finite_unit_mass_at_every_s(model, s, reach):
+    # no overflow, division by zero or NaN at any s, however small: the Bessel
+    # recurrence runs on ratios in (0, 1), and a law below the float range is 0
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        dist = step_distribution(model, s, reach)
+    assert np.isfinite(dist.pmf).all() and dist.pmf.min() >= 0.0
+    center = round(s) if model == "directed" else 0
+    assert dist.hi == center + max(window_half_width(s), reach)
+    assert dist.pmf.size == dist.hi - dist.lo + 1
+    assert abs(math.fsum(dist.pmf) - 1.0) <= 1e-14
+    if model == "undirected":
+        assert np.array_equal(dist.pmf, dist.pmf[::-1])
 
 
 def test_poisson_lower_bound_undirected():

@@ -555,18 +555,20 @@ def test_cli_config_digests_are_pinned(argv, digest):
 #: sha256 of the whole stdout of each command, covering every subcommand, both
 #: models, a multi-axis group, passes cut into several leaves below LONG_AXIS
 #: and the four-step transform (from CHIRP_AXIS, here at 100003 and up).  The
-#: values hold for numpy 2.4.6 and scipy 1.17.1 on an x86-64 host where numpy
+#: values hold for numpy 2.4.6 and glibc 2.36 on an x86-64 host where numpy
 #: dispatches its AVX-512 (X86_V4) kernels.  numpy picks its float64 `exp` and
 #: `log` family's SIMD kernels at run time, and they differ in the last bits:
-#: with NPY_DISABLE_CPU_FEATURES playing an AVX2 host (X86_V3), 11 of these 27
-#: commands print other bytes, and at x86-64-v2 13 do, TV moving by at most
-#: 7.8e-16.  A library upgrade that moves last bits gets them re-recorded,
-#: with a note in CHANGES.md.
+#: with NPY_DISABLE_CPU_FEATURES playing an AVX2 host (X86_V3), 12 of these 27
+#: commands print other bytes, and at x86-64-v2 14 do, TV moving by at most
+#: 6.7e-16.  Every t0, t_alpha and target_psi is the same at all three levels,
+#: since the step laws take log and exp from libm; TV, l2_bound and tv-curve's
+#: geometric t-grid are what move.  A library upgrade that moves last bits
+#: gets them re-recorded, with a note in CHANGES.md.
 PINNED_STDOUT = {
     "tv-curve --group 101 --k 4 --seed 7":
-        "7408fe77cf74d7584426cb9bf0a3395016cf33d983c2b0231feba8b1810bb94f",
+        "f416be8a9eeec0d4fad69d63bb289ab838574896e209fe5f44edf6b9946315f8",
     "tv-curve --group 4,9,25 --k 5 --model directed --seed 3":
-        "6b7ed724a86c8f38465b75c8213786bdef199dab2f98736f3201a7fbfdb8d0a9",
+        "07289fad0c0dee0aefaff79fc3aa7b29e375b23cb42fb7e9a804706632222a42",
     "gap-scan --group 64 --k 3 --seed 7 --replicates 50 --format json":
         "9662f0d9e70612f68788b014799c71fa7820bda41dbe4de3d17b5e3629e2fa01",
     "spectrum --group 4,9,25 --k 5 --seed 3":
@@ -574,37 +576,37 @@ PINNED_STDOUT = {
     "cheeger --group 12 --k 3 --seed 2 --replicates 3":
         "97d689e3cc65354eb0908a4428eb467c6d3e50c359e4d6fe0088806cc248ca66",
     "entropic --group 1000003 --k 14 --seed 1":
-        "38862a86c09336aa92ae5ef1b193fe2e6ecb6ee798a3e33d7b9f30104c16dd02",
+        "6d007e591011b59650344836ba9f74aace9f7f537a585b361490a5a9071292c6",
     "entropic --group 1000000 --k 2 --seed 1":
-        "608481ce22a089a1bc78ddaf6429c2e25e613c65ecf4c9d2d73dc74e1ac029e8",
+        "47bde5ec352104afbe9dbf3d930969b5f8d4263434c68ca8d8c1fd3f82fb2975",
     "entropic --group 1000 --k 1000000 --seed 1":
-        "b60ba782fcfbe3287d52c22a9b2dc0f76d5f7244bf6c2e23120446740cbc4d65",
+        "925c20ed9060912d751aca3c04b4b084f3b418fa8131f0dd6885b5a5ee2d3493",
     "cutoff-profile --group 2,2,2,2,2,2,2,2,2,2,2,2 --k 30 --seed 3 --replicates 2":
-        "a694c55c444b32f8b10602a2053c23b8edfb63ca20db79332d71fa8f86cc5b74",
+        "ae1f6820e12b0b91c79cd50f0f519524e82fd45bdadc976df99b9a967826f5f1",
     "cutoff-profile --group 262147 --k 14 --seed 5 --replicates 2 --model directed":
-        "6c5797d47297aa35de6baa42583d97e658f77818d44784b7d46953075fedc09e",
+        "d8d9161d274101ee4ed951eb78218356286d030406f36a6703283004fcab890f",
     "verify --seed 1 --only cos_taylor":
         "cd167925de65f03bbd84204cdba5314df73b186c7c0a0bcbe70f4608fdfcea8b",
     # t_{-40} and t_{-30} clamp to 0, so two zero times share one row pair
     "cutoff-profile --group 101 --k 4 --seed 1 --alpha=-40,-30,0,1":
-        "d23fb46967e682c412e53f5a6938e53689cecebeee36c6b96a8320836ffb2990",
+        "8232a2e4ab1c10dcdea850b66ea263d387ff1cbc0fc3da6894cec414b94bd535",
     "cutoff-profile --group 101 --k 4 --seed 1 --alpha=-40,0,1 --model directed":
-        "5878ed8e2d776084b408ffe08e7a5939ecacf86b59c84c240833e1a228fdfa3a",
+        "f4cab0459862f0df17e53b912e98f3b83ba4bde1f3b106f85be532fee6f9c969",
     "gap-scan --group 1009 --k 20 --seed 1 --replicates 300 --jobs 2":
         "ba58446ce2dbb7eda7532013af20c9a389a0519ccadc31db8ca1142342e27cc0",
     # groups of SHORT_GROUP to LONG_AXIS elements: replicates run on threads,
     # each pass of more than ROW_BLOCK elements leaf by leaf; below CHIRP_AXIS
     # on pocketfft, from it on the four-step, each thread in its own buffer
     "cutoff-profile --group 16411 --k 14 --seed 5 --replicates 4 --model directed":
-        "14414a58cebafdfc612c104975a9b311b99eab8cb693448165c433b0ad07ef55",
+        "4c04d551058fd4c1819b772670c4b13d1ccac9fecea26a30419b574f42b601af",
     "gap-scan --group 128,160 --k 12 --seed 4 --replicates 6":
         "21cd5a10d3ebecfc168c8b1f332b7fe1a1211853d7904c267039b68bb765ee56",
     "cutoff-profile --group 131101 --k 14 --model directed --seed 2 --replicates 2":
-        "81525300fee3b1c7eb57991f446def9de2e3347c0251b319945950befbd9b056",
+        "818adafbb9e61b5c60b38afd6df7950c8634d266727ae5bf1ecf34c07a2d8fa1",
     "cutoff-profile --group 100003 --k 40 --seed 3 --replicates 4":
-        "ce454790e06defe53a01bb5ab4cbbf2a29c37b83303a362da79896515d03b7c4",
+        "ed864b9b7dce148f8fc03ff2c8f248aa02541cec1b8f8c318daee781d77bf4db",
     "cutoff-profile --group 100003 --k 40 --seed 3 --replicates 4 --jobs 2":
-        "ce454790e06defe53a01bb5ab4cbbf2a29c37b83303a362da79896515d03b7c4",
+        "ed864b9b7dce148f8fc03ff2c8f248aa02541cec1b8f8c318daee781d77bf4db",
     # one replicate from ROW_BLOCK to LONG_AXIS elements: the four-step, with
     # every longer pass in leaves on the main thread's pool; at 131101 the
     # weights pass splits its 65551 slab planes, and 100003 has a real slab
@@ -621,9 +623,9 @@ PINNED_STDOUT = {
         "2ce2f2a0de092c4ee7e31e65ffd964fb147d08949eac8e69b39cf483f522cd43",
     # unsorted alpha with a clamped t = 0, and the cutoff times through a process pool
     "cutoff-profile --group 1009 --k 20 --seed 2 --alpha=1.5,-1,0,-40,0.5 --replicates 3":
-        "7a9f108d2cfe6755b72cb1abcc2fb6f03d06f5c6f8cf2891ba9b6ae5862fe24d",
+        "0934e57436bd955d8e6c9b8f1b76a04616e4c3e8045bb6cbe31af82f6e0dfc89",
     "cutoff-profile --group 36 --k 5 --seed 2 --alpha=1,-1 --replicates 3 --jobs 2":
-        "7cda21c8a73bc8303ba732007bf4c1b7db00eb6935bcfd8fee96bd3e9ce013dc",
+        "45affacda1992b7c4cb7761cf0057415ede96b1a41933fece48a5e245428ee12",
     # CSV with t_rel = inf cells
     "gap-scan --group 64 --k 3 --seed 7 --replicates 50":
         "daa05a2ef7f666dd5f96f4beba6f418645df9b291e569f2a3320d5ad571eb4c3",
@@ -896,13 +898,17 @@ def test_cli_verify_single_check(capsys):
     assert "cos_taylor" in out and "0 failures" in out
 
 
-#: Commands that never solve for a time, so they load no scipy module; the last
-#: one runs on the four-step route.
+#: Commands that never solve for a time; the last one runs on the four-step route.
 SPECTRAL_ONLY = ("spectrum --group 101 --k 4 --seed 1",
                  "gap-scan --group 101 --k 4 --seed 1",
                  "cheeger --group 20 --k 3 --seed 1",
                  "tv-curve --group 101 --k 4 --seed 1 --t-grid 0.5:20:5",
                  "tv-curve --group 32771 --k 4 --seed 1 --t-grid 1:2:2")
+#: Commands that solve for a time or build step laws: brentq is entropic's own
+#: port, and the step laws and Psi are numpy and `math` alone.
+SOLVING = ("cutoff-profile --group 101 --k 4 --seed 1",
+           "entropic --group 101 --k 4 --seed 1",
+           "verify --seed 1 --only unimodality")
 
 
 def test_cli_import_leaves_out_scipy_stats():
@@ -917,13 +923,12 @@ def test_cli_import_leaves_out_scipy_stats():
             "print('#scipy cli', scipy()); "
             f"status = [cayley_cutoff.cli.main(c.split()) for c in {SPECTRAL_ONLY!r}]; "
             "print('#scipy spectral', status, scipy()); "
-            # a solving command: brentq is entropic's own port
-            "cayley_cutoff.cli.main('cutoff-profile --group 101 --k 4 --seed 1'.split()); "
-            "print('#scipy solving', 'scipy.special' in sys.modules, 'scipy.fft' in sys.modules); "
+            f"[print('#scipy', c, cayley_cutoff.cli.main(c.split()), scipy()) "
+            f"for c in {SOLVING!r}]; "
             "print(root, cli, loaded())")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.splitlines()[-1] == "[] (False, False) (False, False)"
     checks = [line for line in out.splitlines() if line.startswith("#scipy")]
     assert checks == ["#scipy cli []", f"#scipy spectral {[0] * len(SPECTRAL_ONLY)} []",
-                      "#scipy solving True False"]
+                      *[f"#scipy {c} 0 []" for c in SOLVING]]

@@ -203,15 +203,15 @@ def test_clt_probe_deterministic_and_monotone():
 # n = 10007, k = 20, undirected, 4000 samples; the target is Psi(alpha).
 PINNED_PROBES = [
     (clt_probe, 0.0, 1, 0.561, 0.007846639408052341,
-     {"plus": 0.7625, "minus": 0.30175, "t_alpha": 2.5847921280960233,
-      "omega": 2.0545870693641164}),
+     {"plus": 0.7625, "minus": 0.30175, "t_alpha": 2.5847921280960247,
+      "omega": 2.054587069364117}),
     (clt_probe, 1.5, 2, 0.03, 0.0026972207918522354,
-     {"plus": 0.227, "minus": 0.00575, "t_alpha": 5.849120773738749,
-      "omega": 2.0545870693641164}),
+     {"plus": 0.227, "minus": 0.00575, "t_alpha": 5.84912077373875,
+      "omega": 2.054587069364117}),
     (typicality_probe, 0.0, 3, 0.8295, 0.005946212029519297,
-     {"local_failure_rate": 0.07475, "t_alpha": 2.5847921280960233}),
+     {"local_failure_rate": 0.07475, "t_alpha": 2.5847921280960247}),
     (typicality_probe, 1.5, 4, 0.2265, 0.006618114346246973,
-     {"local_failure_rate": 0.013, "t_alpha": 5.849120773738749}),
+     {"local_failure_rate": 0.013, "t_alpha": 5.84912077373875}),
 ]
 
 
