@@ -2,10 +2,12 @@
 
 The per-coordinate step distribution at elapsed time s is Poisson(s) for the
 directed model and the continuous-time simple random walk on Z run for time s
-(pmf e^{-s} I_{|x|}(s)) for the undirected model.  Everything downstream — the
-entropy H(s), the moments of Q_1 = -log nu_s(W_1), and the times t_alpha
-solving k * E[Q_1(t_alpha)] = log n + alpha*sqrt(v k) — is computed from pmfs
-truncated to a window whose tail mass is below 1e-15.
+(pmf e^{-s} I_{|x|}(s)) for the undirected model, truncated to a window whose
+tail mass is below 1e-15.  `step_distribution` builds every law, and its
+StepDistribution keeps the log pmf beside the pmf, so c(x) = -log nu_s(x) has
+one table: the entropy H(s), the moments of Q_1 = c(W_1) and the times
+t_alpha solving k * E[Q_1(t_alpha)] = log n + alpha*sqrt(v k) sum it, the
+walk's Q adds up its `cost` (c floored at PMF_FLOOR), and the LCLT scan reads it.
 
 Both laws, with their logs, come from numpy arithmetic and the C library's
 log and exp (`math`): the Poisson law from cumulative sums of log(s/j) around
@@ -24,7 +26,7 @@ import numpy as np
 
 MODELS = ("undirected", "directed")
 
-#: pmf values below this are dropped from entropy/variance sums (log-of-zero guard).
+#: pmf values below this leave entropy/variance sums and cost log(1/PMF_FLOOR) in Q.
 PMF_FLOOR = 1e-300
 
 #: absolute log of the window-truncation target 1e-15.
@@ -42,13 +44,14 @@ class BracketError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepDistribution:
-    """Truncated pmf of one walk coordinate after elapsed time s."""
+    """Truncated pmf of one walk coordinate after elapsed time s, and its log."""
 
     model: str
     s: float
     lo: int
     hi: int
     pmf: np.ndarray
+    logpmf: np.ndarray
 
     @property
     def support(self) -> np.ndarray:
@@ -59,12 +62,22 @@ class StepDistribution:
         """Exact mean of the untruncated law (s directed, 0 undirected)."""
         return self.s if self.model == "directed" else 0.0
 
+    def _at(self, table: np.ndarray, x, outside: float):
+        """table at an integer or integer array x, `outside` past the window."""
+        idx = np.asarray(x) - self.lo
+        inside = (idx >= 0) & (idx < table.size)
+        v = np.where(inside, table[np.clip(idx, 0, table.size - 1)], outside)
+        return float(v) if v.ndim == 0 else v
+
     def prob(self, x):
         """pmf at an integer or integer array x; 0 outside the window, a float for a scalar."""
-        idx = np.asarray(x) - self.lo
-        inside = (idx >= 0) & (idx < self.pmf.size)
-        p = np.where(inside, self.pmf[np.clip(idx, 0, self.pmf.size - 1)], 0.0)
-        return float(p) if p.ndim == 0 else p
+        return self._at(self.pmf, x, 0.0)
+
+    def cost(self, x):
+        """c(x) = -log nu_s(x), the summand of Q: -max(logpmf(x), log PMF_FLOOR), so
+        log(1 / PMF_FLOOR) outside the window and wherever the pmf is below the floor."""
+        floor = math.log(PMF_FLOOR)
+        return -np.maximum(self._at(self.logpmf, x, floor), floor)
 
 
 @dataclass(frozen=True)
@@ -164,8 +177,13 @@ def _bessel_law(half: int, s: float) -> tuple[np.ndarray, np.ndarray]:
             np.concatenate([logp[::-1], [log_p0], logp]))
 
 
-def _step_law(model: str, s: float, reach: int = 0) -> tuple[int, int, np.ndarray, np.ndarray]:
-    """(lo, hi, pmf, log pmf) on `step_distribution`'s window [lo, hi]."""
+def step_distribution(model: str, s: float, reach: int = 0) -> StepDistribution:
+    """Truncated step pmf and its log, centered at the mean (s directed, 0 undirected).
+
+    The window reaches max(window_half_width(s), reach) from its center: a
+    caller can widen it past the 1e-15 tail bound, never narrow it.  At s = 0
+    the law is a point mass at 0, log pmf 0 there and -inf elsewhere.
+    """
     _check_model(model)
     if not s >= 0:
         raise ValueError("s must be >= 0")
@@ -178,62 +196,52 @@ def _step_law(model: str, s: float, reach: int = 0) -> tuple[int, int, np.ndarra
     else:
         center, lo = 0, -half
     hi = center + half
-    if s == 0:  # a point mass
-        logp = np.full(hi - lo + 1, -np.inf)
-        logp[center - lo] = 0.0
-        return lo, hi, _exp(logp.tolist()), logp
-    law = _poisson_law(lo, hi, s) if model == "directed" else _bessel_law(half, s)
-    return lo, hi, *law
-
-
-def step_distribution(model: str, s: float, reach: int = 0) -> StepDistribution:
-    """Truncated step pmf, centered at the mean (s directed, 0 undirected).
-
-    The window reaches max(window_half_width(s), reach) from its center: a
-    caller can widen it past the 1e-15 tail bound, never narrow it.
-    """
-    lo, hi, pmf, _ = _step_law(model, s, reach)
-    return StepDistribution(model=model, s=float(s), lo=lo, hi=hi, pmf=pmf)
+    if s == 0:
+        logpmf = np.where(np.arange(lo, hi + 1) == center, 0.0, -np.inf)
+        pmf = _exp(logpmf.tolist())
+    else:
+        pmf, logpmf = _poisson_law(lo, hi, s) if model == "directed" else _bessel_law(half, s)
+    return StepDistribution(model=model, s=float(s), lo=lo, hi=hi, pmf=pmf, logpmf=logpmf)
 
 
 def entropy(model: str, s: float) -> float:
     """Shannon entropy H(s) of the step distribution, in nats: the mean of Q_1(s)."""
-    return _q1_mean(model, s)[0]
+    return _q1_mean(step_distribution(model, s))[0]
 
 
-def _q1_mean(model: str, s: float):
-    """(H(s), p, log p): the mean of Q_1(s) and the pmf mass above PMF_FLOOR it sums.
-
-    At s = 0 the law is a point mass, H = 0.0 and both arrays are empty.
-    """
-    if s == 0:
-        return 0.0, np.zeros(0), np.zeros(0)
-    _, _, p, logp = _step_law(model, s)
-    keep = p > PMF_FLOOR
-    p, logp = p[keep], logp[keep]
-    return -math.fsum(p * logp), p, logp
+def _q1_mean(dist: StepDistribution):
+    """(H, p, log p): the mean of Q_1 under `dist` and the pmf mass above PMF_FLOOR
+    it sums (on the point mass at s = 0, H = 0.0)."""
+    keep = dist.pmf > PMF_FLOOR
+    p, logp = dist.pmf[keep], dist.logpmf[keep]
+    return 0.0 - math.fsum(p * logp), p, logp
 
 
-def entropy_derivative(model: str, s: float) -> float:
+def entropy_derivative(model: str, s: float, *, _law: StepDistribution | None = None) -> float:
     """dH/ds via the backward equation: -sum_x p'(x) (log p(x) + 1).
 
     The time derivative of the pmf is p'(x) = (p(x+1) + p(x-1))/2 - p(x) for
-    the undirected walk and p'(x) = p(x-1) - p(x) for the directed one.
+    the undirected walk and p'(x) = p(x-1) - p(x) for the directed one.  That
+    second difference is of size p / s and cancels about log10(s) of p's
+    digits, so H' keeps about 16 - log10(s): a relative error of 2.8e-12 at
+    s = 1.1e5 and 3.6e-9 at 2^29 against a 50-digit oracle.  Only the window
+    coefficient reads it, passing the step law it already built as `_law`.
     """
     if s <= 0:
         raise ValueError("s must be > 0")
-    _, _, p, logp = _step_law(model, s)
+    law = _law or step_distribution(model, s)
+    p, logp = law.pmf, law.logpmf
     padded = np.pad(p, 1)  # no flow across either end of the window
     down, up = padded[:-2], padded[2:]
     dp = 0.5 * (up + down) - p if model == "undirected" else down - p
     mask = p > PMF_FLOOR
-    terms = -dp[mask] * (logp[mask] + 1.0)
-    return math.fsum(terms)
+    return math.fsum(-dp[mask] * (logp[mask] + 1.0))
 
 
-def q1_moments(model: str, s: float) -> tuple[float, float]:
-    """Mean and variance of Q_1(s) = -log nu_s(W_1)."""
-    mean, p, logp = _q1_mean(model, s)
+def q1_moments(model: str, s: float, *,
+               _law: StepDistribution | None = None) -> tuple[float, float]:
+    """Mean and variance of Q_1(s) = -log nu_s(W_1), on `_law` if it is given."""
+    mean, p, logp = _q1_mean(_law or step_distribution(model, s))
     return mean, math.fsum(p * (-logp - mean) ** 2)
 
 
@@ -342,15 +350,12 @@ def f_lambda(lam: float, model: str) -> float:
     return entropy_inverse(model, 1.0 / lam)
 
 
-def g_lambda(lam: float, model: str) -> float:
-    """Window coefficient sqrt(v(lam)) / (f(lam) * H'(f(lam)))."""
-    return _window_coeff(model, f_lambda(lam, model))
-
-
 def _window_coeff(model: str, s: float) -> float:
-    """`g_lambda` from s = f(lam): sqrt(v(s)) / (s H'(s)), with no second solve of f."""
-    _, var = q1_moments(model, s)
-    return math.sqrt(var) / (s * entropy_derivative(model, s))
+    """The window coefficient g(lam) = sqrt(v(s)) / (s H'(s)) at s = f(lam), from one
+    step law and with no second solve of f."""
+    law = step_distribution(model, s)
+    _, var = q1_moments(model, s, _law=law)
+    return math.sqrt(var) / (s * entropy_derivative(model, s, _law=law))
 
 
 #: regime classifier thresholds on kappa = k / log n.

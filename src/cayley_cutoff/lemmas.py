@@ -321,13 +321,10 @@ def lclt_scan(model: str, s_grid) -> CheckReport:
         if s < 10:
             raise ValueError("LCLT scan needs s >= 10")
         dist = entropic.step_distribution(model, s)
-        mean = dist.mean
-        xs = dist.support
-        centered = xs - mean
+        centered = dist.support - dist.mean
         bulk = np.abs(centered) <= s ** (7.0 / 12.0)
-        p = dist.pmf[bulk]
         c = centered[bulk]
-        log_err = np.abs(np.log(p) + 0.5 * math.log(2 * math.pi * s) + c ** 2 / (2 * s))
+        log_err = np.abs(dist.logpmf[bulk] + 0.5 * math.log(2 * math.pi * s) + c ** 2 / (2 * s))
         top = float(log_err.max())
         cases.append((top - 2.0 * s ** -0.25, f"{model} s={s} max log-error {top:.4g}"))
     violation, worst = _worst(cases, "within the 2 s^{-1/4} envelope")

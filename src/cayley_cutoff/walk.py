@@ -105,23 +105,19 @@ def _walk_cells(model: str, t: float, k: int, samples: int,
     return _sum_runs(keys >> 1, 2 * (keys & 1) - 1)
 
 
-def _cost(dist, x) -> np.ndarray:
-    """c(x) = -log max(pmf(x), PMF_FLOOR) for integer values x; pmf = 0 outside the window."""
-    return -np.log(np.maximum(dist.prob(x), entropic.PMF_FLOOR))
-
-
 def _row_terms(rows: np.ndarray, values: np.ndarray, samples: int, k: int, dist,
                r_alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Q and the local test of each of `samples` rows, from their nonzero coordinates.
 
     rows[j] is the row of the j-th nonzero coordinate and values[j] its value.
-    Q = (k - nnz) c(0) + sum over the nonzeros of c(w_i); the local test holds
+    Q = (k - nnz) c(0) + sum over the nonzeros of c(w_i), with c = dist.cost the
+    step law's own -log pmf (floored at PMF_FLOOR); the local test holds
     when every |w_i - mean| <= r_alpha, and the k - nnz zeros of a row fail it
     together when |0 - mean| > r_alpha.  r_alpha = inf tests nothing locally.
     """
     nnz = np.bincount(rows, minlength=samples)
-    q = (k - nnz) * _cost(dist, 0) + np.bincount(rows, weights=_cost(dist, values),
-                                                  minlength=samples)
+    q = (k - nnz) * dist.cost(0) + np.bincount(rows, weights=dist.cost(values),
+                                                minlength=samples)
     local = np.bincount(rows[np.abs(values - dist.mean) > r_alpha], minlength=samples) == 0
     if abs(dist.mean) > r_alpha:
         local &= nnz == k

@@ -9,7 +9,7 @@ from scipy import stats
 from cayley_cutoff import entropic
 from cayley_cutoff.entropic import (BracketError, asymptotic_times, entropy,
                                     entropy_derivative, entropy_inverse,
-                                    f_lambda, g_lambda, q1_moments, solve_times,
+                                    f_lambda, q1_moments, solve_times,
                                     step_distribution, window_half_width)
 
 
@@ -286,7 +286,7 @@ def test_f_lambda_identity_and_monotone():
         vals = [f_lambda(lam, model) for lam in grid]
         assert all(a > b for a, b in zip(vals, vals[1:]))
     assert abs(f_lambda(1.0, "undirected") - f_lambda(1.0, "directed")) > 1e-3
-    assert g_lambda(1.0, "undirected") > 0
+    assert entropic._window_coeff("undirected", f_lambda(1.0, "undirected")) > 0
 
 
 def test_asymptotic_report_regimes():
@@ -313,7 +313,8 @@ def test_asymptotic_times_solves_f_once(monkeypatch):
     assert rep.regime == "k ~ lambda log n" and len(calls) == 1
     assert rep == want
     kappa = 14 / math.log(1000003)
-    assert rep.predicted_window == g_lambda(kappa, "undirected") * rep.predicted_t0 / math.sqrt(14)
+    coeff = entropic._window_coeff("undirected", f_lambda(kappa, "undirected"))
+    assert rep.predicted_window == coeff * rep.predicted_t0 / math.sqrt(14)
 
 
 def test_asymptotic_window_small_k():

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import platform
 import shlex
 import subprocess
 import sys
@@ -648,6 +649,42 @@ def test_cli_stdout_is_pinned(capsys):
         got[argv] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert got == PINNED_STDOUT, (
         f"numpy's float64 exp ran at {_exp_dispatch()}; the pins hold at X86_V4 (AVX-512)")
+
+
+#: numpy dispatch levels below AVX-512, each with the features that
+#: NPY_DISABLE_CPU_FEATURES turns off to play it on an AVX-512 host.
+PLAYED_LEVELS = {"X86_V3": ("X86_V4", "AVX512_ICL", "AVX512_SPR"),
+                 "X86_V2": ("X86_V4", "AVX512_ICL", "AVX512_SPR", "X86_V3")}
+#: Pinned commands whose numbers come from the step laws, the solver and
+#: integer arithmetic alone, never from numpy's SIMD log and exp kernels.
+LEVEL_FREE = ("verify --seed 1", "entropic --group 1000003 --k 14 --seed 1",
+              "entropic --group 1000000 --k 2 --seed 1",
+              "entropic --group 1000 --k 1000000 --seed 1")
+
+
+@pytest.mark.parametrize("level", PLAYED_LEVELS)
+def test_level_free_commands_print_their_pins_at_every_level(level):
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("numpy's X86_V* dispatch levels exist on x86-64 only")
+    from numpy._core._multiarray_umath import __cpu_features__ as have
+    if not have.get(level):
+        pytest.skip(f"this host cannot run numpy's {level} kernels")
+    disabled = [feature for feature in PLAYED_LEVELS[level] if have.get(feature)]
+    # the child reports which disabled features are still on (none), then the
+    # status and stdout digest of each command
+    code = ("import contextlib, hashlib, io, sys\n"
+            "from numpy._core._multiarray_umath import __cpu_features__ as on\n"
+            "from cayley_cutoff.cli import main\n"
+            f"print([f for f in {disabled!r} if on[f]])\n"
+            "for argv in sys.argv[1:]:\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out): status = main(argv.split())\n"
+            "    print(status, hashlib.sha256(out.getvalue().encode()).hexdigest())")
+    env = dict(os.environ, PYTHONPATH=str(Path(cayley_cutoff.__file__).parents[1]),
+               NPY_DISABLE_CPU_FEATURES=" ".join(disabled))
+    out = subprocess.run([sys.executable, "-c", code, *LEVEL_FREE], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.splitlines() == ["[]", *[f"0 {PINNED_STDOUT[argv]}" for argv in LEVEL_FREE]]
 
 
 def test_readme_cli_examples_parse():

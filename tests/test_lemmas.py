@@ -497,7 +497,7 @@ def test_lclt_reports_the_worst_log_error(monkeypatch):
         xs = np.arange(-400, 401)
         pmf = np.exp(-xs ** 2 / (2 * s)) / math.sqrt(2 * math.pi * s)
         pmf[400] *= math.e
-        return StepDistribution("undirected", s, -400, 400, pmf)
+        return StepDistribution("undirected", s, -400, 400, pmf, np.log(pmf))
 
     monkeypatch.setattr(lemmas.entropic, "step_distribution", gaussian)
     rep = lclt_scan("undirected", (100.0, 10000.0))
@@ -526,7 +526,7 @@ _census, _cos, _step = lemmas._vz_counts, np.cos, entropic.step_distribution
 
 def _e_times_step(model, s):
     dist = _step(model, s)
-    return replace(dist, pmf=math.e * dist.pmf)
+    return replace(dist, pmf=math.e * dist.pmf, logpmf=dist.logpmf + 1.0)
 
 #: (owner, attribute, value): a patch under which each registered check
 #: reports FAIL.  set_probability has none: its bounds exceed 1 at its
@@ -538,10 +538,10 @@ BREAKS = {
     # 1 - cos(2 pi theta) raised by 1e-3 tops 2 (pi theta)^2 near 0
     "cos_taylor": (np, "cos", lambda x: _cos(x) - 1e-3),
     "unimodality": (entropic, "step_distribution", _stub_step(StepDistribution(
-        "undirected", 1.0, 0, 300, np.linspace(0.0, 1.0, 301)))),
+        "undirected", 1.0, 0, 300, np.linspace(0.0, 1.0, 301), np.zeros(301)))),
     # all the mass on V_1 = 2: P(2 | V_1) = 1
     "divisibility": (entropic, "step_distribution", _stub_step(StepDistribution(
-        "undirected", 1.0, 2, 2, np.ones(1)))),
+        "undirected", 1.0, 2, 2, np.ones(1), np.zeros(1)))),
     # survival e^{-2s}: under the floor e^{-lam s}, and rate 2 against lam_A = 1
     "exit_interval": (lemmas, "_killed_survival", lambda ell: (1.0, lambda s: -2.0 * s)),
     "dirichlet_rate": (lemmas, "_killed_survival", lambda ell: (1.0, lambda s: -2.0 * s)),
